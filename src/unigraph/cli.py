@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain errors (not graphical, not a unigraph in
 plain mode, oracle disagreement in verify), 2 usage errors. With --json the
 verdict is data, so is-unigraph exits 0 either way and emits exactly one
-JSON document on stdout; diagnostics go to stderr.
+JSON document on stdout; a domain error is that document too, as
+``{"error": {"type": ..., "message": ...}}``, and is also reported on stderr.
 """
 
 from __future__ import annotations
@@ -223,10 +224,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except UnigraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UnigraphError, OSError) as exc:
+        if args.json:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            print(json.dumps({"error": error}))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,36 +6,57 @@ paired with the bottom q degrees; the middle, lowered by p, is what remains.
 Strips repeat until the remainder admits no cut, and the tie-break is the
 lexicographically smallest (p, q), which always peels exactly one
 indecomposable component.
+
+A decomposition is stored run-length, as the kernel strips it: a maximal
+run of m consecutive dominant (K1) or isolated (S1) single-vertex
+components is one entry (K1, m) or (S1, m), and every multi-vertex head is
+an entry of count 1. Every consumer works per run, so a complete graph on
+a million vertices decomposes into one entry; the per-strip component list
+is expanded only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _kernel
-from .degseq import (
-    DegreeSequence,
-    PairedDegreeSequence,
-    compose_seq,
-    is_graphical,
-)
+from .degseq import DegreeSequence, PairedDegreeSequence, is_graphical
+from .degseq import compose_all  # noqa: F401  (the inverse of decompose)
 from .errors import NotGraphical
 
 K1 = PairedDegreeSequence(DegreeSequence(((0, 1),)), DegreeSequence(()))
 S1 = PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, 1),)))
 
 
+def tail_joins_clique(prev: PairedDegreeSequence | None) -> bool:
+    """Side a single-vertex tail joins, given the component before it.
+
+    The tail has no partition of its own: it joins the clique side exactly
+    when nothing or a K1 precedes it, and the stable side otherwise.
+    """
+    return prev is None or prev == K1
+
+
 @dataclass(frozen=True)
 class Decomposition:
-    """Ordered components, outermost (G_k) first, and the indecomposable
-    tail (G_0) as a plain sequence."""
+    """Components as (component, count) runs, outermost (G_k) first, and
+    the indecomposable tail (G_0) as a plain sequence."""
 
-    components: tuple[PairedDegreeSequence, ...]
+    runs: tuple[tuple[PairedDegreeSequence, int], ...]
     tail: DegreeSequence
+
+    @cached_property
+    def components(self) -> tuple[PairedDegreeSequence, ...]:
+        """One entry per strip; a run of m single vertices expands to m."""
+        out: list[PairedDegreeSequence] = []
+        for c, m in self.runs:
+            out.extend([c] * m)
+        return tuple(out)
 
     @property
     def n(self) -> int:
-        return sum(c.order for c in self.components) + self.tail.n
+        return sum(c.order * m for c, m in self.runs) + self.tail.n
 
     def to_report(self) -> dict:
         return {
@@ -80,42 +101,31 @@ def decompose(s: DegreeSequence) -> Decomposition:
     if not is_graphical(s):
         raise NotGraphical(f"{s} is not graphical")
     vals, mults = s.values_mults()
-    records = _kernel.decompose_runs(vals, mults)
-    components: list[PairedDegreeSequence] = []
+    runs: list[tuple[PairedDegreeSequence, int]] = []
     tail = DegreeSequence(())
-    for rec in records:
+    for rec in _kernel.decompose_runs(vals, mults):
         kind = rec[0]
         if kind == "k1":
-            components.extend([K1] * rec[1])
+            runs.append((K1, rec[1]))
         elif kind == "s1":
-            components.extend([S1] * rec[1])
+            runs.append((S1, rec[1]))
         elif kind == "head":
             _, kv, km, sv, sm = rec
-            components.append(
-                PairedDegreeSequence(
-                    DegreeSequence(tuple(zip(kv, km))),
-                    DegreeSequence(tuple(zip(sv, sm))),
-                )
+            head = PairedDegreeSequence(
+                DegreeSequence(tuple(zip(kv, km))),
+                DegreeSequence(tuple(zip(sv, sm))),
             )
+            runs.append((head, 1))
         else:
-            tv, tm = rec[1], rec[2]
-            tail = DegreeSequence(tuple(zip(tv, tm)))
-    return Decomposition(tuple(components), tail)
+            tail = DegreeSequence(tuple(zip(rec[1], rec[2])))
+    return Decomposition(tuple(runs), tail)
 
 
-def compose_all(
-    components: list[PairedDegreeSequence] | tuple[PairedDegreeSequence, ...],
-    tail: DegreeSequence,
-) -> DegreeSequence:
-    """Right-fold of compose_seq; the inverse of decompose."""
-    out = tail
-    for head in reversed(list(components)):
-        out = compose_seq(head, out)
-    return out
-
-
-def _block(kind: str, m: int) -> PairedDegreeSequence:
-    if kind == "k":
+def _block(c: PairedDegreeSequence, m: int) -> PairedDegreeSequence:
+    """A run of m copies of c as one compact entry."""
+    if c.order > 1:
+        return c
+    if c == K1:
         return PairedDegreeSequence(DegreeSequence(((m - 1, m),)), DegreeSequence(()))
     return PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, m),)))
 
@@ -123,44 +133,19 @@ def _block(kind: str, m: int) -> PairedDegreeSequence:
 def compact(d: Decomposition) -> CompactDecomposition:
     """Merge maximal runs of same-type single-vertex components.
 
-    A single-vertex tail takes the type of the preceding component when that
-    component is itself a single vertex; after a multi-vertex component it
-    stays a one-vertex block on the stable side, matching how the component
-    list reports it, and with no preceding component at all it becomes a
-    one-vertex complete block.
+    The runs of a decomposition are already maximal. A single-vertex tail is
+    absorbed as one more single vertex on the side :func:`tail_joins_clique`
+    gives, so it extends a run of its own type or, after a multi-vertex
+    component, becomes a one-vertex edgeless block.
     """
-    items: list[tuple[str, PairedDegreeSequence]] = []
-    for c in d.components:
-        if c == K1:
-            items.append(("k", c))
-        elif c == S1:
-            items.append(("s", c))
-        else:
-            items.append(("big", c))
+    runs = list(d.runs)
     tail: DegreeSequence | None = d.tail
     if d.tail.n == 1:
-        if not items:
-            items.append(("k", K1))
-        elif items[-1][0] == "big":
-            items.append(("s", S1))
+        prev = runs[-1][0] if runs else None
+        single = K1 if tail_joins_clique(prev) else S1
+        if single == prev:
+            runs[-1] = (single, runs[-1][1] + 1)
         else:
-            items.append((items[-1][0], _block(items[-1][0], 1)))
+            runs.append((single, 1))
         tail = None
-    out: list[PairedDegreeSequence] = []
-    run_kind: str | None = None
-    run_len = 0
-    for kind, comp in items:
-        if kind == "big":
-            if run_len:
-                out.append(_block(run_kind, run_len))
-                run_kind, run_len = None, 0
-            out.append(comp)
-        elif kind == run_kind:
-            run_len += 1
-        else:
-            if run_len:
-                out.append(_block(run_kind, run_len))
-            run_kind, run_len = kind, 1
-    if run_len:
-        out.append(_block(run_kind, run_len))
-    return CompactDecomposition(tuple(out), tail)
+    return CompactDecomposition(tuple(_block(c, m) for c, m in runs), tail)

@@ -15,9 +15,10 @@ semicolon and writes an empty part as ``-`` (``3,2;1^3``).
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import _kernel
 from .errors import FormatError, NegativeDegree, NotGraphical
@@ -106,7 +107,7 @@ class PairedDegreeSequence:
             raise NotGraphical(f"merged sequence of {self} not graphical")
 
     def merged(self) -> DegreeSequence:
-        return _merge_runs(self.kpart.runs, self.spart.runs)
+        return compose_all((self,), EMPTY)
 
     def to_text(self) -> str:
         return f"{self.kpart.to_text()};{self.spart.to_text()}"
@@ -115,39 +116,22 @@ class PairedDegreeSequence:
         return self.to_text()
 
 
-def _merge_runs(*run_lists: tuple[tuple[int, int], ...]) -> DegreeSequence:
-    """Merge descending run lists, combining equal-degree runs."""
-    merged: list[list[int]] = []
-    streams = [list(r) for r in run_lists if r]
-    idx = [0] * len(streams)
-    while True:
-        best = -1
-        for s, stream in enumerate(streams):
-            if idx[s] < len(stream):
-                if best < 0 or stream[idx[s]][0] > streams[best][idx[best]][0]:
-                    best = s
-        if best < 0:
-            break
-        d, m = streams[best][idx[best]]
-        idx[best] += 1
-        if merged and merged[-1][0] == d:
-            merged[-1][1] += m
-        else:
-            merged.append([d, m])
-    return DegreeSequence(tuple((d, m) for d, m in merged))
+def normalize(raw) -> DegreeSequence:
+    """Canonical run-length form of a raw degree list. Idempotent.
 
-
-def _seq_from_lists(vals: list[int], mults: list[int]) -> DegreeSequence:
+    The kernel range-checks every degree while counting, so the list is
+    scanned again only to name the fault when that check fails.
+    """
+    degrees = list(raw)
+    try:
+        vals, mults = _kernel.normalize_runs(degrees)
+    except (ValueError, OverflowError):
+        lo, hi = min(degrees), max(degrees)
+        if lo < 0:
+            raise NegativeDegree(f"negative degree {lo}") from None
+        n = len(degrees)
+        raise NotGraphical(f"degree {hi} out of range for {n} vertices") from None
     return DegreeSequence(tuple(zip(vals, mults)))
-
-
-def normalize(raw: list[int]) -> DegreeSequence:
-    """Canonical run-length form of a raw degree list. Idempotent."""
-    for d in raw:
-        if d < 0:
-            raise NegativeDegree(f"negative degree {d}")
-    vals, mults = _kernel.normalize_runs(list(raw))
-    return _seq_from_lists(vals, mults)
 
 
 def is_graphical(s: DegreeSequence) -> bool:
@@ -186,13 +170,37 @@ def inverse_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
 def compose_seq(head: PairedDegreeSequence, tail: DegreeSequence) -> DegreeSequence:
     """Sequence of the composition: the head's clique side dominates the tail.
 
-    K degrees gain |tail|, tail degrees gain p, S degrees are unchanged; the
-    three blocks concatenate in non-increasing order.
+    K degrees gain |tail|, tail degrees gain p, S degrees are unchanged.
     """
-    p, t = head.p, tail.n
-    top = tuple((d + t, m) for d, m in head.kpart.runs)
-    mid = tuple((d + p, m) for d, m in tail.runs)
-    return _merge_runs(top, mid, head.spart.runs)
+    return compose_all((head,), tail)
+
+
+def compose_all(
+    components: Iterable[PairedDegreeSequence], tail: DegreeSequence
+) -> DegreeSequence:
+    """Sequence of components[0] o components[1] o ... o tail in one pass;
+    the inverse of decompose.
+
+    The clique side of component i gains the order of everything below it
+    plus the clique sizes above it, its stable side gains the clique sizes
+    above it, and the tail gains every clique size. The shifted blocks are
+    accumulated by degree and sorted once, so the result is their sorted
+    union whatever the blocks hold.
+    """
+    components = tuple(components)
+    below = tail.n + sum(c.order for c in components)
+    above = 0
+    acc: defaultdict[int, int] = defaultdict(int)
+    for c in components:
+        below -= c.order
+        for d, m in c.kpart.runs:
+            acc[d + below + above] += m
+        for d, m in c.spart.runs:
+            acc[d + above] += m
+        above += c.p
+    for d, m in tail.runs:
+        acc[d + above] += m
+    return DegreeSequence(tuple(sorted(acc.items(), reverse=True)))
 
 
 def parse_sequence(text: str) -> DegreeSequence:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .degseq import DegreeSequence
-from .decomp import compose_all
+from .decomp import compose_all, tail_joins_clique
 from .errors import Infeasible
 from .unitype import (
     Base,
@@ -300,12 +300,9 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
         tail_order = sizes[-1]
         if tail_order == 1:
             # a single-vertex tail is typed by context, not sampled
-            if spec.k == 1:
-                tail = TypedComponent(Variant.ORIGINAL, Base.K1, (), 1)
-            elif comps[-1].order == 1:
-                tail = TypedComponent(Variant.ORIGINAL, comps[-1].base, (), 1)
-            else:
-                tail = TypedComponent(Variant.ORIGINAL, Base.S1, (), 1)
+            prev = type_to_sequence(comps[-1]) if comps else None
+            base = Base.K1 if tail_joins_clique(prev) else Base.S1
+            tail = TypedComponent(Variant.ORIGINAL, base, (), 1)
         else:
             try:
                 tail = _sample_component(

@@ -32,7 +32,7 @@ from .unitype import (
     UnigraphReport,
     Variant,
     is_unigraph,
-    match_split_type,
+    match_head,
     type_to_sequence,
 )
 
@@ -89,8 +89,8 @@ def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int
         raise NotUnigraph("exact parameters require a unigraph sequence")
     if d.n == 0:
         return 0, 0, 0, 0
-    omega = sum(c.p for c in d.components)
-    alpha = sum(c.q for c in d.components)
+    omega = sum(c.p * m for c, m in d.runs)
+    alpha = sum(c.q * m for c, m in d.runs)
     tail_type = r.component_types[-1] if d.tail.n else None
     if tail_type is not None:
         t_omega, t_alpha = component_omega_alpha(tail_type)
@@ -196,9 +196,7 @@ def compact_typed(
                 else TypedComponent(Variant.ORIGINAL, Base.COMPLETE_BLOCK, (m,), m)
             )
         else:
-            t = match_split_type(comp)
-            assert t is not None
-            types.append(t)
+            types.append(match_head(comp))
     if cd.tail is not None and cd.tail.n:
         types.append(r.component_types[-1])
     return cd, tuple(types)

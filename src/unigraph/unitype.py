@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .decomp import Decomposition, decompose, K1 as K1_PAIRED, S1 as S1_PAIRED
+from .decomp import Decomposition, decompose, tail_joins_clique
+from .decomp import K1 as K1_PAIRED, S1 as S1_PAIRED
 from .degseq import (
     DegreeSequence,
     PairedDegreeSequence,
@@ -273,55 +274,58 @@ def type_to_sequence(t: TypedComponent):
     return apply_variant(base, t.variant)
 
 
+# Split-head matches keyed on run tuples (no sequence objects), cleared whole
+# when full; match_head reads each result once, so a clear cannot fail it.
+_MATCH_CACHE_MAX = 1 << 14
 _MATCH_CACHE: dict = {}
+_MISS = object()
 
 
-def _match_head(ps: PairedDegreeSequence) -> TypedComponent | None:
+def match_head(ps: PairedDegreeSequence) -> TypedComponent | None:
+    """:func:`match_split_type`, cached on the run shape of ``ps``."""
     key = (ps.kpart.runs, ps.spart.runs)
-    if key not in _MATCH_CACHE:
-        _MATCH_CACHE[key] = match_split_type(ps)
-    return _MATCH_CACHE[key]
+    t = _MATCH_CACHE.get(key, _MISS)
+    if t is _MISS:
+        if len(_MATCH_CACHE) >= _MATCH_CACHE_MAX:
+            _MATCH_CACHE.clear()
+        t = _MATCH_CACHE[key] = match_split_type(ps)
+    return t
 
 
 def _tail_type(d: Decomposition) -> TypedComponent | None:
-    """Type of the indecomposable tail.
-
-    A single-vertex tail has no partition of its own: it takes the type of
-    the preceding component when that one is a single vertex too; after a
-    multi-vertex component it is reported on the stable side, and a lone
-    single vertex is a complete graph by convention.
-    """
+    """Type of the indecomposable tail; a single vertex takes the side
+    :func:`tail_joins_clique` puts it on."""
     tail = d.tail
     if tail.n == 1:
-        if not d.components:
-            return TypedComponent(Variant.ORIGINAL, Base.K1, (), 1)
-        last = d.components[-1]
-        if last == K1_PAIRED:
-            return TypedComponent(Variant.ORIGINAL, Base.K1, (), 1)
-        if last == S1_PAIRED or last.order > 1:
-            return TypedComponent(Variant.ORIGINAL, Base.S1, (), 1)
+        prev = d.runs[-1][0] if d.runs else None
+        base = Base.K1 if tail_joins_clique(prev) else Base.S1
+        return TypedComponent(Variant.ORIGINAL, base, (), 1)
     sc = determine_split(tail)
     if sc.kind is SplitKind.NOT_SPLIT:
         return match_nonsplit_type(tail)
-    return _match_head(sc.paired)
+    return match_head(sc.paired)
 
 
 def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
     """Decompose and classify; the sequence is a unigraph exactly when every
-    indecomposable component lies in the catalog."""
+    indecomposable component lies in the catalog.
+
+    Each run of the decomposition is matched once; the report still lists
+    one type per strip, and ``failure_index`` is a strip index.
+    """
     d = decompose(s)
     types: list[TypedComponent] = []
     failure: int | None = None
-    for idx, comp in enumerate(d.components):
-        t = _match_head(comp)
+    for comp, m in d.runs:
+        t = match_head(comp)
         if t is None:
-            failure = idx
+            failure = len(types)
             break
-        types.append(t)
+        types.extend([t] * m)
     if failure is None and d.tail.n > 0:
         t = _tail_type(d)
         if t is None:
-            failure = len(d.components)
+            failure = len(types)
         else:
             types.append(t)
     return d, UnigraphReport(failure is None, tuple(types), failure)

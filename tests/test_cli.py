@@ -62,6 +62,14 @@ class TestIsUnigraph:
             "failureIndex": 0,
         }
 
+    def test_json_error_on_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "--json", "is-unigraph", "-d", "3,1")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"type": "NotGraphical", "message": "3,1 is not graphical"}
+        }
+        assert "error" in err
+
     def test_plain_not_unigraph_exit_1(self, capsys):
         code, out, _ = run_cli(capsys, "is-unigraph", "-d", "2^8")
         assert code == 1

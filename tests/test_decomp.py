@@ -65,6 +65,16 @@ class TestDecompose:
         with pytest.raises(NotGraphical):
             decompose(parse_sequence("3,3,3,1"))
 
+    def test_single_vertex_runs_are_maximal(self, atlas8):
+        from unigraph.verify import iter_graphical
+
+        assert decompose(parse_sequence("4^2,2^3")).runs == ((K1, 2), (S1, 2))
+        for s in iter_graphical(8):
+            d = decompose(s)
+            for (a, _), (b, _) in zip(d.runs, d.runs[1:]):
+                assert not (a == b and a.order == 1), s
+            assert d.n == s.n
+
     def test_empty_and_single(self):
         d = decompose(parse_sequence("-"))
         assert d.components == () and d.tail.n == 0
@@ -204,8 +214,10 @@ class TestLargeScale:
         d = decompose(DegreeSequence(((n - 1, n),)))
         assert len(d.components) == n - 1 and d.components[0] == K1
         assert d.tail.to_text() == "0"
+        assert len(d.runs) == 1 and d.n == n
         d = decompose(DegreeSequence(((0, n),)))
         assert len(d.components) == n - 1 and d.components[0] == S1
+        assert len(d.runs) == 1 and d.n == n
 
 
 def random_graphical(rng, n):

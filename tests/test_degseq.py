@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unigraph import oracle
+from unigraph.decomp import compose_all
 from unigraph.degseq import (
     DegreeSequence,
     PairedDegreeSequence,
@@ -58,6 +59,11 @@ def normalize_part(degs):
     return DegreeSequence(tuple((d, m) for d, m in runs))
 
 
+run_lists = st.lists(st.integers(min_value=0, max_value=9), max_size=6).map(
+    normalize_part
+)
+
+
 class TestNormalize:
     def test_fig1_tree(self):
         s = normalize([3, 1, 1, 2, 1])
@@ -74,6 +80,16 @@ class TestNormalize:
     def test_negative_rejected(self):
         with pytest.raises(NegativeDegree):
             normalize([2, -1])
+
+    def test_degree_out_of_range_not_graphical(self):
+        for raw in ([5], [1], [2, 1]):
+            with pytest.raises(NotGraphical):
+                normalize(raw)
+
+    def test_iterator_input(self):
+        assert normalize(iter([1, 1])).to_text() == "1^2"
+        with pytest.raises(NegativeDegree):
+            normalize(iter([2, -1]))
 
     @given(raw_degree_lists)
     def test_idempotent(self, raw):
@@ -242,6 +258,26 @@ class TestCompose:
                 out.degree_sum
                 == ps.merged().degree_sum + tail.degree_sum + 2 * ps.p * tail.n
             )
+
+    @given(
+        st.lists(st.tuples(run_lists, run_lists), max_size=3),
+        run_lists,
+    )
+    def test_compose_all_is_union_of_shifted_blocks(self, parts, tail):
+        # arbitrary pairs, most of which fail validate()
+        heads = [PairedDegreeSequence(k, s) for k, s in parts]
+        expect = tail.to_list()
+        for h in reversed(heads):
+            expect = (
+                [d + len(expect) for d in h.kpart.to_list()]
+                + [d + h.p for d in expect]
+                + h.spart.to_list()
+            )
+        assert compose_all(heads, tail).to_list() == sorted(expect, reverse=True)
+        for h in heads:
+            union = h.kpart.to_list() + h.spart.to_list()
+            assert h.merged().to_list() == sorted(union, reverse=True)
+            assert compose_seq(h, tail) == compose_all((h,), tail)
 
 
 def realize_random(rng, n):

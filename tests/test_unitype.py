@@ -1,8 +1,10 @@
 import pytest
 
-from unigraph import oracle
+from unigraph import oracle, unitype
+from unigraph.decomp import K1, compose_all
 from unigraph.degseq import (
     DegreeSequence,
+    PairedDegreeSequence,
     complement_paired,
     inverse_paired,
     parse_paired,
@@ -287,6 +289,23 @@ class TestIsUnigraph:
         assert not r.is_unigraph
         assert r.failure_index == 1
         assert [t.tag() for t in r.component_types] == ["k1"]
+
+    def test_failure_index_counts_strips_of_a_run(self):
+        # three dominant vertices are one run but three strips
+        d, r = is_unigraph(compose_all([K1] * 3, parse_sequence("2^6")))
+        assert d.runs == ((K1, 3),)
+        assert not r.is_unigraph
+        assert r.failure_index == 3
+        assert r.tags() == ["k1"] * 3
+
+    def test_match_cache_is_bounded(self):
+        bound = unitype._MATCH_CACHE_MAX
+        for m in range(1, bound + 10):
+            # complete blocks: valid under every variant, one key each
+            kpart = DegreeSequence(((m - 1, m),))
+            head = PairedDegreeSequence(kpart, DegreeSequence(()))
+            unitype.match_head(head)
+            assert len(unitype._MATCH_CACHE) <= bound
 
     def test_edgeless(self):
         for k in (1, 2, 5):
