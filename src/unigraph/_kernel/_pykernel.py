@@ -20,29 +20,25 @@ run-granular.
 """
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
+from operator import index
 
 IMPL_NAME = "python"
 
 
 def normalize_runs(degrees):
-    """Counting-sort a raw degree list into descending (values, mults) runs."""
+    """Count a raw degree list into descending (values, mults) runs.
+
+    Only the r distinct degrees are converted, sorted and range-checked, so
+    the per-degree work is the C-level count. Values come back as plain ints
+    (``True`` counts as 1); an entry that is not an integer raises TypeError.
+    """
     n = len(degrees)
-    if n == 0:
-        return [], []
-    counts = [0] * n
-    for d in degrees:
-        if d < 0:
-            raise ValueError("negative degree")
-        if d >= n:
-            raise ValueError("degree %d out of range for %d vertices" % (d, n))
-        counts[d] += 1
-    vals = []
-    mults = []
-    for d in range(n - 1, -1, -1):
-        if counts[d]:
-            vals.append(d)
-            mults.append(counts[d])
-    return vals, mults
+    counts = Counter(degrees)
+    vals = sorted(map(index, counts), reverse=True)
+    if vals and (vals[0] >= n or vals[-1] < 0):
+        raise ValueError("degree out of range for %d vertices" % n)
+    return vals, [counts[d] for d in vals]
 
 
 def eg_graphical(vals, mults):

@@ -21,9 +21,12 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import _kernel
-from .errors import FormatError, NegativeDegree, NotGraphical
+from .errors import FormatError, NegativeDegree, NotGraphical, TooLarge
 
 _RUN_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
+
+# realize refuses sequences whose graph has more vertices plus edges
+REALIZE_MAX = 10**7
 
 
 @dataclass(frozen=True)
@@ -119,12 +122,15 @@ class PairedDegreeSequence:
 def normalize(raw) -> DegreeSequence:
     """Canonical run-length form of a raw degree list. Idempotent.
 
-    The kernel range-checks every degree while counting, so the list is
-    scanned again only to name the fault when that check fails.
+    The kernel range-checks the degrees while counting, so the list is
+    scanned again only to name the fault when that check fails. Input that
+    is not an iterable of integers raises FormatError.
     """
-    degrees = list(raw)
     try:
+        degrees = list(raw)
         vals, mults = _kernel.normalize_runs(degrees)
+    except TypeError as exc:
+        raise FormatError(f"bad degree list: {exc}") from None
     except (ValueError, OverflowError):
         lo, hi = min(degrees), max(degrees)
         if lo < 0:
@@ -242,33 +248,58 @@ def parse_paired(text: str) -> PairedDegreeSequence:
 
 
 def realize(s: DegreeSequence):
-    """Deterministic Havel-Hakimi realization.
+    """Deterministic Havel-Hakimi realization in O(n + m).
 
-    Vertices are numbered in non-increasing degree order; each round the
-    highest-degree unfinished vertex (lowest id on ties) connects to the
-    next-highest targets, again breaking ties by lower id.
+    Vertices are numbered in non-increasing degree order, so vertex v has
+    degree ``s.to_list()[v]``. Unfinished vertices wait in one bucket per
+    remaining degree. Each round pops a vertex u from the highest non-empty
+    bucket and joins it to deg(u) targets taken from the highest non-empty
+    buckets downward; each target then moves one bucket lower. A round scans
+    at most deg(u) buckets and the top bucket only moves down.
+
+    Ties: a bucket is a stack. It starts with its run's ids, lowest on top,
+    and a lowered vertex is pushed on top of the bucket below after the
+    round, so within one remaining degree the vertex that entered the bucket
+    last is taken first, whether as u or as a target.
+
+    Raises TooLarge, before building anything, when n + m exceeds
+    REALIZE_MAX.
     """
     from . import graphcore
 
+    n, m = s.n, s.degree_sum // 2
+    if n + m > REALIZE_MAX:
+        raise TooLarge(f"realize supports n + m up to {REALIZE_MAX}, got {n + m}")
     if not is_graphical(s):
         raise NotGraphical(f"{s} is not graphical")
-    remaining = s.to_list()
-    n = len(remaining)
+    top = s.runs[0][0] if s.runs else 0
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    end = 0
+    for d, mult in s.runs:
+        end += mult
+        buckets[d] = list(range(end - 1, end - mult - 1, -1))
     adj: list[list[int]] = [[] for _ in range(n)]
-    active = [v for v in range(n) if remaining[v]]
-    while active:
-        active.sort(key=lambda v: (-remaining[v], v))
-        u = active[0]
-        need = remaining[u]
-        targets = active[1 : need + 1]
-        if len(targets) < need:
-            raise NotGraphical(f"{s} is not graphical")
-        remaining[u] = 0
-        for v in targets:
-            adj[u].append(v)
-            adj[v].append(u)
-            remaining[v] -= 1
-        active = [v for v in active if remaining[v]]
+    while top:
+        if not buckets[top]:
+            top -= 1
+            continue
+        u = buckets[top].pop()
+        need = d = top
+        taken_from: list[tuple[int, list[int]]] = []
+        while need:
+            bucket = buckets[d]
+            if bucket:
+                taken = bucket[-need:]
+                del bucket[-need:]
+                taken_from.append((d, taken))
+                adj[u] += taken
+                need -= len(taken)
+            d -= 1
+        for d, taken in taken_from:
+            for v in taken:
+                adj[v].append(u)
+            if d > 1:
+                buckets[d - 1] += taken
     return graphcore.Graph.from_adjacency(adj)
 
 

@@ -4,8 +4,10 @@ graph-level complement / split-inverse / composition operations."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .degseq import DegreeSequence, normalize
 from .errors import FormatError, InvalidPartition
@@ -41,8 +43,15 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
+    def _upper_neighbours(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield (u, the neighbours of u above u) for each u that has any."""
+        for u, nbrs in enumerate(self.adj):
+            i = bisect_right(nbrs, u)
+            if i < len(nbrs):
+                yield u, nbrs[i:]
+
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        return [(u, v) for u, upper in self._upper_neighbours() for v in upper]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -51,8 +60,10 @@ class Graph:
         return len(self.adj[v])
 
     def to_edge_list(self) -> str:
+        names = list(map(str, range(self.n)))
         lines = [f"{self.n} {self.m}"]
-        lines += [f"{u} {v}" for u, v in self.edges()]
+        for u, upper in self._upper_neighbours():
+            lines.append(f"{u} " + f"\n{u} ".join(map(names.__getitem__, upper)))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

@@ -132,6 +132,12 @@ class TestComposeRealizeSplit:
         code, out, _ = run_cli(capsys, "--json", "realize", "-d", "1^2")
         assert json.loads(out) == {"n": 2, "edges": [[0, 1]]}
 
+    def test_realize_too_large_json_error(self, capsys):
+        code, out, err = run_cli(capsys, "--json", "realize", "-d", "1^100000000")
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "TooLarge"
+        assert "error" in err
+
 
 class TestGenerate:
     def test_deterministic_golden(self, capsys):

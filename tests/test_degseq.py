@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from unigraph.degseq import (
     parse_sequence,
     realize,
 )
-from unigraph.errors import FormatError, NegativeDegree, NotGraphical
+from unigraph.errors import FormatError, NegativeDegree, NotGraphical, TooLarge
 from unigraph.graphcore import (
     Graph,
     VertexPartition,
@@ -64,6 +65,38 @@ run_lists = st.lists(st.integers(min_value=0, max_value=9), max_size=6).map(
 )
 
 
+@st.composite
+def random_graph_sequences(draw):
+    """Degrees of a random graph on up to 2000 vertices; the complement's
+    degrees for dense sequences on up to 300."""
+    n = draw(st.integers(min_value=1, max_value=2000))
+    rng = draw(st.randoms(use_true_random=False))
+    deg = [0] * n
+    edges = set()
+    for _ in range(n * draw(st.integers(min_value=0, max_value=8)) // 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (min(u, v), max(u, v)) not in edges:
+            edges.add((min(u, v), max(u, v)))
+            deg[u] += 1
+            deg[v] += 1
+    s = normalize(deg)
+    return complement_seq(s) if n <= 300 and draw(st.booleans()) else s
+
+
+@st.composite
+def threshold_sequences(draw):
+    """Degrees of a threshold graph: each new vertex is isolated or joins
+    every earlier vertex. These sit on the Erdos-Gallai boundary."""
+    joins = draw(st.lists(st.booleans(), min_size=1, max_size=2000))
+    n = len(joins)
+    later = 0
+    deg = [0] * n
+    for v in range(n - 1, -1, -1):
+        deg[v] = later + (v if joins[v] else 0)
+        later += joins[v]
+    return normalize(deg)
+
+
 class TestNormalize:
     def test_fig1_tree(self):
         s = normalize([3, 1, 1, 2, 1])
@@ -90,6 +123,20 @@ class TestNormalize:
         assert normalize(iter([1, 1])).to_text() == "1^2"
         with pytest.raises(NegativeDegree):
             normalize(iter([2, -1]))
+
+    @pytest.mark.parametrize("raw", [["a"], [1.5, 0.5], [[1]], [2, None]])
+    def test_non_integer_entry_rejected(self, raw):
+        with pytest.raises(FormatError):
+            normalize(raw)
+
+    def test_non_iterable_rejected(self):
+        with pytest.raises(FormatError):
+            normalize(None)
+
+    def test_bool_entries_count_as_ints(self):
+        s = normalize([True, True])
+        assert s.to_text() == "1^2"
+        assert type(s.runs[0][0]) is int
 
     @given(raw_degree_lists)
     def test_idempotent(self, raw):
@@ -163,7 +210,39 @@ class TestRealize:
         from unigraph.verify import iter_graphical
 
         for s in iter_graphical(8):
-            assert degree_sequence_of(realize(s)) == s
+            g = realize(s)
+            assert degree_sequence_of(g) == s
+            assert_realizes(g, s)
+
+    @given(st.one_of(random_graph_sequences(), threshold_sequences()))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphical_up_to_2000(self, s):
+        assert_realizes(realize(s), s)
+
+    @pytest.mark.parametrize("text", ["1^20000", "3^20000"])
+    def test_long_regular_sequences(self, text):
+        # a quadratic realization takes tens of seconds on these
+        s = parse_sequence(text)
+        assert_realizes(realize(s), s)
+
+    def test_size_guard_refuses_before_allocating(self):
+        s = DegreeSequence(((1, 10**8),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                realize(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+
+def assert_realizes(g, s):
+    """g is a simple graph in which vertex v has degree s.to_list()[v]."""
+    assert [len(a) for a in g.adj] == s.to_list()
+    for u, nbrs in enumerate(g.adj):
+        assert u not in nbrs and len(set(nbrs)) == len(nbrs)
+    assert Graph.from_edges(g.n, g.edges()) == g
 
 
 class TestComplement:

@@ -230,7 +230,28 @@ class TestInverseGraph:
             inverse_graph(TREE, VertexPartition(frozenset({0, 1}), frozenset({2, 3, 4})))
 
 
+def per_edge_edge_list(g):
+    lines = [f"{g.n} {g.m}"]
+    lines += [f"{u} {v}" for u in range(g.n) for v in g.adj[u] if u < v]
+    return "\n".join(lines) + "\n"
+
+
+def per_edge_json(g):
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    return json.dumps({"n": g.n, "edges": edges})
+
+
 class TestIO:
+    def test_output_matches_per_edge_formatting(self, atlas8):
+        rng = random.Random(17)
+        dense = Graph.from_edges(
+            120, [(u, v) for u in range(120) for v in range(u) if rng.random() < 0.8]
+        )
+        graphs = [oracle.graph_of(m) for n in range(8) for m in oracle.graphs_with_n(n)]
+        for g in graphs + [dense]:
+            assert g.to_edge_list() == per_edge_edge_list(g)
+            assert g.to_json() == per_edge_json(g)
+
     def test_edge_list_round_trip(self):
         text = TREE.to_edge_list()
         assert parse_edge_list(text) == TREE
