@@ -84,6 +84,10 @@ class PairedDegreeSequence:
     kpart: DegreeSequence
     spart: DegreeSequence
 
+    @classmethod
+    def from_runs(cls, kruns, sruns) -> PairedDegreeSequence:
+        return cls(DegreeSequence(tuple(kruns)), DegreeSequence(tuple(sruns)))
+
     @property
     def p(self) -> int:
         return self.kpart.n
@@ -110,7 +114,8 @@ class PairedDegreeSequence:
             raise NotGraphical(f"merged sequence of {self} not graphical")
 
     def merged(self) -> DegreeSequence:
-        return compose_all((self,), EMPTY)
+        pair = (self.kpart.runs, self.spart.runs)
+        return DegreeSequence(compose_runs((pair,), ()))
 
     def to_text(self) -> str:
         return f"{self.kpart.to_text()};{self.spart.to_text()}"
@@ -146,31 +151,48 @@ def is_graphical(s: DegreeSequence) -> bool:
     return _kernel.eg_graphical(vals, mults)
 
 
+def runs_order(runs) -> int:
+    """Number of vertices in a run tuple."""
+    return sum(m for _, m in runs)
+
+
+def complement_runs(runs, n: int) -> tuple[tuple[int, int], ...]:
+    """Runs of the complement within n vertices: d -> n-1-d. Involution."""
+    return tuple((n - 1 - d, m) for d, m in reversed(runs))
+
+
+def inverse_runs(kruns, sruns, p: int, q: int):
+    """Split inverse on (clique runs, stable runs) with p clique and q
+    stable vertices: clique edges dropped, stable side turned into a clique.
+
+    K-part degrees lose p-1, S-part degrees gain q-1, and the parts swap
+    roles, so the result has q clique and p stable vertices. Involution.
+    """
+    return (
+        tuple((d + q - 1, m) for d, m in sruns),
+        tuple((d - (p - 1), m) for d, m in kruns),
+    )
+
+
 def complement_seq(s: DegreeSequence) -> DegreeSequence:
     """Degree sequence of the complement: d -> n-1-d. Involution."""
-    n = s.n
-    return DegreeSequence(tuple((n - 1 - d, m) for d, m in reversed(s.runs)))
+    return DegreeSequence(complement_runs(s.runs, s.n))
 
 
 def complement_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
     """Paired complement: degrees complement within the whole component and
     the K and S parts swap roles."""
     n = ps.order
-    new_k = tuple((n - 1 - d, m) for d, m in reversed(ps.spart.runs))
-    new_s = tuple((n - 1 - d, m) for d, m in reversed(ps.kpart.runs))
-    return PairedDegreeSequence(DegreeSequence(new_k), DegreeSequence(new_s))
+    return PairedDegreeSequence.from_runs(
+        complement_runs(ps.spart.runs, n), complement_runs(ps.kpart.runs, n)
+    )
 
 
 def inverse_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
-    """Split inverse: clique edges dropped, stable side turned into a clique.
-
-    K-part degrees lose p-1, S-part degrees gain q-1, and the parts swap
-    roles. Involution.
-    """
-    p, q = ps.p, ps.q
-    new_k = tuple((d + q - 1, m) for d, m in ps.spart.runs)
-    new_s = tuple((d - (p - 1), m) for d, m in ps.kpart.runs)
-    return PairedDegreeSequence(DegreeSequence(new_k), DegreeSequence(new_s))
+    """Split inverse of a paired sequence; see :func:`inverse_runs`."""
+    return PairedDegreeSequence.from_runs(
+        *inverse_runs(ps.kpart.runs, ps.spart.runs, ps.p, ps.q)
+    )
 
 
 def compose_seq(head: PairedDegreeSequence, tail: DegreeSequence) -> DegreeSequence:
@@ -181,11 +203,10 @@ def compose_seq(head: PairedDegreeSequence, tail: DegreeSequence) -> DegreeSeque
     return compose_all((head,), tail)
 
 
-def compose_all(
-    components: Iterable[PairedDegreeSequence], tail: DegreeSequence
-) -> DegreeSequence:
-    """Sequence of components[0] o components[1] o ... o tail in one pass;
-    the inverse of decompose.
+def compose_runs(pairs, tail) -> tuple[tuple[int, int], ...]:
+    """Runs of pairs[0] o pairs[1] o ... o tail in one pass; the inverse of
+    decompose. ``pairs`` holds (clique runs, stable runs), outermost first,
+    and ``tail`` the runs of the innermost part.
 
     The clique side of component i gains the order of everything below it
     plus the clique sizes above it, its stable side gains the clique sizes
@@ -193,20 +214,30 @@ def compose_all(
     accumulated by degree and sorted once, so the result is their sorted
     union whatever the blocks hold.
     """
-    components = tuple(components)
-    below = tail.n + sum(c.order for c in components)
+    pairs = tuple(pairs)
+    sizes = [(runs_order(k), runs_order(s)) for k, s in pairs]
+    below = runs_order(tail) + sum(p + q for p, q in sizes)
     above = 0
     acc: defaultdict[int, int] = defaultdict(int)
-    for c in components:
-        below -= c.order
-        for d, m in c.kpart.runs:
+    for (kruns, sruns), (p, q) in zip(pairs, sizes):
+        below -= p + q
+        for d, m in kruns:
             acc[d + below + above] += m
-        for d, m in c.spart.runs:
+        for d, m in sruns:
             acc[d + above] += m
-        above += c.p
-    for d, m in tail.runs:
+        above += p
+    for d, m in tail:
         acc[d + above] += m
-    return DegreeSequence(tuple(sorted(acc.items(), reverse=True)))
+    return tuple(sorted(acc.items(), reverse=True))
+
+
+def compose_all(
+    components: Iterable[PairedDegreeSequence], tail: DegreeSequence
+) -> DegreeSequence:
+    """Sequence of components[0] o components[1] o ... o tail; see
+    :func:`compose_runs`."""
+    pairs = [(c.kpart.runs, c.spart.runs) for c in components]
+    return DegreeSequence(compose_runs(pairs, tail.runs))
 
 
 def parse_sequence(text: str) -> DegreeSequence:

@@ -7,35 +7,44 @@ are 1 or at least 4), then uniform over the catalog types of each order for
 orders up to _ENUM_LIMIT. Above that limit types are sampled structurally
 (base first, then parameters), which is deterministic but not uniform over
 parameter tuples. Neither stage is uniform over isomorphism classes.
+
+The composition is drawn by first picking j, the number of multi-vertex
+parts, with weight w_j = C(k, j) * C(F - 2j - 1, j - 1), where F = n - k
+counts the vertices beyond one per part (w_0 = 1 exactly when F = 0, and
+w_j = 0 for j > F // 3). The weights come from the exact recurrence
+
+    w_1 = k,  w_{j+1} = w_j (k-j)(F-3j)(F-3j-1)(F-3j-2) / ((j+1) j (F-2j-1)(F-2j-2)),
+
+whose division is exact, so they equal the binomial products integer for
+integer and a seed draws the same components as it would from the closed
+form. Components are emitted and composed as run tuples, never as
+sequence objects, so a draw costs O(k) small steps plus the big-integer
+weights.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
-from .degseq import DegreeSequence
-from .decomp import compose_all, tail_joins_clique
-from .errors import Infeasible
+from .degseq import DegreeSequence, compose_runs
+from .decomp import tail_joins_clique
+from .errors import Infeasible, ParamOutOfRange
 from .unitype import (
+    SPLIT_VARIANTS,
     Base,
     NON_SPLIT_BASES,
     TypedComponent,
     Variant,
-    match_nonsplit_type,
-    match_split_type,
+    emit_runs,
+    match_nonsplit_runs,
+    match_split_runs,
     type_to_sequence,
 )
 
 _ENUM_LIMIT = 24
-_SPLIT_VARIANTS = (
-    Variant.ORIGINAL,
-    Variant.INVERSE,
-    Variant.COMPLEMENT,
-    Variant.INVERSE_COMPLEMENT,
-)
 SPLIT_BASES = frozenset({Base.K1, Base.S1, Base.SPQ, Base.S2, Base.S3, Base.S4})
 ALL_BASES = SPLIT_BASES | NON_SPLIT_BASES
 
@@ -48,18 +57,38 @@ class GenSpec:
     allowed: frozenset[Base] | None = None
     distinct_singletons: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("n", "k"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ParamOutOfRange(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
+        if self.allowed is None:
+            return
+        try:
+            allowed = frozenset(self.allowed)
+        except TypeError:  # not an iterable of hashables
+            allowed = frozenset({None})
+        if not all(isinstance(b, Base) for b in allowed):
+            raise ParamOutOfRange(
+                f"allowed must be a set of Base members, got {self.allowed!r}"
+            )
+        object.__setattr__(self, "allowed", allowed)
+
     def allowed_bases(self) -> frozenset[Base]:
-        return ALL_BASES if self.allowed is None else frozenset(self.allowed)
+        return ALL_BASES if self.allowed is None else self.allowed
 
 
 def _canonical(t: TypedComponent) -> TypedComponent:
     """Re-tag a candidate through the matcher, so generated components carry
     the same canonical variant the recognizer would assign."""
-    seq = type_to_sequence(t)
+    runs = emit_runs(t)
     if t.base in NON_SPLIT_BASES:
-        out = match_nonsplit_type(seq)
+        out = match_nonsplit_runs(runs)
     else:
-        out = match_split_type(seq)
+        out = match_split_runs(*runs)
     assert out is not None, f"catalog instance failed to match itself: {t}"
     return out
 
@@ -141,7 +170,7 @@ def components_of_order(order: int, split_only: bool) -> tuple[TypedComponent, .
         variants = (
             (Variant.ORIGINAL, Variant.COMPLEMENT)
             if cand.base in NON_SPLIT_BASES
-            else _SPLIT_VARIANTS
+            else SPLIT_VARIANTS
         )
         if cand.base in (Base.K1, Base.S1):
             variants = (Variant.ORIGINAL,)
@@ -154,16 +183,21 @@ def components_of_order(order: int, split_only: bool) -> tuple[TypedComponent, .
 
 
 def _compose_counts(n: int, k: int) -> list[int]:
-    """Weight of each j = number of multi-vertex parts among k parts."""
-    weights = []
-    for j in range(0, k + 1):
-        m = n - (k - j)  # vertices left for the j parts of size >= 4
-        if j == 0:
-            weights.append(1 if m == 0 else 0)
-        elif m >= 4 * j:
-            weights.append(comb(k, j) * comb(m - 3 * j - 1, j - 1))
-        else:
-            weights.append(0)
+    """Weight w_j of each j = number of multi-vertex parts among k parts,
+    by the exact recurrence in the module docstring."""
+    extra = n - k
+    weights = [0] * (k + 1)
+    if extra == 0:
+        weights[0] = 1
+    top = min(k, extra // 3)
+    w = k
+    for j in range(1, top):
+        weights[j] = w
+        f3 = extra - 3 * j
+        num = (k - j) * f3 * (f3 - 1) * (f3 - 2)
+        w = w * num // ((j + 1) * j * (extra - 2 * j - 1) * (extra - 2 * j - 2))
+    if top:
+        weights[top] = w
     return weights
 
 
@@ -205,6 +239,16 @@ def _infeasible_reason(n: int, k: int) -> str:
     )
 
 
+# the structured sampler's fixed shapes: S2's first block of q1 stars with
+# p1 leaves each, and S3's q2 blocks of p+2 vertices plus its centre
+_S2_FIRST_BLOCKS = tuple(
+    (p1, q1, q1 * (p1 + 1)) for p1 in range(2, 12) for q1 in range(1, 4)
+)
+_S3_SECOND_BLOCKS = tuple(
+    (p, q2, 1 + q2 * (p + 2)) for p in range(1, 10) for q2 in range(1, 6)
+)
+
+
 def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComponent:
     """Structured sampler for orders beyond the enumeration cap."""
     options: list[tuple[Base, tuple[int, ...]]] = []
@@ -216,27 +260,25 @@ def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComp
     if spq:
         options.append((Base.SPQ, spq[rng.randrange(len(spq))]))
     # S2 shaped as two star blocks (p1,q1,1,q2)
-    s2: list[tuple[int, ...]] = []
-    for p1 in range(2, 12):
-        for q1 in range(1, 4):
-            rest = order - q1 * (p1 + 1)
-            if rest >= 2 and rest % 2 == 0:
-                s2.append((p1, q1, 1, rest // 2))
+    s2 = [
+        (p1, q1, 1, rest // 2)
+        for p1, q1, used in _S2_FIRST_BLOCKS
+        if (rest := order - used) >= 2 and rest % 2 == 0
+    ]
     if s2:
         options.append((Base.S2, s2[rng.randrange(len(s2))]))
-    s3 = []
-    for p in range(1, 10):
-        for q2 in range(1, 6):
-            rest = order - 1 - q2 * (p + 2)
-            if rest >= 2 * (p + 1) and rest % (p + 1) == 0:
-                s3.append((p, rest // (p + 1), q2))
+    s3 = [
+        (p, rest // (p + 1), q2)
+        for p, q2, used in _S3_SECOND_BLOCKS
+        if (rest := order - used) >= 2 * (p + 1) and rest % (p + 1) == 0
+    ]
     if s3:
         options.append((Base.S3, s3[rng.randrange(len(s3))]))
-    s4 = []
-    for p in range(1, 12):
-        num = order - 2 * p - 4
-        if num >= p + 2 and num % (p + 2) == 0:
-            s4.append((p, num // (p + 2)))
+    s4 = [
+        (p, num // (p + 2))
+        for p in range(1, 12)
+        if (num := order - 2 * p - 4) >= p + 2 and num % (p + 2) == 0
+    ]
     if s4:
         options.append((Base.S4, s4[rng.randrange(len(s4))]))
     if not split_only:
@@ -249,10 +291,20 @@ def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComp
     variants = (
         (Variant.ORIGINAL, Variant.COMPLEMENT)
         if base in NON_SPLIT_BASES
-        else _SPLIT_VARIANTS
+        else SPLIT_VARIANTS
     )
     return _canonical(
         TypedComponent(variants[rng.randrange(len(variants))], base, prm, order)
+    )
+
+
+@lru_cache(maxsize=256)
+def _pool(
+    order: int, split_only: bool, allowed: frozenset[Base]
+) -> tuple[TypedComponent, ...]:
+    """The types of :func:`components_of_order` whose base is allowed."""
+    return tuple(
+        t for t in components_of_order(order, split_only) if t.base in allowed
     )
 
 
@@ -263,9 +315,7 @@ def _sample_component(
     allowed: frozenset[Base],
 ) -> TypedComponent:
     if order <= _ENUM_LIMIT:
-        pool = [
-            t for t in components_of_order(order, split_only) if t.base in allowed
-        ]
+        pool = _pool(order, split_only, allowed)
         if not pool:
             raise Infeasible(
                 f"no allowed component type has order {order}"
@@ -282,10 +332,15 @@ def _sample_component(
 def generate(spec: GenSpec) -> list[TypedComponent]:
     """Draw k typed components with orders summing to n, head-first;
     deterministic for a fixed seed."""
+    if not isinstance(spec, GenSpec):
+        raise ParamOutOfRange(f"generate takes a GenSpec, got {spec!r}")
     if spec.k < 1 or spec.n < spec.k:
         raise Infeasible(_infeasible_reason(spec.n, spec.k))
     allowed = spec.allowed_bases()
-    rng = random.Random(spec.seed)
+    try:
+        rng = random.Random(spec.seed)
+    except TypeError:
+        raise ParamOutOfRange(f"unusable seed {spec.seed!r}") from None
     for _ in range(256):
         sizes = _sample_sizes(rng, spec.n, spec.k)
         if spec.distinct_singletons and spec.k > 1 and sizes[-1] == 1 and sizes[-2] == 1:
@@ -331,9 +386,16 @@ def _break_singleton_runs(comps: list[TypedComponent]) -> list[TypedComponent]:
 
 
 def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
-    """Sequence of the composition of typed components (tail last)."""
-    heads = [type_to_sequence(t) for t in comps[:-1]]
-    tail_seq = type_to_sequence(comps[-1])
-    if not isinstance(tail_seq, DegreeSequence):
-        tail_seq = tail_seq.merged()
-    return compose_all(heads, tail_seq)
+    """Sequence of the composition of typed components (tail last), built
+    from their catalog runs in one pass."""
+    if not comps:
+        raise ParamOutOfRange("compose_types needs at least one component")
+    heads = []
+    for t in comps[:-1]:
+        heads.append(emit_runs(t))
+        if t.base in NON_SPLIT_BASES:
+            raise ParamOutOfRange(f"a non-split {t} can only be the tail")
+    tail = emit_runs(comps[-1])
+    if comps[-1].base not in NON_SPLIT_BASES:
+        tail = compose_runs((tail,), ())
+    return DegreeSequence(compose_runs(heads, tail))

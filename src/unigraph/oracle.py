@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -331,12 +332,29 @@ def graphs_with_n(n: int) -> list[tuple[int, ...]]:
                     reps.append(child)
     _atlas_cache[n] = reps
     if path:
-        try:
-            with open(path, "wb") as fh:
-                pickle.dump({"version": _ATLAS_VERSION, "atlas": _atlas_cache}, fh)
-        except OSError:
-            pass
+        _store_atlas(path)
     return reps
+
+
+def _store_atlas(path: str) -> None:
+    """Write the atlas to a temp file beside ``path`` and move it into place
+    with os.replace, so a reader or a parallel writer never sees a torn
+    pickle. A failed write leaves the old file as it was."""
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+        )
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump({"version": _ATLAS_VERSION, "atlas": _atlas_cache}, fh)
+        os.replace(tmp, path)
+    except OSError:
+        pass
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 @lru_cache(maxsize=16)

@@ -25,15 +25,16 @@ from dataclasses import dataclass
 from math import comb
 
 from .decomp import CompactDecomposition, Decomposition, compact
+from .degseq import runs_order
 from .errors import NotUnigraph
 from .unitype import (
     Base,
     TypedComponent,
     UnigraphReport,
     Variant,
+    emit_runs,
     is_unigraph,
     match_head,
-    type_to_sequence,
 )
 
 _TABLE_OMEGA_ALPHA = {
@@ -79,8 +80,8 @@ def component_omega_alpha(t: TypedComponent) -> tuple[int, int]:
     if t.order == 1:
         return 1, 1
     # multi-vertex split components are balanced: the parts are extremal
-    ps = type_to_sequence(t)
-    return ps.p, ps.q
+    kruns, sruns = emit_runs(t)
+    return runs_order(kruns), runs_order(sruns)
 
 
 def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int]:
@@ -91,7 +92,7 @@ def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int
         return 0, 0, 0, 0
     omega = sum(c.p * m for c, m in d.runs)
     alpha = sum(c.q * m for c, m in d.runs)
-    tail_type = r.component_types[-1] if d.tail.n else None
+    tail_type = r.runs[-1][0] if d.tail.n else None
     if tail_type is not None:
         t_omega, t_alpha = component_omega_alpha(tail_type)
         omega += t_omega
@@ -198,7 +199,7 @@ def compact_typed(
         else:
             types.append(match_head(comp))
     if cd.tail is not None and cd.tail.n:
-        types.append(r.component_types[-1])
+        types.append(r.runs[-1][0])
     return cd, tuple(types)
 
 

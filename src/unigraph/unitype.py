@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .decomp import Decomposition, decompose, tail_joins_clique
-from .decomp import K1 as K1_PAIRED, S1 as S1_PAIRED
 from .degseq import (
     DegreeSequence,
     PairedDegreeSequence,
-    complement_paired,
+    complement_runs,
     complement_seq,
-    inverse_paired,
+    inverse_runs,
+    runs_order,
 )
 from .errors import ParamOutOfRange, VariantUndefined
 from .split import SplitKind, determine_split
@@ -87,111 +88,163 @@ class TypedComponent:
 
 @dataclass(frozen=True)
 class UnigraphReport:
+    """Verdict of :func:`is_unigraph`, run-length.
+
+    ``runs`` holds one (type, count) entry per run of the decomposition
+    that matched, in order, and the tail's type last as an entry of its
+    own. ``component_types`` and ``tags()`` list one type per strip, and
+    ``failure_index`` is the strip index of the first component that did
+    not match.
+    """
+
     is_unigraph: bool
-    component_types: tuple[TypedComponent, ...]
+    runs: tuple[tuple[TypedComponent, int], ...]
     failure_index: int | None
 
+    @cached_property
+    def component_types(self) -> tuple[TypedComponent, ...]:
+        """One entry per strip; a run of m single vertices expands to m."""
+        out: list[TypedComponent] = []
+        for t, m in self.runs:
+            out.extend([t] * m)
+        return tuple(out)
+
     def tags(self) -> list[str]:
-        return [t.tag() for t in self.component_types]
+        out: list[str] = []
+        for t, m in self.runs:
+            out.extend([t.tag()] * m)
+        return out
+
+
+SPLIT_VARIANTS = (
+    Variant.ORIGINAL,
+    Variant.INVERSE,
+    Variant.COMPLEMENT,
+    Variant.INVERSE_COMPLEMENT,
+)
+
+
+def split_variant(v: Variant, kruns, sruns, p: int, q: int):
+    """(clique runs, stable runs) of variant v of a split component with p
+    clique and q stable vertices; the inverse complement complements first."""
+    if v is Variant.COMPLEMENT or v is Variant.INVERSE_COMPLEMENT:
+        n = p + q
+        kruns, sruns = complement_runs(sruns, n), complement_runs(kruns, n)
+        p, q = q, p
+    if v is Variant.INVERSE or v is Variant.INVERSE_COMPLEMENT:
+        kruns, sruns = inverse_runs(kruns, sruns, p, q)
+    return kruns, sruns
 
 
 def apply_variant(x, v: Variant):
     """Variant transform on a plain or paired sequence; identity-preserving
     for ORIGINAL. Inverse variants require paired input."""
-    paired = isinstance(x, PairedDegreeSequence)
     if v is Variant.ORIGINAL:
         return x
-    if v is Variant.COMPLEMENT:
-        return complement_paired(x) if paired else complement_seq(x)
-    if not paired:
+    if isinstance(x, PairedDegreeSequence):
+        return PairedDegreeSequence.from_runs(
+            *split_variant(v, x.kpart.runs, x.spart.runs, x.p, x.q)
+        )
+    if v is not Variant.COMPLEMENT:
         raise VariantUndefined("split inverse is undefined for non-split input")
-    if v is Variant.INVERSE:
-        return inverse_paired(x)
-    return inverse_paired(complement_paired(x))
+    return complement_seq(x)
+
+
+def _nonsplit_shape(runs):
+    """(base, params, order) of the non-split family whose runs these are."""
+    if runs == ((2, 5),):
+        return Base.C5, (), 5
+    if len(runs) == 1:
+        d1, r1 = runs[0]
+        if d1 == 1 and r1 % 2 == 0 and r1 // 2 >= 2:
+            return Base.MK2, (r1 // 2,), r1
+    if len(runs) == 2:
+        (d1, r1), (d2, r2) = runs
+        if r1 == 1 and d2 == 1 and (r2 - d1) % 2 == 0:
+            m, ell = (r2 - d1) // 2, d1
+            if m >= 1 and ell >= 2:
+                return Base.U2, (m, ell), 2 * m + ell + 1
+        if d1 % 2 == 0 and r1 == 1 and d2 == 2:
+            m = (d1 - 2) // 2
+            if m >= 1 and r2 == 2 * m + 3:
+                return Base.U3, (m,), 2 * m + 4
+    return None
+
+
+def match_nonsplit_runs(runs) -> TypedComponent | None:
+    """Recognize the runs of an indecomposable non-split sequence against
+    the four non-split families, trying the original then the complement."""
+    shape = _nonsplit_shape(runs)
+    if shape is not None:
+        return TypedComponent(Variant.ORIGINAL, *shape)
+    shape = _nonsplit_shape(complement_runs(runs, runs_order(runs)))
+    if shape is not None:
+        return TypedComponent(Variant.COMPLEMENT, *shape)
+    return None
+
+
+def _split_shape(ka, kb):
+    """(base, params) of the split family whose clique and stable runs
+    these are."""
+    if len(ka) == 1 and not kb and ka[0] == (0, 1):
+        return Base.K1, ()
+    if not ka and len(kb) == 1 and kb[0] == (0, 1):
+        return Base.S1, ()
+    if len(ka) == 1 and len(kb) == 1:
+        (d1, r1), (d2, r2) = ka[0], kb[0]
+        if r2 % r1 == 0 and d2 == 1:
+            p, q = r2 // r1, r1
+            if p >= 1 and q >= 2 and d1 == p + q - 1:
+                return Base.SPQ, (p, q)
+    if len(ka) >= 2 and len(kb) == 1 and kb[0][0] == 1:
+        ncenters = runs_order(ka)
+        pis = [d - ncenters + 1 for d, _ in ka]
+        qis = [r for _, r in ka]
+        if pis[-1] >= 1 and kb[0][1] == sum(p * q for p, q in zip(pis, qis)):
+            return Base.S2, tuple(x for pq in zip(pis, qis) for x in pq)
+    if len(ka) == 1 and len(kb) == 2:
+        (d1, r1) = ka[0]
+        (d2, r2), (d3, r3) = kb
+        if r2 == 1 and d3 == 1:
+            p, q1, q2 = d1 - r1, d2, r1 - d2
+            if p >= 1 and q1 >= 2 and q2 >= 1 and r3 == p * q1 + (p + 1) * q2:
+                return Base.S3, (p, q1, q2)
+    if len(ka) == 2 and len(kb) == 1:
+        (d1, r1), (d2, r2) = ka
+        (d3, r3) = kb[0]
+        if r1 == 1 and d3 == 2:
+            q = r2 - 2
+            p = d2 - 3 - q
+            if (
+                p >= 1
+                and q >= 1
+                and d1 == 2 * (p + q + 1) + q * p
+                and r3 == q * p + 2 * p + q + 1
+            ):
+                return Base.S4, (p, q)
+    return None
+
+
+def match_split_runs(kruns, sruns) -> TypedComponent | None:
+    """Recognize the clique and stable runs of an indecomposable split
+    component against the five split families under original, inverse,
+    complement and inverse-complement, in that order."""
+    p, q = runs_order(kruns), runs_order(sruns)
+    for variant in SPLIT_VARIANTS:
+        shape = _split_shape(*split_variant(variant, kruns, sruns, p, q))
+        if shape is not None:
+            return TypedComponent(variant, *shape, p + q)
+    return None
 
 
 def match_nonsplit_type(s: DegreeSequence) -> TypedComponent | None:
-    """Recognize an indecomposable non-split sequence against the four
-    non-split families, trying the original then the complement."""
-    for variant in (Variant.ORIGINAL, Variant.COMPLEMENT):
-        t = apply_variant(s, variant)
-        runs = t.runs
-        if runs == ((2, 5),):
-            return TypedComponent(variant, Base.C5, (), 5)
-        if len(runs) == 1:
-            d1, r1 = runs[0]
-            if d1 == 1 and r1 % 2 == 0 and r1 // 2 >= 2:
-                return TypedComponent(variant, Base.MK2, (r1 // 2,), r1)
-        if len(runs) == 2:
-            (d1, r1), (d2, r2) = runs
-            if r1 == 1 and d2 == 1 and (r2 - d1) % 2 == 0:
-                m, ell = (r2 - d1) // 2, d1
-                if m >= 1 and ell >= 2:
-                    return TypedComponent(
-                        variant, Base.U2, (m, ell), 2 * m + ell + 1
-                    )
-            if d1 % 2 == 0 and r1 == 1 and d2 == 2:
-                m = (d1 - 2) // 2
-                if m >= 1 and r2 == 2 * m + 3:
-                    return TypedComponent(variant, Base.U3, (m,), 2 * m + 4)
-    return None
+    """:func:`match_nonsplit_runs` on a sequence."""
+    return match_nonsplit_runs(s.runs)
 
 
 def match_split_type(ps: PairedDegreeSequence) -> TypedComponent | None:
-    """Recognize an indecomposable split component against the five split
-    families under original/inverse/complement/inverse-complement."""
-    order = ps.order
-    for variant in (
-        Variant.ORIGINAL,
-        Variant.INVERSE,
-        Variant.COMPLEMENT,
-        Variant.INVERSE_COMPLEMENT,
-    ):
-        t = apply_variant(ps, variant)
-        ka, kb = t.kpart.runs, t.spart.runs
-        if len(ka) == 1 and not kb and ka[0] == (0, 1):
-            return TypedComponent(variant, Base.K1, (), 1)
-        if not ka and len(kb) == 1 and kb[0] == (0, 1):
-            return TypedComponent(variant, Base.S1, (), 1)
-        if len(ka) == 1 and len(kb) == 1:
-            (d1, r1), (d2, r2) = ka[0], kb[0]
-            if r2 % r1 == 0 and d2 == 1:
-                p, q = r2 // r1, r1
-                if p >= 1 and q >= 2 and d1 == p + q - 1:
-                    return TypedComponent(variant, Base.SPQ, (p, q), order)
-        if len(ka) >= 2 and len(kb) == 1:
-            ncenters = sum(r for _, r in ka)
-            pis = [d - ncenters + 1 for d, _ in ka]
-            qis = [r for _, r in ka]
-            d_b, r_b = kb[0]
-            if (
-                pis[-1] >= 1
-                and d_b == 1
-                and r_b == sum(p * q for p, q in zip(pis, qis))
-            ):
-                params = tuple(x for pq in zip(pis, qis) for x in pq)
-                return TypedComponent(variant, Base.S2, params, order)
-        if len(ka) == 1 and len(kb) == 2:
-            (d1, r1) = ka[0]
-            (d2, r2), (d3, r3) = kb
-            if r2 == 1 and d3 == 1:
-                p, q1, q2 = d1 - r1, d2, r1 - d2
-                if p >= 1 and q1 >= 2 and q2 >= 1 and r3 == p * q1 + (p + 1) * q2:
-                    return TypedComponent(variant, Base.S3, (p, q1, q2), order)
-        if len(ka) == 2 and len(kb) == 1:
-            (d1, r1), (d2, r2) = ka
-            (d3, r3) = kb[0]
-            if r1 == 1 and d3 == 2:
-                q = r2 - 2
-                p = d2 - 3 - q
-                if (
-                    p >= 1
-                    and q >= 1
-                    and d1 == 2 * (p + q + 1) + q * p
-                    and r3 == q * p + 2 * p + q + 1
-                ):
-                    return TypedComponent(variant, Base.S4, (p, q), order)
-    return None
+    """:func:`match_split_runs` on a paired sequence."""
+    return match_split_runs(ps.kpart.runs, ps.spart.runs)
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -199,32 +252,36 @@ def _check(cond: bool, msg: str) -> None:
         raise ParamOutOfRange(msg)
 
 
-def _base_sequence(base: Base, params: tuple[int, ...]):
+# parameter count of each base; S2 takes any even count of at least 4
+_ARITY = {Base.C5: 0, Base.K1: 0, Base.S1: 0, Base.S2: None}
+_ARITY.update((b, len(names)) for b, names in _PARAM_NAMES.items())
+
+
+def _base_runs(base: Base, params: tuple[int, ...]):
+    """Runs of a base family instance: plain runs for a non-split base,
+    (clique runs, stable runs) otherwise."""
     if base is Base.C5:
-        _check(params == (), "c5 takes no parameters")
-        return DegreeSequence(((2, 5),))
+        return ((2, 5),)
     if base is Base.MK2:
         (m,) = params
         _check(m >= 2, "mk2 needs m >= 2")
-        return DegreeSequence(((1, 2 * m),))
+        return ((1, 2 * m),)
     if base is Base.U2:
         m, ell = params
         _check(m >= 1 and ell >= 2, "u2 needs m >= 1, l >= 2")
-        return DegreeSequence(((ell, 1), (1, 2 * m + ell)))
+        return ((ell, 1), (1, 2 * m + ell))
     if base is Base.U3:
         (m,) = params
         _check(m >= 1, "u3 needs m >= 1")
-        return DegreeSequence(((2 * m + 2, 1), (2, 2 * m + 3)))
+        return ((2 * m + 2, 1), (2, 2 * m + 3))
     if base is Base.K1:
-        return K1_PAIRED
+        return ((0, 1),), ()
     if base is Base.S1:
-        return S1_PAIRED
+        return (), ((0, 1),)
     if base is Base.SPQ:
         p, q = params
         _check(p >= 1 and q >= 2, "spq needs p >= 1, q >= 2")
-        return PairedDegreeSequence(
-            DegreeSequence(((p + q - 1, q),)), DegreeSequence(((1, p * q),))
-        )
+        return ((p + q - 1, q),), ((1, p * q),)
     if base is Base.S2:
         _check(len(params) >= 4 and len(params) % 2 == 0, "s2 needs >= 2 pairs")
         pairs = list(zip(params[::2], params[1::2]))
@@ -237,41 +294,67 @@ def _base_sequence(base: Base, params: tuple[int, ...]):
         ncenters = sum(q for _, q in pairs)
         kruns = tuple((p + ncenters - 1, q) for p, q in pairs)
         leaves = sum(p * q for p, q in pairs)
-        return PairedDegreeSequence(
-            DegreeSequence(kruns), DegreeSequence(((1, leaves),))
-        )
+        return kruns, ((1, leaves),)
     if base is Base.S3:
         p, q1, q2 = params
         _check(p >= 1 and q1 >= 2 and q2 >= 1, "s3 needs p >= 1, q1 >= 2, q2 >= 1")
-        return PairedDegreeSequence(
-            DegreeSequence(((p + q1 + q2, q1 + q2),)),
-            DegreeSequence(((q1, 1), (1, p * q1 + (p + 1) * q2))),
-        )
+        return ((p + q1 + q2, q1 + q2),), ((q1, 1), (1, p * q1 + (p + 1) * q2))
     if base is Base.S4:
         p, q = params
         _check(p >= 1 and q >= 1, "s4 needs p >= 1, q >= 1")
-        return PairedDegreeSequence(
-            DegreeSequence(((2 * (p + q + 1) + q * p, 1), (p + q + 3, q + 2))),
-            DegreeSequence(((2, q * p + 2 * p + q + 1),)),
+        return (
+            ((2 * (p + q + 1) + q * p, 1), (p + q + 3, q + 2)),
+            ((2, q * p + 2 * p + q + 1),),
         )
     if base is Base.COMPLETE_BLOCK:
         (m,) = params
         _check(m >= 1, "complete block needs m >= 1")
-        return PairedDegreeSequence(DegreeSequence(((m - 1, m),)), DegreeSequence(()))
-    if base is Base.EMPTY_BLOCK:
-        (m,) = params
-        _check(m >= 1, "empty block needs m >= 1")
-        return PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, m),)))
-    raise ParamOutOfRange(f"unknown base {base}")
+        return ((m - 1, m),), ()
+    (m,) = params  # EMPTY_BLOCK
+    _check(m >= 1, "empty block needs m >= 1")
+    return (), ((0, m),)
+
+
+def emit_runs(t: TypedComponent):
+    """Catalog runs of a typed component (the exact matcher inverse): plain
+    runs for a non-split base, (clique runs, stable runs) otherwise.
+
+    Raises ParamOutOfRange when ``t`` is not a well-formed typed component
+    or its parameters leave the catalog bounds, and VariantUndefined for a
+    split inverse of a non-split base.
+    """
+    if not isinstance(t, TypedComponent):
+        raise ParamOutOfRange(f"not a typed component: {t!r}")
+    base, params = t.base, t.params
+    if not (isinstance(base, Base) and isinstance(t.variant, Variant)):
+        raise ParamOutOfRange(f"unknown base or variant in {t!r}")
+    arity = _ARITY[base]
+    if not (
+        isinstance(params, tuple)
+        and (arity is None or len(params) == arity)
+        and all(isinstance(x, int) for x in params)
+    ):
+        raise ParamOutOfRange(
+            f"{base.value} takes {'an even number of' if arity is None else arity}"
+            f" integer parameters, got {params!r}"
+        )
+    runs = _base_runs(base, params)
+    if base in NON_SPLIT_BASES:
+        if t.variant is Variant.ORIGINAL:
+            return runs
+        if t.variant is not Variant.COMPLEMENT:
+            raise VariantUndefined("non-split bases only admit the complement")
+        return complement_runs(runs, runs_order(runs))
+    kruns, sruns = runs
+    return split_variant(t.variant, kruns, sruns, runs_order(kruns), runs_order(sruns))
 
 
 def type_to_sequence(t: TypedComponent):
     """Emit the catalog sequence for a typed component (exact matcher inverse)."""
-    base = _base_sequence(t.base, t.params)
-    if t.variant is not Variant.ORIGINAL and t.base in NON_SPLIT_BASES:
-        if t.variant is not Variant.COMPLEMENT:
-            raise VariantUndefined("non-split bases only admit the complement")
-    return apply_variant(base, t.variant)
+    runs = emit_runs(t)
+    if t.base in NON_SPLIT_BASES:
+        return DegreeSequence(runs)
+    return PairedDegreeSequence.from_runs(*runs)
 
 
 # Split-head matches keyed on run tuples (no sequence objects), cleared whole
@@ -310,22 +393,24 @@ def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
     """Decompose and classify; the sequence is a unigraph exactly when every
     indecomposable component lies in the catalog.
 
-    Each run of the decomposition is matched once; the report still lists
-    one type per strip, and ``failure_index`` is a strip index.
+    Each run of the decomposition is matched once, and the report keeps one
+    entry per run; ``failure_index`` is still a strip index.
     """
     d = decompose(s)
-    types: list[TypedComponent] = []
+    runs: list[tuple[TypedComponent, int]] = []
     failure: int | None = None
+    strips = 0
     for comp, m in d.runs:
         t = match_head(comp)
         if t is None:
-            failure = len(types)
+            failure = strips
             break
-        types.extend([t] * m)
+        runs.append((t, m))
+        strips += m
     if failure is None and d.tail.n > 0:
         t = _tail_type(d)
         if t is None:
-            failure = len(types)
+            failure = strips
         else:
-            types.append(t)
-    return d, UnigraphReport(failure is None, tuple(types), failure)
+            runs.append((t, 1))
+    return d, UnigraphReport(failure is None, tuple(runs), failure)

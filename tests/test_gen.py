@@ -1,16 +1,28 @@
+import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from unigraph.decomp import decompose
-from unigraph.errors import Infeasible
+from unigraph.decomp import compose_all, decompose
+from unigraph.degseq import DegreeSequence
+from unigraph.errors import Infeasible, ParamOutOfRange, UnigraphError
 from unigraph.gen import (
     GenSpec,
+    _compose_counts,
     components_of_order,
     compose_types,
     generate,
 )
-from unigraph.unitype import Base, is_unigraph
+from unigraph.unitype import (
+    Base,
+    TypedComponent,
+    Variant,
+    is_unigraph,
+    type_to_sequence,
+)
 
 
 class TestFeasibility:
@@ -106,3 +118,186 @@ class TestEnumeration:
         tags = {t.tag() for t in components_of_order(5, split_only=False)}
         assert "c5" in tags and "s2(2,1,1,1)" in tags
         assert "u2(m=1,l=2)" in tags
+
+
+def _golden_grid():
+    """Seeded specs whose tags are pinned by a digest below: small and
+    mid-size n with k up to 60, type filters, distinct singletons, and two
+    many-component draws."""
+    specs = []
+    for n in (1, 4, 5, 6, 9, 13, 24, 25, 40, 77, 150, 400, 1000, 3000):
+        for k in (1, 2, 3, 4, 7, 12, 25, 60):
+            if k > n or n - k in (1, 2):
+                continue
+            for seed in range(3):
+                specs.append(GenSpec(n, k, seed))
+    few = frozenset({Base.K1, Base.S1, Base.SPQ, Base.MK2})
+    big = frozenset({Base.K1, Base.S1, Base.S2, Base.S3, Base.S4, Base.U2})
+    for seed in range(10):
+        specs.append(GenSpec(60, 6, seed, allowed=few))
+        specs.append(GenSpec(30, 12, seed, distinct_singletons=True))
+        specs.append(GenSpec(300, 4, seed, allowed=big))
+    specs.append(GenSpec(10**4, 109, 1))
+    specs.append(GenSpec(10**5, 367, 2))
+    return specs
+
+
+def _comb_weights(n, k):
+    """The sampling weights by their closed form: choose which j of the k
+    parts are multi-vertex, then compose the n - (k - j) vertices left into
+    j parts of order at least 4."""
+    out = []
+    for j in range(k + 1):
+        m = n - (k - j)
+        if j == 0:
+            out.append(1 if m == 0 else 0)
+        elif m >= 4 * j:
+            out.append(math.comb(k, j) * math.comb(m - 3 * j - 1, j - 1))
+        else:
+            out.append(0)
+    return out
+
+
+class TestGolden:
+    """Generated draws are part of the contract: a seed gives the same
+    components release after release."""
+
+    @pytest.mark.parametrize(
+        "spec,tags",
+        [
+            (
+                GenSpec(40, 5, 123),
+                ["complement:s2(2,1,1,2)", "inverse:spq(p=3,q=2)",
+                 "inverse:s2(13,1,4,1,1,2)", "s1", "s1"],
+            ),
+            (GenSpec(12, 4, 1), ["spq(p=1,q=2)", "s2(3,1,1,1)", "s1", "s1"]),
+            (
+                GenSpec(30, 3, 7, allowed=frozenset({Base.K1, Base.S1, Base.SPQ})),
+                ["complement:spq(p=1,q=3)", "inverse:spq(p=2,q=6)",
+                 "complement:spq(p=1,q=3)"],
+            ),
+            (
+                GenSpec(12, 6, 3, distinct_singletons=True),
+                ["s1", "k1", "s1", "k1", "spq(p=1,q=2)", "mk2(m=2)"],
+            ),
+            (GenSpec(100, 2, 5), ["s2(9,2,1,36)", "inverse:s2(2,2,1,1)"]),
+            (GenSpec(9, 9, 0), ["s1", "k1"] + ["s1"] * 7),
+        ],
+    )
+    def test_literal_tags(self, spec, tags):
+        assert [c.tag() for c in generate(spec)] == tags
+
+    def test_seeded_grid_digest(self):
+        h = hashlib.sha1()
+        specs = _golden_grid()
+        for spec in specs:
+            h.update(("|".join(c.tag() for c in generate(spec)) + "\n").encode())
+        assert len(specs) == 263
+        assert h.hexdigest() == "181b6513808bd7bb9c1fc328befb855c19634a11"
+
+    def test_compose_counts_match_binomials(self):
+        for n in range(1, 81):
+            for k in range(1, n + 1):
+                assert _compose_counts(n, k) == _comb_weights(n, k), (n, k)
+
+
+def _k1():
+    return TypedComponent(Variant.ORIGINAL, Base.K1, (), 1)
+
+
+class TestEntryPointErrors:
+    """Bad input to the emit and generate entry points raises only
+    UnigraphError subclasses."""
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: compose_types([]), ParamOutOfRange),
+            (lambda: compose_types([None]), ParamOutOfRange),
+            (lambda: compose_types([_k1(), "k1"]), ParamOutOfRange),
+            (
+                lambda: compose_types(
+                    [TypedComponent(Variant.ORIGINAL, Base.C5, (), 5), _k1()]
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, Base.SPQ, (1,), 4)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, Base.K1, (1,), 1)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, Base.S1, (0, 0), 1)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, Base.MK2, (2.5,), 5)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, "spq", (1, 2), 4)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent("inverse", Base.SPQ, (1, 2), 4)
+                ),
+                ParamOutOfRange,
+            ),
+            (lambda: generate(GenSpec(n="10", k=2)), ParamOutOfRange),
+            (lambda: generate(GenSpec(n=10, k=None)), ParamOutOfRange),
+            (lambda: generate(GenSpec(10, 2, allowed="spq")), ParamOutOfRange),
+            (lambda: generate(GenSpec(10, 2, allowed=5)), ParamOutOfRange),
+            (lambda: generate(GenSpec(10, 2, allowed=["spq"])), ParamOutOfRange),
+            (lambda: generate(GenSpec(10, 2, allowed=[[Base.K1]])), ParamOutOfRange),
+            (lambda: generate(GenSpec(10, 2, seed=[1])), ParamOutOfRange),
+            (lambda: generate(None), ParamOutOfRange),
+            (lambda: generate(GenSpec(10, 0)), Infeasible),
+        ],
+    )
+    def test_bad_input_raises_domain_error(self, call, error):
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, UnigraphError)
+
+    def test_allowed_is_stored_as_frozenset(self):
+        spec = GenSpec(24, 4, allowed=iter([Base.K1, Base.S1, Base.SPQ]))
+        assert spec.allowed == frozenset({Base.K1, Base.S1, Base.SPQ})
+        assert all(c.base in spec.allowed for c in generate(spec))
+
+
+class TestComposeTypes:
+    @given(
+        n=st.integers(1, 400),
+        k=st.integers(1, 40),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_object_composition(self, n, k, seed):
+        assume(k <= n and n - k not in (1, 2))
+        comps = generate(GenSpec(n, k, seed))
+        tail = type_to_sequence(comps[-1])
+        if not isinstance(tail, DegreeSequence):
+            tail = tail.merged()
+        heads = [type_to_sequence(t) for t in comps[:-1]]
+        assert compose_types(comps) == compose_all(heads, tail)
+
+    def test_million_vertices_ten_thousand_components(self):
+        comps = generate(GenSpec(10**6, 10**4, seed=1))
+        assert len(comps) == 10**4
+        assert sum(c.order for c in comps) == 10**6
+        d = decompose(compose_types(comps))
+        assert len(d.components) + 1 == 10**4

@@ -240,3 +240,25 @@ class TestCrossingAutomorphisms:
         combined = compose_graphs(head, part, tail)
         for pi in oracle.automorphisms(combined):
             assert all(pi(v) < 5 for v in range(5))
+
+
+class TestAtlasCacheFile:
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        import pickle
+
+        path = tmp_path / "atlas.pickle"
+        monkeypatch.setenv("UNIGRAPH_ATLAS_CACHE", str(path))
+        monkeypatch.setattr(oracle, "_atlas_cache", {})
+        assert len(oracle.graphs_with_n(3)) == 4
+        assert set(pickle.loads(path.read_bytes())["atlas"]) == {0, 1, 2, 3}
+
+        def torn_dump(obj, fh):
+            fh.write(pickle.dumps(obj)[:20])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(oracle.pickle, "dump", torn_dump)
+        monkeypatch.setattr(oracle, "_atlas_cache", {})
+        assert len(oracle.graphs_with_n(4)) == 11
+        stored = pickle.loads(path.read_bytes())
+        assert set(stored["atlas"]) == {0, 1, 2, 3}
+        assert [p.name for p in tmp_path.iterdir()] == ["atlas.pickle"]

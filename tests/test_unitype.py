@@ -13,12 +13,16 @@ from unigraph.degseq import (
 )
 from unigraph.errors import ParamOutOfRange, VariantUndefined
 from unigraph.unitype import (
+    NON_SPLIT_BASES,
     Base,
     TypedComponent,
     Variant,
     apply_variant,
+    emit_runs,
     is_unigraph,
+    match_nonsplit_runs,
     match_nonsplit_type,
+    match_split_runs,
     match_split_type,
     type_to_sequence,
 )
@@ -342,3 +346,46 @@ class TestIsUnigraph:
             got = match_split_type(seq)
             assert got.base is Base.SPQ and got.params == (2, 3)
             assert type_to_sequence(got) == seq
+
+
+class TestRunLevelParity:
+    def test_matchers_invert_emitter_over_every_variant_order_le_16(self):
+        from unigraph.gen import components_of_order
+
+        for order in range(1, 17):
+            pool = components_of_order(order, split_only=False)
+            for t in pool:
+                nonsplit = t.base in NON_SPLIT_BASES
+                match = match_nonsplit_type if nonsplit else match_split_type
+                assert match(type_to_sequence(t)) == t, t
+                base = type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, t.base, t.params, t.order)
+                )
+                variants = (
+                    (Variant.ORIGINAL, Variant.COMPLEMENT) if nonsplit else Variant
+                )
+                for v in variants:
+                    vt = TypedComponent(v, t.base, t.params, t.order)
+                    vseq = type_to_sequence(vt)
+                    assert vseq == apply_variant(base, v), vt
+                    got = match(vseq)
+                    assert got in pool, vt
+                    assert type_to_sequence(got) == vseq, vt
+                    runs = emit_runs(vt)
+                    if nonsplit:
+                        assert runs == vseq.runs
+                        assert match_nonsplit_runs(runs) == got
+                    else:
+                        assert runs == (vseq.kpart.runs, vseq.spart.runs)
+                        assert match_split_runs(*runs) == got
+
+    def test_report_is_run_length(self):
+        from unigraph.params import unigraph_params
+
+        s = parse_sequence("999999^1000000")
+        d, r = is_unigraph(s)
+        assert [(t.tag(), m) for t, m in r.runs] == [("k1", 999999), ("k1", 1)]
+        assert r.is_unigraph and r.failure_index is None
+        assert "component_types" not in vars(r)
+        assert unigraph_params(s).omega == 10**6
+        assert len(r.component_types) == 10**6 and r.tags()[-1] == "k1"
