@@ -1,22 +1,12 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""The run-aware degree-sequence kernel, in pure Python.
 
-Set UNIGRAPH_PURE=1 to force the pure implementation regardless of what was
-built; `unigraph._kernel.IMPL` reports which one is active.
+Its cost follows the number of runs and emitted components, not the vertex
+count. The rest of the package calls the four functions through this module
+(``_kernel.eg_graphical(...)``), so a wrapper set on one of its attributes
+sees every call. ``reference`` holds the naive per-vertex versions the tests
+compare against.
 """
 
-import os
+from ._pykernel import decompose_runs, eg_graphical, normalize_runs, split_point
 
-if os.environ.get("UNIGRAPH_PURE"):
-    from . import _pykernel as _impl
-else:
-    try:
-        from . import _ckernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernel as _impl
-
-IMPL = _impl.IMPL_NAME
-
-normalize_runs = _impl.normalize_runs
-eg_graphical = _impl.eg_graphical
-split_point = _impl.split_point
-decompose_runs = _impl.decompose_runs
+IMPL = "python"

@@ -1,4 +1,4 @@
-"""Run-aware degree-sequence kernel, pure Python twin of the C extension.
+"""Run-aware degree-sequence kernel.
 
 Every function works on a run-length encoded degree sequence given as two
 parallel lists: strictly decreasing run values and positive multiplicities.
@@ -22,8 +22,6 @@ run-granular.
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from operator import index
-
-IMPL_NAME = "python"
 
 
 def normalize_runs(degrees):

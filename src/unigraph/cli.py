@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 
-from . import _kernel
 from .decomp import compact, compose_all, decompose
 from .degseq import (
     DegreeSequence,
@@ -163,8 +162,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="unigraph",
-        description="Canonical degree-sequence decomposition and unigraph tools"
-        f" (kernel: {_kernel.IMPL})",
+        description="Canonical degree-sequence decomposition and unigraph tools",
     )
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)

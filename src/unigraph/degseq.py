@@ -136,7 +136,7 @@ def normalize(raw) -> DegreeSequence:
         vals, mults = _kernel.normalize_runs(degrees)
     except TypeError as exc:
         raise FormatError(f"bad degree list: {exc}") from None
-    except (ValueError, OverflowError):
+    except ValueError:
         lo, hi = min(degrees), max(degrees)
         if lo < 0:
             raise NegativeDegree(f"negative degree {lo}") from None
@@ -240,8 +240,14 @@ def compose_all(
     return DegreeSequence(compose_runs(pairs, tail.runs))
 
 
+def _check_text(text) -> None:
+    if not isinstance(text, str):
+        raise FormatError(f"expected sequence text, got {type(text).__name__}")
+
+
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse the ``8^4,5^4,2^2`` text form (``-`` is the empty sequence)."""
+    _check_text(text)
     text = text.strip()
     if text in ("", "-"):
         return DegreeSequence(())
@@ -265,6 +271,7 @@ def parse_sequence(text: str) -> DegreeSequence:
 
 def parse_paired(text: str) -> PairedDegreeSequence:
     """Parse the ``3,2;1^3`` paired text form."""
+    _check_text(text)
     if text.count(";") != 1:
         raise FormatError("paired sequence needs exactly one ';'")
     k_text, s_text = text.split(";")

@@ -25,6 +25,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
@@ -90,7 +92,10 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(f"bad edge list: {exc}") from exc
     if len(edges) != m:
         raise FormatError(f"expected {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    try:
+        return Graph.from_edges(n, edges)
+    except ValueError as exc:
+        raise FormatError(f"bad edge list: {exc}") from exc
 
 
 def parse_graph_json(text: str) -> Graph:

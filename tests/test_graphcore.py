@@ -4,7 +4,13 @@ import random
 import pytest
 
 from unigraph import oracle
-from unigraph.degseq import compose_seq, normalize, parse_sequence, realize
+from unigraph.degseq import (
+    compose_seq,
+    normalize,
+    parse_paired,
+    parse_sequence,
+    realize,
+)
 from unigraph.errors import FormatError, InvalidPartition
 from unigraph.graphcore import (
     Graph,
@@ -267,6 +273,29 @@ class TestIO:
             parse_edge_list("2 1\n")
         with pytest.raises(FormatError):
             parse_edge_list("")
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_edge_list, "2 1\n0 0\n"),
+            (parse_edge_list, "2 1\n0 5\n"),
+            (parse_edge_list, "-1 0\n"),
+            (parse_graph_json, '{"n": -1, "edges": []}'),
+            (parse_sequence, None),
+            (parse_paired, None),
+        ],
+        ids=[
+            "self-loop",
+            "out-of-range",
+            "negative-n",
+            "json-negative-n",
+            "sequence-none",
+            "paired-none",
+        ],
+    )
+    def test_text_parsers_raise_only_format_error(self, parse, text):
+        with pytest.raises(FormatError):
+            parse(text)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):

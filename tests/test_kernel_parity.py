@@ -1,18 +1,15 @@
-"""The compiled kernel, the pure kernel, and the naive reference must agree
-bit for bit on everything."""
+"""The kernel and the naive reference must agree bit for bit on everything,
+and the package must reach the kernel through the ``unigraph._kernel``
+module."""
 
 import random
 
 import pytest
 
+from unigraph import _kernel
 from unigraph._kernel import _pykernel, reference
-
-try:
-    from unigraph._kernel import _ckernel
-except ImportError:
-    _ckernel = None
-
-KERNELS = [_pykernel] if _ckernel is None else [_pykernel, _ckernel]
+from unigraph.decomp import decompose
+from unigraph.degseq import is_graphical, normalize
 
 
 def random_graph_degrees(rng, n, p):
@@ -25,7 +22,7 @@ def random_graph_degrees(rng, n, p):
     return deg
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.IMPL_NAME)
+@pytest.mark.parametrize("kernel", [_pykernel], ids=[_kernel.IMPL])
 class TestAgainstReference:
     def test_eg_on_graphical_and_near_graphical(self, kernel):
         rng = random.Random(1)
@@ -96,44 +93,41 @@ class TestAgainstReference:
             kernel.normalize_runs([-1])
         with pytest.raises(ValueError):
             kernel.normalize_runs([3, 0, 0])
+        with pytest.raises(ValueError):
+            kernel.normalize_runs([2**70, 0])
+
+    def test_normalize_counts_bools_as_ints(self, kernel):
+        vals, mults = kernel.normalize_runs([True, True])
+        assert (vals, mults) == ([1], [2])
+        assert type(vals[0]) is int
+
+    @pytest.mark.parametrize("raw", [[1.5, 0.5], [2, None], ["a"]])
+    def test_normalize_rejects_non_integers(self, kernel, raw):
+        with pytest.raises(TypeError):
+            kernel.normalize_runs(raw)
 
 
-@pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-class TestCompiledSpecifics:
-    def test_pure_and_compiled_identical_records(self):
-        rng = random.Random(5)
-        for _ in range(500):
-            n = rng.randint(0, 30)
-            deg = random_graph_degrees(rng, n, rng.random())
-            vals, mults = reference._runs(deg)
-            assert _ckernel.decompose_runs(vals, mults) == _pykernel.decompose_runs(
-                vals, mults
-            )
-            assert _ckernel.split_point(vals, mults) == _pykernel.split_point(
-                vals, mults
-            )
+def test_huge_multiplicity():
+    # K_n for n = 2^33 strips its n-1 dominant vertices as one run
+    n = 2**33
+    vals, mults = [n - 1], [n]
+    assert _pykernel.decompose_runs(vals, mults)[0] == ("k1", n - 1)
+    assert _pykernel.eg_graphical(vals, mults)
 
-    def test_huge_multiplicity_delegation(self):
-        # beyond 2^31 vertices the compiled kernel hands off to pure Python
-        n = 2**33
-        vals, mults = [n - 1], [n]
-        recs_c = _ckernel.decompose_runs(vals, mults)
-        recs_py = _pykernel.decompose_runs(vals, mults)
-        assert recs_c == recs_py
-        assert recs_c[0] == ("k1", n - 1)
-        assert _ckernel.eg_graphical(vals, mults) == _pykernel.eg_graphical(
-            vals, mults
-        )
 
-    def test_env_override_selects_pure(self):
-        import os
-        import subprocess
-        import sys
+def test_public_functions_call_through_kernel_module(monkeypatch):
+    # perfbench/layers.py times the kernel by wrapping these attributes, so a
+    # caller that imports the functions directly would go untimed
+    calls = {}
+    for name in ("normalize_runs", "eg_graphical", "decompose_runs"):
+        def counted(*args, _fn=getattr(_kernel, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
 
-        out = subprocess.run(
-            [sys.executable, "-c", "import unigraph; print(unigraph.KERNEL_IMPL)"],
-            env={**os.environ, "UNIGRAPH_PURE": "1"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.stdout.strip() == "python"
+        monkeypatch.setattr(_kernel, name, counted)
+    s = normalize([2, 2, 1, 1])
+    assert calls == {"normalize_runs": 1}
+    assert is_graphical(s)
+    assert calls == {"normalize_runs": 1, "eg_graphical": 1}
+    decompose(s)
+    assert calls["decompose_runs"] == 1
