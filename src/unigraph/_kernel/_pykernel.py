@@ -5,17 +5,18 @@ parallel lists: strictly decreasing run values and positive multiplicities.
 Costs scale with the number of runs and emitted components, not with the
 vertex count, so sequences with huge multiplicities stay cheap.
 
-The decomposition routines search for "cut points" (p, q): indices splitting
-the sorted sequence into a top block of p degrees, a bottom block of q
-degrees, and a middle, such that
+The decomposition routine searches for "cut points" (p, q): indices
+splitting the sorted sequence into a top block of p degrees, a bottom block
+of q degrees, and a middle, such that
 
     sum(top p) == p * (N - q - 1) + sum(bottom q).
 
 Cut points of one sequence form a chain (both coordinates non-decreasing
 along it), and the lexicographically smallest cut strips exactly the first
-component of the canonical decomposition. For a multi-vertex first component
-both p and q land on run boundaries, while p <= 1 or q == 0 cuts are exactly
-the isolated/dominant single-vertex strips; those two facts keep the search
+component of the canonical decomposition, so the first record of
+``decompose_runs`` names it. For a multi-vertex first component both p and
+q land on run boundaries, while p <= 1 or q == 0 cuts are exactly the
+isolated/dominant single-vertex strips; those two facts keep the search
 run-granular.
 """
 
@@ -40,19 +41,22 @@ def normalize_runs(degrees):
 
 
 def eg_graphical(vals, mults):
-    """Erdos-Gallai test evaluated at run boundaries only.
+    """Erdos-Gallai test evaluated at run boundaries only."""
+    ccnt, csum = _prefix(vals, mults)
+    return _eg_holds(vals, [-v for v in vals], ccnt, csum)
+
+
+def _eg_holds(vals, neg, ccnt, csum):
+    """Erdos-Gallai on prefix sums the caller has built.
 
     By Tripathi-Vijay the inequalities need only be checked at indices k
-    with d_k > d_{k+1}, i.e. at run ends.
+    with d_k > d_{k+1}, i.e. at run ends. ``neg`` is the ascending negated
+    values, which makes bisect applicable.
     """
     r = len(vals)
-    if r == 0:
-        return True
-    ccnt, csum = _prefix(vals, mults)
     n = ccnt[r]
-    if csum[r] % 2 or vals[0] >= n:
+    if csum[r] % 2 or (r and vals[0] >= n):
         return False
-    neg = [-v for v in vals]  # ascending; makes bisect applicable
     for t in range(r):
         k = ccnt[t + 1]
         lhs = csum[t + 1]
@@ -133,29 +137,12 @@ def _cut_search(neg, ccnt, csum, lo, hi, shift, n):
     return None
 
 
-def split_point(vals, mults):
-    """Lexicographically smallest cut (p, q) of a graphical sequence."""
-    r = len(vals)
-    ccnt, csum = _prefix(vals, mults)
-    n = ccnt[r]
-    if n <= 1:
-        return None
-    if vals[-1] == 0:
-        return 0, 1
-    if vals[0] == n - 1:
-        return 1, 0
-    neg = [-v for v in vals]
-    found = _cut_search(neg, ccnt, csum, 0, r, 0, n)
-    if found is None:
-        return None
-    _, _, p, q = found
-    return p, q
-
-
 def decompose_runs(vals, mults):
-    """Strip the canonical decomposition off a graphical run sequence.
+    """Strip the canonical decomposition off a run sequence.
 
-    Returns a list of records, in head-first order:
+    Returns None when the sequence is not graphical (Erdos-Gallai on the
+    prefix sums the strip loop uses), else a list of records, in head-first
+    order:
       ('k1', count)  count consecutive dominant-vertex components (0; -)
       ('s1', count)  count consecutive isolated-vertex components (-; 0)
       ('head', kvals, kmults, svals, smults)  one multi-vertex split head
@@ -169,6 +156,8 @@ def decompose_runs(vals, mults):
     r = len(vals)
     ccnt, csum = _prefix(vals, mults)
     neg = [-v for v in vals]
+    if not _eg_holds(vals, neg, ccnt, csum):
+        return None
     n = ccnt[r]
     lo, hi = 0, r
     shift = 0

@@ -13,6 +13,10 @@ components is one entry (K1, m) or (S1, m), and every multi-vertex head is
 an entry of count 1. Every consumer works per run, so a complete graph on
 a million vertices decomposes into one entry; the per-strip component list
 is expanded only when asked for.
+
+The kernel's strip loop proves graphicality on its own prefix sums, so
+:func:`decompose` and :func:`find_split_point` (the cut of the first strip)
+run Erdos-Gallai once and raise NotGraphical on a sequence no graph has.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel
-from .degseq import DegreeSequence, PairedDegreeSequence, is_graphical
+from .degseq import DegreeSequence, PairedDegreeSequence, check_sequence
 from .degseq import compose_all  # noqa: F401  (the inverse of decompose)
 from .errors import NotGraphical
 
@@ -64,7 +68,7 @@ class Decomposition:
                 {"k": c.kpart.to_text(), "s": c.spart.to_text()}
                 for c in self.components
             ],
-            "tail": self.tail.to_text(),
+            "tail": None if self.tail is None else self.tail.to_text(),
         }
 
 
@@ -80,30 +84,36 @@ class CompactDecomposition:
     components: tuple[PairedDegreeSequence, ...]
     tail: DegreeSequence | None
 
-    def to_report(self) -> dict:
-        return {
-            "components": [
-                {"k": c.kpart.to_text(), "s": c.spart.to_text()}
-                for c in self.components
-            ],
-            "tail": None if self.tail is None else self.tail.to_text(),
-        }
+    to_report = Decomposition.to_report
+
+
+def _strip(s: DegreeSequence) -> list:
+    """The kernel's decomposition records of a graphical sequence."""
+    check_sequence(s)
+    records = _kernel.decompose_runs(*s.values_mults())
+    if records is None:
+        raise NotGraphical(f"{s} is not graphical")
+    return records
 
 
 def find_split_point(s: DegreeSequence) -> tuple[int, int] | None:
-    """Lexicographically smallest (p, q) cut, or None if indecomposable."""
-    vals, mults = s.values_mults()
-    return _kernel.split_point(vals, mults)
+    """Lexicographically smallest (p, q) cut of a graphical sequence, or
+    None if it is indecomposable; the cut of its first strip."""
+    rec = _strip(s)[0]
+    if rec[0] == "k1":
+        return 1, 0
+    if rec[0] == "s1":
+        return 0, 1
+    if rec[0] == "head":
+        return sum(rec[2]), sum(rec[4])
+    return None
 
 
 def decompose(s: DegreeSequence) -> Decomposition:
     """Full canonical decomposition of a graphical sequence."""
-    if not is_graphical(s):
-        raise NotGraphical(f"{s} is not graphical")
-    vals, mults = s.values_mults()
     runs: list[tuple[PairedDegreeSequence, int]] = []
     tail = DegreeSequence(())
-    for rec in _kernel.decompose_runs(vals, mults):
+    for rec in _strip(s):
         kind = rec[0]
         if kind == "k1":
             runs.append((K1, rec[1]))

@@ -42,11 +42,11 @@ class DegreeSequence:
         prev = None
         for d, m in self.runs:
             if m < 1:
-                raise ValueError("multiplicity must be positive")
+                raise FormatError("multiplicity must be positive")
             if d < 0:
                 raise NegativeDegree(f"negative degree {d}")
             if prev is not None and d >= prev:
-                raise ValueError("runs must be strictly decreasing")
+                raise FormatError("runs must be strictly decreasing")
             prev = d
 
     @cached_property
@@ -145,8 +145,15 @@ def normalize(raw) -> DegreeSequence:
     return DegreeSequence(tuple(zip(vals, mults)))
 
 
+def check_sequence(s) -> None:
+    """Raise FormatError unless ``s`` is a DegreeSequence (not a raw list)."""
+    if not isinstance(s, DegreeSequence):
+        raise FormatError(f"expected a DegreeSequence, got {type(s).__name__}")
+
+
 def is_graphical(s: DegreeSequence) -> bool:
     """Erdos-Gallai realizability test, evaluated at run boundaries."""
+    check_sequence(s)
     vals, mults = s.values_mults()
     return _kernel.eg_graphical(vals, mults)
 
@@ -305,6 +312,7 @@ def realize(s: DegreeSequence):
     """
     from . import graphcore
 
+    check_sequence(s)
     n, m = s.n, s.degree_sum // 2
     if n + m > REALIZE_MAX:
         raise TooLarge(f"realize supports n + m up to {REALIZE_MAX}, got {n + m}")

@@ -37,5 +37,5 @@ class Infeasible(UnigraphError):
     """No unigraph satisfies the requested generator constraints."""
 
 
-class FormatError(UnigraphError):
-    """Malformed sequence or graph text."""
+class FormatError(UnigraphError, ValueError):
+    """Malformed sequence or graph text, or input of the wrong type or shape."""

@@ -26,13 +26,13 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         if n < 0:
-            raise ValueError(f"negative vertex count {n}")
+            raise FormatError(f"negative vertex count {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
-                raise ValueError("self-loop")
+                raise FormatError("self-loop")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise FormatError(f"edge ({u},{v}) out of range")
             nbrs[u].add(v)
             nbrs[v].add(u)
         return cls.from_adjacency(nbrs)

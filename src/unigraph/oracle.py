@@ -50,9 +50,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.mapping))
 
-    def fixed_mask(self) -> int:
-        return sum(1 << i for i, v in enumerate(self.mapping) if i == v)
-
 
 def masks_of(g: Graph) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in nbrs) for nbrs in g.adj)

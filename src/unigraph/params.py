@@ -34,8 +34,10 @@ from .unitype import (
     Variant,
     emit_runs,
     is_unigraph,
-    match_head,
 )
+
+# compact block of a run of m > 1 single vertices; only K1 and S1 runs repeat
+_BLOCK = {Base.K1: Base.COMPLETE_BLOCK, Base.S1: Base.EMPTY_BLOCK}
 
 _TABLE_OMEGA_ALPHA = {
     Base.C5: lambda p: (2, 2),
@@ -176,31 +178,20 @@ def component_dist(t: TypedComponent) -> int:
 def compact_typed(
     d: Decomposition, r: UnigraphReport
 ) -> tuple[CompactDecomposition, tuple[TypedComponent, ...]]:
-    """Compact decomposition with one typed component per compact entry."""
+    """Compact decomposition with one typed component per compact entry,
+    read from the report's runs: a run of m > 1 single vertices types as
+    its block, and every other entry keeps its type."""
     if not r.is_unigraph:
         raise NotUnigraph("compact typing requires a unigraph sequence")
-    cd = compact(d)
-    types: list[TypedComponent] = []
-    for comp in cd.components:
-        if not comp.kpart.runs:
-            m = comp.q
-            types.append(
-                TypedComponent(Variant.ORIGINAL, Base.S1, (), 1)
-                if m == 1
-                else TypedComponent(Variant.ORIGINAL, Base.EMPTY_BLOCK, (m,), m)
-            )
-        elif not comp.spart.runs:
-            m = comp.p
-            types.append(
-                TypedComponent(Variant.ORIGINAL, Base.K1, (), 1)
-                if m == 1
-                else TypedComponent(Variant.ORIGINAL, Base.COMPLETE_BLOCK, (m,), m)
-            )
-        else:
-            types.append(match_head(comp))
-    if cd.tail is not None and cd.tail.n:
-        types.append(r.runs[-1][0])
-    return cd, tuple(types)
+    runs = list(r.runs)
+    if d.tail.n == 1 and len(runs) > 1 and runs[-2][0] == runs[-1][0]:
+        # compact absorbs a single-vertex tail into a run of its own type
+        runs[-2:] = [(runs[-1][0], runs[-2][1] + 1)]
+    types = tuple(
+        t if m == 1 else TypedComponent(Variant.ORIGINAL, _BLOCK[t.base], (m,), m)
+        for t, m in runs
+    )
+    return compact(d), types
 
 
 def fixing_number(

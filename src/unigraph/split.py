@@ -9,6 +9,9 @@ in which case the top m degrees form the clique side. Because m is maximal,
 every later degree is below m, so the min() collapses to a plain suffix sum.
 The partition has |K| equal to the clique number; it is the unique balanced
 partition when d_m >= m and the K-max partition when d_m == m - 1.
+
+:func:`split_runs` is the test alone on the runs of a proved-graphical
+sequence; :func:`determine_split` checks graphicality first.
 """
 
 from __future__ import annotations
@@ -35,9 +38,13 @@ class SplitClass:
 
 def durfee_index(s: DegreeSequence) -> int:
     """Largest i with d_i >= i - 1 (1-indexed); 0 for the empty sequence."""
+    return _durfee(s.runs)
+
+
+def _durfee(runs) -> int:
     m = 0
     pos = 0
-    for d, mult in s.runs:
+    for d, mult in runs:
         if d >= pos:  # first vertex of this run has index pos+1
             m = min(pos + mult, d + 1)
         pos += mult
@@ -46,12 +53,12 @@ def durfee_index(s: DegreeSequence) -> int:
     return m
 
 
-def _take_top(s: DegreeSequence, count: int) -> tuple[DegreeSequence, DegreeSequence]:
+def _take_top(runs, count: int):
     """Split the runs after the first `count` degrees."""
     top: list[tuple[int, int]] = []
     rest: list[tuple[int, int]] = []
     left = count
-    for d, mult in s.runs:
+    for d, mult in runs:
         if left >= mult:
             top.append((d, mult))
             left -= mult
@@ -61,7 +68,21 @@ def _take_top(s: DegreeSequence, count: int) -> tuple[DegreeSequence, DegreeSequ
             left = 0
         else:
             rest.append((d, mult))
-    return DegreeSequence(tuple(top)), DegreeSequence(tuple(rest))
+    return tuple(top), tuple(rest)
+
+
+def split_runs(runs):
+    """Hammer-Simeone on the runs of a graphical sequence: (kind, clique
+    runs, stable runs) of its balanced or K-max partition, or None when it
+    is not split. The caller has proved the runs graphical."""
+    if not runs:
+        return None
+    m = _durfee(runs)
+    kruns, sruns = _take_top(runs, m)
+    if sum(d * c for d, c in kruns) != m * (m - 1) + sum(d * c for d, c in sruns):
+        return None
+    kind = SplitKind.BALANCED if kruns[-1][0] >= m else SplitKind.KMAX
+    return kind, kruns, sruns
 
 
 def determine_split(s: DegreeSequence) -> SplitClass:
@@ -69,26 +90,11 @@ def determine_split(s: DegreeSequence) -> SplitClass:
     (the K-max partition is returned), or not split."""
     if not is_graphical(s):
         raise NotGraphical(f"{s} is not graphical")
-    if s.n == 0:
+    found = split_runs(s.runs)
+    if found is None:
         return SplitClass(SplitKind.NOT_SPLIT, None)
-    m = durfee_index(s)
-    top_sum = 0
-    suffix_sum = 0
-    pos = 0
-    d_m = 0
-    for d, mult in s.runs:
-        take = max(0, min(mult, m - pos))
-        top_sum += d * take
-        suffix_sum += d * (mult - take)
-        if take and pos < m <= pos + take:
-            d_m = d
-        pos += mult
-    if top_sum != m * (m - 1) + suffix_sum:
-        return SplitClass(SplitKind.NOT_SPLIT, None)
-    kpart, spart = _take_top(s, m)
-    paired = PairedDegreeSequence(kpart, spart)
-    kind = SplitKind.BALANCED if d_m >= m else SplitKind.KMAX
-    return SplitClass(kind, paired)
+    kind, kruns, sruns = found
+    return SplitClass(kind, PairedDegreeSequence.from_runs(kruns, sruns))
 
 
 def smax_partition(sc: SplitClass) -> SplitClass:
@@ -96,14 +102,11 @@ def smax_partition(sc: SplitClass) -> SplitClass:
     if sc.kind is not SplitKind.KMAX or sc.paired is None:
         raise ValueError("S-max shift applies to K-max classes only")
     ps = sc.paired
-    kpart, swing = _take_top(ps.kpart, ps.p - 1)
+    kruns, swing = _take_top(ps.kpart.runs, ps.p - 1)
     merged = list(ps.spart.runs)
-    d = swing.runs[0][0]
+    d = swing[0][0]
     if merged and merged[0][0] == d:
         merged[0] = (d, merged[0][1] + 1)
     else:
         merged.insert(0, (d, 1))
-    return SplitClass(
-        SplitKind.SMAX,
-        PairedDegreeSequence(kpart, DegreeSequence(tuple(merged))),
-    )
+    return SplitClass(SplitKind.SMAX, PairedDegreeSequence.from_runs(kruns, merged))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .decomp import Decomposition, decompose, tail_joins_clique
 from .degseq import (
@@ -25,7 +25,7 @@ from .degseq import (
     runs_order,
 )
 from .errors import ParamOutOfRange, VariantUndefined
-from .split import SplitKind, determine_split
+from .split import split_runs
 
 
 class Variant(enum.Enum):
@@ -177,6 +177,9 @@ def match_nonsplit_runs(runs) -> TypedComponent | None:
     shape = _nonsplit_shape(runs)
     if shape is not None:
         return TypedComponent(Variant.ORIGINAL, *shape)
+    if len(runs) > 2:
+        # every family has at most two runs, and complement keeps the count
+        return None
     shape = _nonsplit_shape(complement_runs(runs, runs_order(runs)))
     if shape is not None:
         return TypedComponent(Variant.COMPLEMENT, *shape)
@@ -357,36 +360,26 @@ def type_to_sequence(t: TypedComponent):
     return PairedDegreeSequence.from_runs(*runs)
 
 
-# Split-head matches keyed on run tuples (no sequence objects), cleared whole
-# when full; match_head reads each result once, so a clear cannot fail it.
-_MATCH_CACHE_MAX = 1 << 14
-_MATCH_CACHE: dict = {}
-_MISS = object()
-
-
-def match_head(ps: PairedDegreeSequence) -> TypedComponent | None:
-    """:func:`match_split_type`, cached on the run shape of ``ps``."""
-    key = (ps.kpart.runs, ps.spart.runs)
-    t = _MATCH_CACHE.get(key, _MISS)
-    if t is _MISS:
-        if len(_MATCH_CACHE) >= _MATCH_CACHE_MAX:
-            _MATCH_CACHE.clear()
-        t = _MATCH_CACHE[key] = match_split_type(ps)
-    return t
+@lru_cache(maxsize=1 << 14)
+def match_head(kruns, sruns) -> TypedComponent | None:
+    """:func:`match_split_runs`, cached on the run tuples: heads of one
+    shape recur across decompositions."""
+    return match_split_runs(kruns, sruns)
 
 
 def _tail_type(d: Decomposition) -> TypedComponent | None:
     """Type of the indecomposable tail; a single vertex takes the side
-    :func:`tail_joins_clique` puts it on."""
+    :func:`tail_joins_clique` puts it on. The kernel has proved the tail
+    graphical, so only the split test runs."""
     tail = d.tail
     if tail.n == 1:
         prev = d.runs[-1][0] if d.runs else None
         base = Base.K1 if tail_joins_clique(prev) else Base.S1
         return TypedComponent(Variant.ORIGINAL, base, (), 1)
-    sc = determine_split(tail)
-    if sc.kind is SplitKind.NOT_SPLIT:
-        return match_nonsplit_type(tail)
-    return match_head(sc.paired)
+    found = split_runs(tail.runs)
+    if found is None:
+        return match_nonsplit_runs(tail.runs)
+    return match_head(found[1], found[2])
 
 
 def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
@@ -401,7 +394,7 @@ def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
     failure: int | None = None
     strips = 0
     for comp, m in d.runs:
-        t = match_head(comp)
+        t = match_head(comp.kpart.runs, comp.spart.runs)
         if t is None:
             failure = strips
             break

@@ -27,6 +27,11 @@ class TestFindSplitPoint:
     def test_tree_over_c3(self):
         assert find_split_point(parse_sequence("6,5,4^3,1^3")) == (2, 3)
 
+    def test_not_graphical_raises(self):
+        # a dominant vertex heads 3,3,3,1, but no graph has these degrees
+        with pytest.raises(NotGraphical):
+            find_split_point(parse_sequence("3,3,3,1"))
+
     def test_isolated_before_dominant(self):
         # lexicographic rule: p=0 cuts precede p=1 cuts
         assert find_split_point(parse_sequence("2^3,0")) == (0, 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unigraph import oracle
-from unigraph.decomp import compose_all
+from unigraph.decomp import compose_all, decompose, find_split_point
 from unigraph.degseq import (
     DegreeSequence,
     PairedDegreeSequence,
@@ -28,6 +28,9 @@ from unigraph.graphcore import (
     degree_sequence_of,
     inverse_graph,
 )
+from unigraph.params import unigraph_params
+from unigraph.split import determine_split
+from unigraph.unitype import is_unigraph
 
 raw_degree_lists = st.integers(min_value=0, max_value=12).flatmap(
     lambda n: st.lists(
@@ -387,6 +390,33 @@ class TestTextFormat:
                 parse_paired(bad)
             else:
                 parse_sequence(bad)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: is_graphical([1, 1]),
+            lambda: decompose([1, 1]),
+            lambda: find_split_point("3,3"),
+            lambda: determine_split([1, 1]),
+            lambda: is_unigraph("3,3"),
+            lambda: unigraph_params([1, 1]),
+            lambda: realize([1, 1]),
+            lambda: DegreeSequence(((1, 0),)),
+            lambda: DegreeSequence(((1, 1), (2, 1))),
+            lambda: Graph.from_edges(2, [(0, 0)]),
+            lambda: Graph.from_edges(2, [(0, 2)]),
+        ],
+        ids=[
+            "is_graphical-list", "decompose-list", "find_split_point-text",
+            "determine_split-list", "is_unigraph-text", "unigraph_params-list",
+            "realize-list", "zero-multiplicity", "increasing-runs", "self-loop",
+            "edge-out-of-range",
+        ],
+    )
+    def test_bad_input_raises_format_error(self, call):
+        # a ValueError too, for callers that catch that
+        with pytest.raises(FormatError):
+            call()
 
     def test_invalid_paired_structure(self):
         # stable-side degree above the clique size cannot be realized

@@ -35,19 +35,9 @@ class TestAgainstReference:
                     (rng.randint(0, max(n - 1, 0)) for _ in range(n)), reverse=True
                 )
             vals, mults = reference._runs(deg)
-            assert kernel.eg_graphical(vals, mults) == reference.eg_graphical_naive(
-                vals, mults
-            )
-
-    def test_split_point_lexicographic(self, kernel):
-        rng = random.Random(2)
-        for _ in range(1500):
-            n = rng.randint(0, 13)
-            deg = random_graph_degrees(rng, n, rng.random())
-            vals, mults = reference._runs(deg)
-            assert kernel.split_point(vals, mults) == reference.split_point_naive(
-                vals, mults
-            )
+            graphical = kernel.eg_graphical(vals, mults)
+            assert graphical == reference.eg_graphical_naive(vals, mults)
+            assert (kernel.decompose_runs(vals, mults) is None) == (not graphical)
 
     def test_decompose_matches_naive(self, kernel):
         rng = random.Random(3)

@@ -1,8 +1,10 @@
 import pytest
 
 from unigraph import oracle
+from unigraph.decomp import compact
 from unigraph.degseq import complement_seq, parse_sequence, realize
 from unigraph.errors import NotUnigraph
+from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.params import (
     compact_typed,
     component_dist,
@@ -13,7 +15,13 @@ from unigraph.params import (
     fixing_number,
     unigraph_params,
 )
-from unigraph.unitype import Base, TypedComponent, Variant, is_unigraph
+from unigraph.unitype import (
+    Base,
+    TypedComponent,
+    Variant,
+    is_unigraph,
+    match_split_type,
+)
 
 
 def T(variant, base, params, order):
@@ -179,6 +187,51 @@ class TestDistinguishingNumber:
         g = realize(parse_sequence("4,3,1^5"))
         assert fixing_number(cd, types) == oracle.brute_fix(g)
         assert distinguishing_number(cd, types) == oracle.brute_dist(g)
+
+
+def compact_types_by_blocks(d, r):
+    """The compact entries' types derived from the blocks themselves: block
+    types per single-vertex run, the split matcher per multi-vertex entry
+    and the report's tail type."""
+    cd = compact(d)
+    types = []
+    for comp in cd.components:
+        if not comp.kpart.runs:
+            m = comp.q
+            types.append(
+                T(Variant.ORIGINAL, Base.S1, (), 1)
+                if m == 1
+                else T(Variant.ORIGINAL, Base.EMPTY_BLOCK, (m,), m)
+            )
+        elif not comp.spart.runs:
+            m = comp.p
+            types.append(
+                T(Variant.ORIGINAL, Base.K1, (), 1)
+                if m == 1
+                else T(Variant.ORIGINAL, Base.COMPLETE_BLOCK, (m,), m)
+            )
+        else:
+            types.append(match_split_type(comp))
+    if cd.tail is not None and cd.tail.n:
+        types.append(r.runs[-1][0])
+    return cd, tuple(types)
+
+
+class TestCompactTyped:
+    def check(self, s):
+        d, r = is_unigraph(s)
+        assert r.is_unigraph, s
+        assert compact_typed(d, r) == compact_types_by_blocks(d, r), s
+
+    def test_every_unigraph_up_to_8(self):
+        from unigraph.verify import iter_unigraphs
+
+        for s in iter_unigraphs(8):
+            self.check(s)
+
+    def test_generated(self):
+        for seed in range(20):
+            self.check(compose_types(generate(GenSpec(10**4, 100, seed=seed))))
 
 
 class TestInvarianceAndExhaustive:

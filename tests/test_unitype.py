@@ -4,7 +4,6 @@ from unigraph import oracle, unitype
 from unigraph.decomp import K1, compose_all
 from unigraph.degseq import (
     DegreeSequence,
-    PairedDegreeSequence,
     complement_paired,
     inverse_paired,
     parse_paired,
@@ -73,6 +72,15 @@ class TestMatchNonSplit:
     def test_no_match(self):
         assert match_nonsplit_type(parse_sequence("2^8")) is None
         assert match_nonsplit_type(parse_sequence("3^2,2^2,1^2")) is None
+
+    def test_three_runs_fail_before_the_complement(self, monkeypatch):
+        # every family has at most two runs, and so has its complement
+        def boom(*args):
+            raise AssertionError("complement_runs called")
+
+        monkeypatch.setattr(unitype, "complement_runs", boom)
+        for runs in (((3, 2), (2, 2), (1, 2)), ((4, 1), (3, 1), (2, 1), (1, 3))):
+            assert match_nonsplit_runs(runs) is None
 
 
 class TestMatchSplit:
@@ -303,13 +311,33 @@ class TestIsUnigraph:
         assert r.tags() == ["k1"] * 3
 
     def test_match_cache_is_bounded(self):
-        bound = unitype._MATCH_CACHE_MAX
+        bound = unitype.match_head.cache_info().maxsize
+        assert bound == 1 << 14
         for m in range(1, bound + 10):
             # complete blocks: valid under every variant, one key each
-            kpart = DegreeSequence(((m - 1, m),))
-            head = PairedDegreeSequence(kpart, DegreeSequence(()))
-            unitype.match_head(head)
-            assert len(unitype._MATCH_CACHE) <= bound
+            unitype.match_head(((m - 1, m),), ())
+            assert unitype.match_head.cache_info().currsize <= bound
+
+    @pytest.mark.parametrize("text", ["3^2,1^4", "2^5"], ids=["split", "non-split"])
+    def test_graphicality_proved_once(self, monkeypatch, text):
+        # the kernel's strip loop proves the sequence graphical; neither
+        # decompose nor the tail's split test runs Erdos-Gallai again
+        from unigraph import _kernel
+        from unigraph.split import SplitKind, determine_split
+
+        s = parse_sequence(text)
+        split = determine_split(s).kind is not SplitKind.NOT_SPLIT
+        assert split == (text == "3^2,1^4")
+        calls = {"eg_graphical": 0, "decompose_runs": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(_kernel, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(_kernel, name, counted)
+        d, r = is_unigraph(s)
+        assert d.tail == s and r.is_unigraph
+        assert calls == {"eg_graphical": 0, "decompose_runs": 1}
 
     def test_edgeless(self):
         for k in (1, 2, 5):
