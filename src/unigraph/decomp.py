@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel
-from .degseq import DegreeSequence, PairedDegreeSequence, check_sequence
+from .degseq import DegreeSequence, PairedDegreeSequence, brief, check_sequence
 from .degseq import compose_all  # noqa: F401  (the inverse of decompose)
-from .errors import NotGraphical
+from .errors import FormatError, NotGraphical
 
 K1 = PairedDegreeSequence(DegreeSequence(((0, 1),)), DegreeSequence(()))
 S1 = PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, 1),)))
@@ -92,7 +92,7 @@ def _strip(s: DegreeSequence) -> list:
     check_sequence(s)
     records = _kernel.decompose_runs(*s.values_mults())
     if records is None:
-        raise NotGraphical(f"{s} is not graphical")
+        raise NotGraphical(f"{brief(s)} is not graphical")
     return records
 
 
@@ -148,6 +148,8 @@ def compact(d: Decomposition) -> CompactDecomposition:
     gives, so it extends a run of its own type or, after a multi-vertex
     component, becomes a one-vertex edgeless block.
     """
+    if not isinstance(d, Decomposition):
+        raise FormatError(f"expected a Decomposition, got {type(d).__name__}")
     runs = list(d.runs)
     tail: DegreeSequence | None = d.tail
     if d.tail.n == 1:

@@ -104,14 +104,14 @@ class PairedDegreeSequence:
         """Check the split-structure bounds and merged graphicality."""
         p = self.p
         if self.kpart.runs and self.kpart.runs[-1][0] < p - 1:
-            raise ValueError("clique-side degree below p-1")
+            raise FormatError("clique-side degree below p-1")
         if self.spart.runs and self.spart.runs[0][0] > p:
-            raise ValueError("stable-side degree above p")
+            raise FormatError("stable-side degree above p")
         # cross edges are counted once from each side
         if self.kpart.degree_sum - p * (p - 1) != self.spart.degree_sum:
-            raise ValueError("clique/stable cross-degree sums disagree")
+            raise FormatError("clique/stable cross-degree sums disagree")
         if not is_graphical(self.merged()):
-            raise NotGraphical(f"merged sequence of {self} not graphical")
+            raise NotGraphical(f"merged sequence of {brief(self)} not graphical")
 
     def merged(self) -> DegreeSequence:
         pair = (self.kpart.runs, self.spart.runs)
@@ -143,6 +143,30 @@ def normalize(raw) -> DegreeSequence:
         n = len(degrees)
         raise NotGraphical(f"degree {hi} out of range for {n} vertices") from None
     return DegreeSequence(tuple(zip(vals, mults)))
+
+
+# error messages quote a sequence's text up to this many characters
+BRIEF_CHARS = 200
+
+
+def brief(s) -> str:
+    """Text of a plain or paired sequence for an error message: verbatim up
+    to BRIEF_CHARS characters, otherwise its leading runs, its vertex count
+    n and its run count r."""
+    if isinstance(s, PairedDegreeSequence):
+        return f"{brief(s.kpart)};{brief(s.spart)}"
+    lead: list[str] = []
+    size = -1
+    for d, m in s.runs:
+        lead.append(f"{d}^{m}" if m > 1 else str(d))
+        size += len(lead[-1]) + 1
+        if size > BRIEF_CHARS:
+            break
+    else:
+        return s.to_text()
+    while len(lead) > 1 and size > BRIEF_CHARS // 2:
+        size -= len(lead.pop()) + 1
+    return f"{','.join(lead)},... (n={s.n}, r={len(s.runs)})"
 
 
 def check_sequence(s) -> None:
@@ -183,6 +207,7 @@ def inverse_runs(kruns, sruns, p: int, q: int):
 
 def complement_seq(s: DegreeSequence) -> DegreeSequence:
     """Degree sequence of the complement: d -> n-1-d. Involution."""
+    check_sequence(s)
     return DegreeSequence(complement_runs(s.runs, s.n))
 
 
@@ -243,7 +268,14 @@ def compose_all(
 ) -> DegreeSequence:
     """Sequence of components[0] o components[1] o ... o tail; see
     :func:`compose_runs`."""
-    pairs = [(c.kpart.runs, c.spart.runs) for c in components]
+    check_sequence(tail)
+    pairs = []
+    for c in components:
+        if not isinstance(c, PairedDegreeSequence):
+            raise FormatError(
+                f"expected a PairedDegreeSequence, got {type(c).__name__}"
+            )
+        pairs.append((c.kpart.runs, c.spart.runs))
     return DegreeSequence(compose_runs(pairs, tail.runs))
 
 
@@ -317,7 +349,7 @@ def realize(s: DegreeSequence):
     if n + m > REALIZE_MAX:
         raise TooLarge(f"realize supports n + m up to {REALIZE_MAX}, got {n + m}")
     if not is_graphical(s):
-        raise NotGraphical(f"{s} is not graphical")
+        raise NotGraphical(f"{brief(s)} is not graphical")
     top = s.runs[0][0] if s.runs else 0
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     end = 0

@@ -8,6 +8,15 @@ orders up to _ENUM_LIMIT. Above that limit types are sampled structurally
 (base first, then parameters), which is deterministic but not uniform over
 parameter tuples. Neither stage is uniform over isomorphism classes.
 
+Every type comes out with the canonical tag the recognizer assigns. The
+enumeration below the limit re-tags through the matcher once per order and
+caches the result. The structured sampler instead reads its candidates off
+fixed tables in O(1) steps and tags them by a closed rule: a drawn
+(variant, base, params) is already canonical, except that spq(1, q) is
+self-inverse and the complement of spq(p, 2) equals its inverse (see
+:func:`_spq_variant`). So drawing a large component emits and matches no
+runs.
+
 The composition is drawn by first picking j, the number of multi-vertex
 parts, with weight w_j = C(k, j) * C(F - 2j - 1, j - 1), where F = n - k
 counts the vertices beyond one per part (w_0 = 1 exactly when F = 0, and
@@ -17,20 +26,23 @@ w_j = 0 for j > F // 3). The weights come from the exact recurrence
 
 whose division is exact, so they equal the binomial products integer for
 integer and a seed draws the same components as it would from the closed
-form. Components are emitted and composed as run tuples, never as
-sequence objects, so a draw costs O(k) small steps plus the big-integer
-weights.
+form. One pass keeps the total and every ceil(sqrt(k))-th weight; after the
+pick, only the block of weights that holds it is recomputed, so O(sqrt(k))
+big integers are alive at once. Components are emitted and composed as run
+tuples, never as sequence objects, so a draw costs O(k) small steps plus
+the big-integer weights.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .degseq import DegreeSequence, compose_runs
-from .decomp import tail_joins_clique
 from .errors import Infeasible, ParamOutOfRange
 from .unitype import (
     SPLIT_VARIANTS,
@@ -41,7 +53,6 @@ from .unitype import (
     emit_runs,
     match_nonsplit_runs,
     match_split_runs,
-    type_to_sequence,
 )
 
 _ENUM_LIMIT = 24
@@ -83,7 +94,8 @@ class GenSpec:
 
 def _canonical(t: TypedComponent) -> TypedComponent:
     """Re-tag a candidate through the matcher, so generated components carry
-    the same canonical variant the recognizer would assign."""
+    the same canonical variant the recognizer would assign. The enumeration
+    of small orders uses it; the structured sampler's tags must agree."""
     runs = emit_runs(t)
     if t.base in NON_SPLIT_BASES:
         out = match_nonsplit_runs(runs)
@@ -182,36 +194,58 @@ def components_of_order(order: int, split_only: bool) -> tuple[TypedComponent, .
     return tuple(sorted(seen.values(), key=lambda t: t.tag()))
 
 
-def _compose_counts(n: int, k: int) -> list[int]:
-    """Weight w_j of each j = number of multi-vertex parts among k parts,
-    by the exact recurrence in the module docstring."""
-    extra = n - k
-    weights = [0] * (k + 1)
-    if extra == 0:
-        weights[0] = 1
+def _weights(k: int, extra: int, j: int = 1, w: int | None = None):
+    """Yield the positive weights w_j, w_{j+1}, ... by the recurrence in the
+    module docstring, from w_1 = k or from a given w_j; ``extra`` is n - k."""
     top = min(k, extra // 3)
-    w = k
-    for j in range(1, top):
-        weights[j] = w
+    w = k if w is None else w
+    while j <= top:
+        yield w
+        if j == top:
+            return
         f3 = extra - 3 * j
         num = (k - j) * f3 * (f3 - 1) * (f3 - 2)
         w = w * num // ((j + 1) * j * (extra - 2 * j - 1) * (extra - 2 * j - 2))
-    if top:
-        weights[top] = w
-    return weights
+        j += 1
+
+
+def _weight_marks(n: int, k: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """(total, marks) of the weights w_0..w_k: the marks are (sum of the
+    weights before w_j, j, w_j) for every ceil(sqrt(k))-th positive weight,
+    so only O(sqrt(k)) big integers are held at once."""
+    extra = n - k
+    step = isqrt(k - 1) + 1
+    total = 1 if extra == 0 else 0
+    marks = []
+    for i, w in enumerate(_weights(k, extra)):
+        if i % step == 0:
+            marks.append((total, i + 1, w))
+        total += w
+    return total, marks
+
+
+def _part_count(n: int, k: int, marks, pick: int) -> int:
+    """The j whose weight interval holds ``pick`` (0 <= pick < total),
+    recomputing only the block of weights after the mark at or below it."""
+    i = bisect_right(marks, pick, key=operator.itemgetter(0)) - 1
+    if i < 0:
+        return 0
+    before, j, w = marks[i]
+    pick -= before
+    for w in _weights(k, n - k, j, w):
+        if pick < w:
+            break
+        pick -= w
+        j += 1
+    return j
 
 
 def _sample_sizes(rng: random.Random, n: int, k: int) -> list[int]:
     """Uniform ordered composition of n into k parts from {1, 4, 5, ...}."""
-    weights = _compose_counts(n, k)
-    total = sum(weights)
+    total, marks = _weight_marks(n, k)
     if total == 0:
         raise Infeasible(_infeasible_reason(n, k))
-    pick = rng.randrange(total)
-    j = 0
-    while pick >= weights[j]:
-        pick -= weights[j]
-        j += 1
+    j = _part_count(n, k, marks, rng.randrange(total))
     sizes = [1] * k
     if j:
         big_slots = sorted(rng.sample(range(k), j))
@@ -239,46 +273,92 @@ def _infeasible_reason(n: int, k: int) -> str:
     )
 
 
-# the structured sampler's fixed shapes: S2's first block of q1 stars with
-# p1 leaves each, and S3's q2 blocks of p+2 vertices plus its centre
+# The structured sampler's candidate lists, read off fixed tables so that
+# a draw costs O(1) table steps plus one divisor scan. Each list holds the
+# same entries in the same order at every order >= 25:
+# - spq(p, q) for each divisor q < order of the order in [2, 63];
+# - S2 as two star blocks (p1, q1, 1, q2): a first block of q1 stars with
+#   p1 leaves each uses q1*(p1+1) <= 36 vertices, and the rest must be even
+#   and at least 2, so from order 38 on only the parity of the order counts;
+# - S3 (p, q1, q2) with q2 blocks of p+2 vertices plus its centre: the rest
+#   order-1-q2*(p+2) is a multiple of p+1 exactly when q2 = order-1 mod p+1;
+# - S4 (p, q) needs p+2 to divide the order (its q+2 is order/(p+2)).
+_SMALL_DIVISORS = tuple(range(2, 64))
 _S2_FIRST_BLOCKS = tuple(
     (p1, q1, q1 * (p1 + 1)) for p1 in range(2, 12) for q1 in range(1, 4)
 )
-_S3_SECOND_BLOCKS = tuple(
-    (p, q2, 1 + q2 * (p + 2)) for p in range(1, 10) for q2 in range(1, 6)
+_S2_BLOCKS_BY_PARITY = tuple(
+    tuple(b for b in _S2_FIRST_BLOCKS if b[2] % 2 == parity) for parity in (0, 1)
 )
 
 
-def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComponent:
-    """Structured sampler for orders beyond the enumeration cap."""
-    options: list[tuple[Base, tuple[int, ...]]] = []
-    spq = [
-        (order // q - 1, q)
-        for q in range(2, min(order, 64))
-        if order % q == 0 and order // q >= 2
-    ]
-    if spq:
-        options.append((Base.SPQ, spq[rng.randrange(len(spq))]))
-    # S2 shaped as two star blocks (p1,q1,1,q2)
-    s2 = [
-        (p1, q1, 1, rest // 2)
-        for p1, q1, used in _S2_FIRST_BLOCKS
-        if (rest := order - used) >= 2 and rest % 2 == 0
-    ]
-    if s2:
-        options.append((Base.S2, s2[rng.randrange(len(s2))]))
+def _candidates(order: int):
+    """(spq params, S2 first blocks, S3 params, S4 params) of the structured
+    sampler at an order of at least 25; an S2 block (p1, q1, used) stands
+    for the parameters (p1, q1, 1, (order - used) // 2)."""
+    divisors = [q for q in _SMALL_DIVISORS if not order % q]
+    spq = [(order // q - 1, q) for q in divisors if q < order]
+    s2 = _S2_BLOCKS_BY_PARITY[order % 2]
+    if order < 38:
+        s2 = tuple(b for b in s2 if b[2] <= order - 2)
     s3 = [
         (p, rest // (p + 1), q2)
-        for p, q2, used in _S3_SECOND_BLOCKS
-        if (rest := order - used) >= 2 * (p + 1) and rest % (p + 1) == 0
+        for p in range(1, 10)
+        for q2 in range((order - 1) % (p + 1) or p + 1, 6, p + 1)
+        if (rest := order - 1 - q2 * (p + 2)) >= 2 * (p + 1)
     ]
+    s4 = [(d - 2, order // d - 2) for d in divisors if 3 <= d <= 13 and 3 * d <= order]
+    return spq, s2, s3, s4
+
+
+def _spq_variant(v: Variant, p: int, q: int) -> Variant:
+    """The variant :func:`match_split_runs` assigns to variant v of spq(p, q).
+
+    The matcher tries original, inverse, complement, inverse-complement and
+    keeps the first that turns the runs into a catalog shape, so v changes
+    only when an earlier variant gives the same runs. spq(p, q) has q clique
+    vertices of degree p+q-1 and pq leaves of degree 1. Its inverse has pq
+    clique vertices of degree pq and q stable ones of degree p, so spq(1, q)
+    is self-inverse. The complement of spq(p, 2) has 2p clique vertices of
+    degree 2p and 2 stable ones of degree p, the runs of its inverse. Hence:
+    - complement with q = 2 is inverse (and then original if p = 1 too);
+    - inverse with p = 1 is original;
+    - inverse-complement is original when q = 2, since both transforms give
+      the same runs and inverse is an involution, and otherwise complement
+      when p = 1, since the complement of spq(1, q) is self-inverse too.
+    """
+    if v is Variant.COMPLEMENT and q == 2:
+        v = Variant.INVERSE
+    if v is Variant.INVERSE and p == 1:
+        return Variant.ORIGINAL
+    if v is Variant.INVERSE_COMPLEMENT:
+        if q == 2:
+            return Variant.ORIGINAL
+        if p == 1:
+            return Variant.COMPLEMENT
+    return v
+
+
+def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComponent:
+    """Structured sampler for orders beyond the enumeration cap: a base and
+    its parameters from :func:`_candidates`, then a variant, returned in the
+    canonical tag the recognizer assigns without emitting or matching runs.
+
+    A drawn (variant, base, params) is already canonical except for the spq
+    cases of :func:`_spq_variant`: for every other entry of the candidate
+    lists, no variant the matcher tries earlier gives the same runs. The
+    tests check this against :func:`_canonical` for every candidate and
+    variant at orders 25-200 and for seeded draws up to order 10^5.
+    """
+    options: list[tuple[Base, tuple[int, ...]]] = []
+    spq, s2, s3, s4 = _candidates(order)
+    if spq:
+        options.append((Base.SPQ, spq[rng.randrange(len(spq))]))
+    if s2:
+        p1, q1, used = s2[rng.randrange(len(s2))]
+        options.append((Base.S2, (p1, q1, 1, (order - used) // 2)))
     if s3:
         options.append((Base.S3, s3[rng.randrange(len(s3))]))
-    s4 = [
-        (p, num // (p + 2))
-        for p in range(1, 12)
-        if (num := order - 2 * p - 4) >= p + 2 and num % (p + 2) == 0
-    ]
     if s4:
         options.append((Base.S4, s4[rng.randrange(len(s4))]))
     if not split_only:
@@ -288,14 +368,13 @@ def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComp
         m = rng.randrange(1, (order - 3) // 2 + 1)
         options.append((Base.U2, (m, order - 1 - 2 * m)))
     base, prm = options[rng.randrange(len(options))]
-    variants = (
-        (Variant.ORIGINAL, Variant.COMPLEMENT)
-        if base in NON_SPLIT_BASES
-        else SPLIT_VARIANTS
-    )
-    return _canonical(
-        TypedComponent(variants[rng.randrange(len(variants))], base, prm, order)
-    )
+    if base in NON_SPLIT_BASES:
+        variant = (Variant.ORIGINAL, Variant.COMPLEMENT)[rng.randrange(2)]
+    else:
+        variant = SPLIT_VARIANTS[rng.randrange(len(SPLIT_VARIANTS))]
+        if base is Base.SPQ:
+            variant = _spq_variant(variant, *prm)
+    return TypedComponent(variant, base, prm, order)
 
 
 @lru_cache(maxsize=256)
@@ -354,9 +433,9 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
             continue
         tail_order = sizes[-1]
         if tail_order == 1:
-            # a single-vertex tail is typed by context, not sampled
-            prev = type_to_sequence(comps[-1]) if comps else None
-            base = Base.K1 if tail_joins_clique(prev) else Base.S1
+            # a single-vertex tail is typed by context, not sampled: it joins
+            # the clique side after nothing or a K1 (tail_joins_clique)
+            base = Base.K1 if not comps or comps[-1].base is Base.K1 else Base.S1
             tail = TypedComponent(Variant.ORIGINAL, base, (), 1)
         else:
             try:

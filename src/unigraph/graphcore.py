@@ -4,6 +4,7 @@ graph-level complement / split-inverse / composition operations."""
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +29,11 @@ class Graph:
         if n < 0:
             raise FormatError(f"negative vertex count {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = map(operator.index, edge)
+            except (TypeError, ValueError):
+                raise FormatError(f"edge {edge!r} is not a pair of ids") from None
             if u == v:
                 raise FormatError("self-loop")
             if not (0 <= u < n and 0 <= v < n):

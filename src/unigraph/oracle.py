@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .degseq import DegreeSequence, normalize
+from .degseq import DegreeSequence, brief, normalize
 from .errors import NotGraphical, TooLarge
 from .graphcore import Graph
 from ._kernel import reference
@@ -283,7 +283,7 @@ def enumerate_realizations(s: DegreeSequence):
     from .degseq import is_graphical
 
     if not is_graphical(s):
-        raise NotGraphical(f"{s} is not graphical")
+        raise NotGraphical(f"{brief(s)} is not graphical")
     for target in _multiset_permutations(s.to_list()):
         yield from _realizations_assigned(target)
 
@@ -370,7 +370,7 @@ def count_isomorphism_classes(s: DegreeSequence) -> int:
 
     _guard(s.n, MAX_CLASSES, "count_isomorphism_classes")
     if not is_graphical(s):
-        raise NotGraphical(f"{s} is not graphical")
+        raise NotGraphical(f"{brief(s)} is not graphical")
     if s.n <= MAX_ATLAS:
         return len(atlas_by_sequence(s.n).get(s.runs, ()))
     # every class has a representative with non-increasing degrees, so one

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .decomp import CompactDecomposition, Decomposition, compact
-from .degseq import runs_order
+from .degseq import brief, runs_order
 from .errors import NotUnigraph
 from .unitype import (
     Base,
@@ -212,7 +212,7 @@ def unigraph_params(s) -> ParamSet:
     """All six parameters of a unigraph sequence in one pass."""
     d, r = is_unigraph(s)
     if not r.is_unigraph:
-        raise NotUnigraph(f"{s} is not a unigraph")
+        raise NotUnigraph(f"{brief(s)} is not a unigraph")
     omega, alpha, beta, chi = core_params(d, r)
     cd, types = compact_typed(d, r)
     return ParamSet(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .degseq import DegreeSequence, PairedDegreeSequence, is_graphical
+from .degseq import DegreeSequence, PairedDegreeSequence, brief, is_graphical
 from .errors import NotGraphical
 
 
@@ -89,7 +89,7 @@ def determine_split(s: DegreeSequence) -> SplitClass:
     """Classify a graphical sequence as balanced split, unbalanced split
     (the K-max partition is returned), or not split."""
     if not is_graphical(s):
-        raise NotGraphical(f"{s} is not graphical")
+        raise NotGraphical(f"{brief(s)} is not graphical")
     found = split_runs(s.runs)
     if found is None:
         return SplitClass(SplitKind.NOT_SPLIT, None)

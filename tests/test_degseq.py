@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unigraph import oracle
-from unigraph.decomp import compose_all, decompose, find_split_point
+from unigraph.decomp import compact, compose_all, decompose, find_split_point
 from unigraph.degseq import (
+    BRIEF_CHARS,
+    EMPTY,
     DegreeSequence,
     PairedDegreeSequence,
+    brief,
     complement_paired,
     complement_seq,
     compose_seq,
@@ -405,18 +408,50 @@ class TestTextFormat:
             lambda: DegreeSequence(((1, 1), (2, 1))),
             lambda: Graph.from_edges(2, [(0, 0)]),
             lambda: Graph.from_edges(2, [(0, 2)]),
+            lambda: Graph.from_edges(2, [(0, 1, 1)]),
+            lambda: Graph.from_edges(2, [("a", 1)]),
+            lambda: PairedDegreeSequence.from_runs(((1, 2),), ((2, 1),)).validate(),
+            lambda: compact([1]),
+            lambda: complement_seq([1, 1]),
+            lambda: compose_all([1], EMPTY),
         ],
         ids=[
             "is_graphical-list", "decompose-list", "find_split_point-text",
             "determine_split-list", "is_unigraph-text", "unigraph_params-list",
             "realize-list", "zero-multiplicity", "increasing-runs", "self-loop",
-            "edge-out-of-range",
+            "edge-out-of-range", "edge-triple", "edge-not-int",
+            "validate-stable-degree", "compact-list", "complement_seq-list",
+            "compose_all-int",
         ],
     )
     def test_bad_input_raises_format_error(self, call):
         # a ValueError too, for callers that catch that
         with pytest.raises(FormatError):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [decompose, find_split_point, determine_split, is_unigraph, unigraph_params],
+    )
+    def test_error_message_is_bounded(self, call):
+        # 10^4 runs, one odd degree sum: the full text has about 50 000 characters
+        s = DegreeSequence(tuple((10**4 - i, 1) for i in range(9999)) + ((1, 2),))
+        with pytest.raises(NotGraphical) as info:
+            call(s)
+        message = str(info.value)
+        assert len(message) <= BRIEF_CHARS
+        assert message.startswith("10000,9999,9998,")
+        assert message.endswith(",... (n=10001, r=10000) is not graphical")
+
+    def test_brief_keeps_short_text_and_bounds_long_text(self):
+        short = parse_sequence("3,1")
+        assert brief(short) == "3,1"
+        long = DegreeSequence(tuple((150 - i, 1) for i in range(150)))
+        with pytest.raises(NotGraphical, match=r"\(n=150, r=150\) is not graphical"):
+            realize(long)
+        paired = PairedDegreeSequence(long, short)
+        assert brief(paired) == f"{brief(long)};3,1"
+        assert len(brief(long)) <= BRIEF_CHARS
 
     def test_invalid_paired_structure(self):
         # stable-side degree above the clique size cannot be realized

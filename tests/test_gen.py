@@ -6,17 +6,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import unigraph.gen as gen
+import unigraph.unitype as unitype
 from unigraph.decomp import compose_all, decompose
 from unigraph.degseq import DegreeSequence
 from unigraph.errors import Infeasible, ParamOutOfRange, UnigraphError
 from unigraph.gen import (
     GenSpec,
-    _compose_counts,
+    _canonical,
+    _candidates,
+    _part_count,
+    _sample_large,
+    _weight_marks,
+    _weights,
     components_of_order,
     compose_types,
     generate,
 )
 from unigraph.unitype import (
+    NON_SPLIT_BASES,
+    SPLIT_VARIANTS,
     Base,
     TypedComponent,
     Variant,
@@ -142,6 +151,13 @@ def _golden_grid():
     return specs
 
 
+def _compose_counts(n, k):
+    """Every weight w_0..w_k of the sampler's recurrence in one list."""
+    extra = n - k
+    weights = [1 if extra == 0 else 0, *_weights(k, extra)]
+    return weights + [0] * (k + 1 - len(weights))
+
+
 def _comb_weights(n, k):
     """The sampling weights by their closed form: choose which j of the k
     parts are multi-vertex, then compose the n - (k - j) vertices left into
@@ -199,6 +215,147 @@ class TestGolden:
         for n in range(1, 81):
             for k in range(1, n + 1):
                 assert _compose_counts(n, k) == _comb_weights(n, k), (n, k)
+
+    def test_checkpointed_pick_matches_full_scan(self):
+        rng = random.Random(3)
+        for n in range(1, 81):
+            for k in range(1, n + 1):
+                weights = _compose_counts(n, k)
+                total, marks = _weight_marks(n, k)
+                assert total == sum(weights), (n, k)
+                if not total:
+                    continue
+                picks = {0, total // 2, total - 1}
+                picks.update(rng.randrange(total) for _ in range(5))
+                for pick in picks:
+                    j, rest = 0, pick
+                    while rest >= weights[j]:
+                        rest -= weights[j]
+                        j += 1
+                    assert _part_count(n, k, marks, pick) == j, (n, k, pick)
+
+
+# The structured sampler's candidate lists as plain scans over its shapes:
+# the reference the arithmetic lists of gen._candidates must reproduce,
+# entry for entry and in order, so that every seed draws the same types.
+_S2_FIRST = tuple(
+    (p1, q1, q1 * (p1 + 1)) for p1 in range(2, 12) for q1 in range(1, 4)
+)
+_S3_SECOND = tuple(
+    (p, q2, 1 + q2 * (p + 2)) for p in range(1, 10) for q2 in range(1, 6)
+)
+
+
+def _scanned_candidates(order):
+    spq = [
+        (order // q - 1, q)
+        for q in range(2, min(order, 64))
+        if order % q == 0 and order // q >= 2
+    ]
+    s2 = [
+        (p1, q1, 1, rest // 2)
+        for p1, q1, used in _S2_FIRST
+        if (rest := order - used) >= 2 and rest % 2 == 0
+    ]
+    s3 = [
+        (p, rest // (p + 1), q2)
+        for p, q2, used in _S3_SECOND
+        if (rest := order - used) >= 2 * (p + 1) and rest % (p + 1) == 0
+    ]
+    s4 = [
+        (p, num // (p + 2))
+        for p in range(1, 12)
+        if (num := order - 2 * p - 4) >= p + 2 and num % (p + 2) == 0
+    ]
+    return spq, s2, s3, s4
+
+
+def _arithmetic_candidates(order):
+    spq, s2, s3, s4 = _candidates(order)
+    return spq, [(p1, q1, 1, (order - used) // 2) for p1, q1, used in s2], s3, s4
+
+
+def _reference_sample(rng, order, split_only):
+    """The structured sampler by scans and re-tagging through the matcher."""
+    lists = zip((Base.SPQ, Base.S2, Base.S3, Base.S4), _scanned_candidates(order))
+    options = [
+        (base, cands[rng.randrange(len(cands))]) for base, cands in lists if cands
+    ]
+    if not split_only:
+        if order % 2 == 0:
+            options += [(Base.MK2, (order // 2,)), (Base.U3, ((order - 4) // 2,))]
+        m = rng.randrange(1, (order - 3) // 2 + 1)
+        options.append((Base.U2, (m, order - 1 - 2 * m)))
+    base, prm = options[rng.randrange(len(options))]
+    variants = (
+        (Variant.ORIGINAL, Variant.COMPLEMENT)
+        if base in NON_SPLIT_BASES
+        else SPLIT_VARIANTS
+    )
+    v = variants[rng.randrange(len(variants))]
+    return _canonical(TypedComponent(v, base, prm, order))
+
+
+class TestStructuredSampler:
+    """The large-order sampler reads its candidates off fixed tables and
+    returns canonical tags without emitting or matching runs."""
+
+    def test_candidate_lists_match_scans(self):
+        for order in range(25, 20001):
+            assert _arithmetic_candidates(order) == _scanned_candidates(order), order
+
+    @pytest.mark.parametrize("split_only", [True, False])
+    def test_draws_match_reference_sampler(self, split_only):
+        new, ref = random.Random(11), random.Random(11)
+        for order in range(25, 20001):
+            expect = _reference_sample(ref, order, split_only)
+            assert _sample_large(new, order, split_only) == expect, order
+
+    def test_every_candidate_and_variant_is_canonical(self):
+        for order in range(25, 201):
+            spq, s2, s3, s4 = _scanned_candidates(order)
+            cands = [(Base.SPQ, x) for x in spq] + [(Base.S2, x) for x in s2]
+            cands += [(Base.S3, x) for x in s3] + [(Base.S4, x) for x in s4]
+            if order % 2 == 0:
+                cands += [(Base.MK2, (order // 2,)), (Base.U3, ((order - 4) // 2,))]
+            cands += [
+                (Base.U2, (m, order - 1 - 2 * m))
+                for m in range(1, (order - 3) // 2 + 1)
+            ]
+            for base, prm in cands:
+                variants = (
+                    (Variant.ORIGINAL, Variant.COMPLEMENT)
+                    if base in NON_SPLIT_BASES
+                    else SPLIT_VARIANTS
+                )
+                for v in variants:
+                    drawn = TypedComponent(v, base, prm, order)
+                    if base is Base.SPQ:
+                        v = gen._spq_variant(v, *prm)
+                    t = TypedComponent(v, base, prm, order)
+                    assert _canonical(drawn) == t == _canonical(t), drawn
+
+    def test_seeded_draws_are_canonical(self):
+        rng = random.Random(17)
+        for _ in range(20000):
+            t = _sample_large(rng, rng.randrange(25, 10**5 + 1), rng.random() < 0.5)
+            assert _canonical(t) == t
+
+    def test_generate_emits_and_matches_nothing(self, monkeypatch):
+        spec = GenSpec(10**5, 200, 4)
+        generate(spec)
+        calls = []
+        for module in (gen, unitype):
+            for name in ("emit_runs", "match_split_runs", "match_nonsplit_runs"):
+                real = getattr(module, name)
+
+                def counted(*args, _real=real, _name=name):
+                    calls.append(_name)
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        generate(spec)
+        assert calls == []
 
 
 def _k1():
