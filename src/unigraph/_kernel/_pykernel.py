@@ -18,11 +18,23 @@ component of the canonical decomposition, so the first record of
 q land on run boundaries, while p <= 1 or q == 0 cuts are exactly the
 isolated/dominant single-vertex strips; those two facts keep the search
 run-granular.
+
+Both run-level loops stop at the corrected Durfee index m, the largest i
+with d_i >= i - 1, so their cost follows the runs up to m, not all r runs:
+
+* Erdos-Gallai needs checking only at run ends up to the first one at or
+  past m (Hammer-Ibaraki-Simeone 1978; Tripathi-Vijay 2003 for run ends):
+  from a run end k with d_{k+1} < k on, every later degree is below k, so
+  the slack of the inequality only grows.
+* A head with p clique vertices needs d_p >= p - 1, since a clique vertex
+  is adjacent to the other p - 1 clique vertices, so the cut search stops
+  at the first p past m.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import index
+from itertools import accumulate
+from operator import index, mul
 
 
 def normalize_runs(degrees):
@@ -43,7 +55,7 @@ def normalize_runs(degrees):
 def eg_graphical(vals, mults):
     """Erdos-Gallai test evaluated at run boundaries only."""
     ccnt, csum = _prefix(vals, mults)
-    return _eg_holds(vals, [-v for v in vals], ccnt, csum)
+    return _eg_holds(vals, [-v for v in vals], ccnt, csum) is not None
 
 
 def _eg_holds(vals, neg, ccnt, csum):
@@ -52,39 +64,61 @@ def _eg_holds(vals, neg, ccnt, csum):
     By Tripathi-Vijay the inequalities need only be checked at indices k
     with d_k > d_{k+1}, i.e. at run ends. ``neg`` is the ascending negated
     values, which makes bisect applicable.
+
+    The check stops after the first run end k with d_{k+1} < k, which is
+    the first run end at or past the corrected Durfee index
+    (Hammer-Ibaraki-Simeone 1978): every later degree is below k, so from
+    there on the slack k(k-1) + S_n - 2 S_k rises by 2k - 2d_{k+1} > 0 per
+    vertex.
+
+    Returns None when an inequality fails, else ``below``: below[t] is the
+    first run after t with value < ccnt[t+1], for every t the loop checked.
+    The first cut search of ``decompose_runs`` reads its bounds from it.
     """
     r = len(vals)
     n = ccnt[r]
     if csum[r] % 2 or (r and vals[0] >= n):
-        return False
+        return None
+    below = []
     for t in range(r):
         k = ccnt[t + 1]
-        lhs = csum[t + 1]
+        last = t + 1 == r or vals[t + 1] < k
         # suffix i > k: runs with value >= k contribute k each, smaller
         # values contribute themselves
-        s = bisect_right(neg, -k, t + 1, r)  # first run with value < k
+        s = t + 1 if last else bisect_right(neg, -k, t + 1, r)
         rhs = k * (k - 1) + k * (ccnt[s] - ccnt[t + 1]) + (csum[r] - csum[s])
-        if lhs > rhs:
-            return False
-    return True
+        if csum[t + 1] > rhs:
+            return None
+        below.append(s)
+        if last:
+            break
+    return below
 
 
 def _prefix(vals, mults):
-    r = len(vals)
-    ccnt = [0] * (r + 1)
-    csum = [0] * (r + 1)
-    for t in range(r):
-        ccnt[t + 1] = ccnt[t] + mults[t]
-        csum[t + 1] = csum[t] + vals[t] * mults[t]
-    return ccnt, csum
+    """Vertex counts and degree sums of the first t runs, t = 0..r."""
+    return (
+        list(accumulate(mults, initial=0)),
+        list(accumulate(map(mul, vals, mults), initial=0)),
+    )
 
 
-def _cut_search(neg, ccnt, csum, lo, hi, shift, n):
+def _cut_search(neg, ccnt, csum, lo, hi, shift, n, below):
     """Lex-min cut with p >= 2, q >= 1 over run boundaries of [lo, hi).
 
     Returns (i, j, p, q) where the top i and bottom j window runs form the
     cut, or None. Assumes the isolated/dominant fast paths already failed,
     which confines any remaining cut to run boundaries.
+
+    The search stops at the first p whose p-th effective degree is below
+    p - 1, i.e. at the first p past the window's corrected Durfee index
+    (the index that bounds Erdos-Gallai, Hammer-Ibaraki-Simeone 1978). A
+    cut makes its top p vertices a clique joined to the middle, so each has
+    effective degree >= n - q - 1 >= p - 1, and a later i only raises p and
+    lowers the p-th degree. While the window starts at run 0 (so shift ==
+    0), the first bottom run below p is Erdos-Gallai's ``below[i - 1]``,
+    which covers every i up to that stop and never passes hi: the only run
+    that can lie past hi then is the stripped degree-0 run.
     """
     base_cnt = ccnt[lo]
     nruns = hi - lo
@@ -99,6 +133,8 @@ def _cut_search(neg, ccnt, csum, lo, hi, shift, n):
 
     for i in range(1, nruns - 1):
         p = ccnt[lo + i] - base_cnt
+        if -neg[lo + i - 1] - shift < p - 1:
+            break
         if p < 2:
             continue
         jmax = nruns - i - 1
@@ -107,7 +143,10 @@ def _cut_search(neg, ccnt, csum, lo, hi, shift, n):
         # h rises strictly over bottom runs with value < p, is flat at
         # value == p, then falls strictly; zeros of the cut equation are
         # h == gamma crossings.
-        first_lt = bisect_right(neg, -(p + shift), lo + i, hi)
+        if lo:
+            first_lt = bisect_right(neg, -(p + shift), lo + i, hi)
+        else:
+            first_lt = below[i - 1]
         jr = min(hi - first_lt, jmax)
         if jr <= 0 or h(jr, p) < gamma:
             continue
@@ -156,7 +195,8 @@ def decompose_runs(vals, mults):
     r = len(vals)
     ccnt, csum = _prefix(vals, mults)
     neg = [-v for v in vals]
-    if not _eg_holds(vals, neg, ccnt, csum):
+    below = _eg_holds(vals, neg, ccnt, csum)
+    if below is None:
         return None
     n = ccnt[r]
     lo, hi = 0, r
@@ -189,19 +229,18 @@ def decompose_runs(vals, mults):
             shift += m
             n -= m
             continue
-        found = _cut_search(neg, ccnt, csum, lo, hi, shift, n)
+        found = _cut_search(neg, ccnt, csum, lo, hi, shift, n, below)
         if found is None:
-            records.append(
-                ("tail", [vals[t] - shift for t in range(lo, hi)], list(mults[lo:hi]))
-            )
+            tvals = vals[lo:hi]
+            if shift:
+                tvals = [v - shift for v in tvals]
+            records.append(("tail", tvals, mults[lo:hi]))
             break
         i, j, p, q = found
         mid = n - p - q
-        kvals = [vals[t] - shift - mid for t in range(lo, lo + i)]
-        kmults = list(mults[lo : lo + i])
-        svals = [vals[t] - shift for t in range(hi - j, hi)]
-        smults = list(mults[hi - j : hi])
-        records.append(("head", kvals, kmults, svals, smults))
+        kvals = [v - shift - mid for v in vals[lo : lo + i]]
+        svals = [v - shift for v in vals[hi - j : hi]]
+        records.append(("head", kvals, mults[lo : lo + i], svals, mults[hi - j : hi]))
         lo += i
         hi -= j
         shift += p

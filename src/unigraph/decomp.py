@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel
-from .degseq import DegreeSequence, PairedDegreeSequence, brief, check_sequence
+from .degseq import EMPTY, DegreeSequence, PairedDegreeSequence, brief, check_sequence
 from .degseq import compose_all  # noqa: F401  (the inverse of decompose)
 from .errors import FormatError, NotGraphical
 
@@ -110,9 +110,11 @@ def find_split_point(s: DegreeSequence) -> tuple[int, int] | None:
 
 
 def decompose(s: DegreeSequence) -> Decomposition:
-    """Full canonical decomposition of a graphical sequence."""
+    """Full canonical decomposition of a graphical sequence. The kernel's
+    runs are well formed by construction, so they are not checked again."""
+    trusted = DegreeSequence._trusted
     runs: list[tuple[PairedDegreeSequence, int]] = []
-    tail = DegreeSequence(())
+    tail = EMPTY
     for rec in _strip(s):
         kind = rec[0]
         if kind == "k1":
@@ -122,12 +124,11 @@ def decompose(s: DegreeSequence) -> Decomposition:
         elif kind == "head":
             _, kv, km, sv, sm = rec
             head = PairedDegreeSequence(
-                DegreeSequence(tuple(zip(kv, km))),
-                DegreeSequence(tuple(zip(sv, sm))),
+                trusted(tuple(zip(kv, km))), trusted(tuple(zip(sv, sm)))
             )
             runs.append((head, 1))
         else:
-            tail = DegreeSequence(tuple(zip(rec[1], rec[2])))
+            tail = trusted(tuple(zip(rec[1], rec[2])))
     return Decomposition(tuple(runs), tail)
 
 

@@ -49,6 +49,15 @@ class DegreeSequence:
                 raise FormatError("runs must be strictly decreasing")
             prev = d
 
+    @classmethod
+    def _trusted(cls, runs) -> DegreeSequence:
+        """A sequence on runs the kernel produced, which are strictly
+        decreasing with non-negative degrees and positive multiplicities by
+        construction, so ``__post_init__`` does not check them again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "runs", runs)
+        return s
+
     @cached_property
     def n(self) -> int:
         return sum(m for _, m in self.runs)
@@ -66,6 +75,10 @@ class DegreeSequence:
             yield from (d,) * m
 
     def to_list(self) -> list[int]:
+        """All n degrees as a list; raises TooLarge, before allocating, when
+        n exceeds REALIZE_MAX."""
+        if self.n > REALIZE_MAX:
+            raise TooLarge(f"to_list supports n up to {REALIZE_MAX}, got {self.n}")
         return list(self.degrees())
 
     def to_text(self) -> str:
@@ -128,11 +141,12 @@ def normalize(raw) -> DegreeSequence:
     """Canonical run-length form of a raw degree list. Idempotent.
 
     The kernel range-checks the degrees while counting, so the list is
-    scanned again only to name the fault when that check fails. Input that
+    scanned again only to name the fault when that check fails; a list is
+    read in place, any other iterable is copied into one first. Input that
     is not an iterable of integers raises FormatError.
     """
     try:
-        degrees = list(raw)
+        degrees = raw if isinstance(raw, list) else list(raw)
         vals, mults = _kernel.normalize_runs(degrees)
     except TypeError as exc:
         raise FormatError(f"bad degree list: {exc}") from None
@@ -142,7 +156,7 @@ def normalize(raw) -> DegreeSequence:
             raise NegativeDegree(f"negative degree {lo}") from None
         n = len(degrees)
         raise NotGraphical(f"degree {hi} out of range for {n} vertices") from None
-    return DegreeSequence(tuple(zip(vals, mults)))
+    return DegreeSequence._trusted(tuple(zip(vals, mults)))
 
 
 # error messages quote a sequence's text up to this many characters

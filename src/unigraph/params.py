@@ -22,7 +22,7 @@ force sweep (all parameter tuples up to order 9) in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 from .decomp import CompactDecomposition, Decomposition, compact
 from .degseq import brief, runs_order
@@ -136,17 +136,27 @@ def component_fix(t: TypedComponent) -> int:
 
 
 def _min_colors_for_pairs(m: int) -> int:
-    d = 1
-    while d * (d - 1) // 2 < m:
-        d += 1
-    return d
+    """Least d >= 1 with C(d, 2) >= m."""
+    # C(d, 2) <= m  <=>  (2d - 1)^2 <= 8m + 1
+    d = (isqrt(8 * m + 1) + 1) // 2
+    return d if d * (d - 1) // 2 >= m else d + 1
 
 
 def _dist_star_block(p: int, q: int) -> int:
-    d = p
-    while d * comb(d, p) < q:
-        d += 1
-    return d
+    """Least d >= p with d * C(d, p) >= q. The product rises with d, so the
+    offset from p doubles until it is reached, then a bisection finds it."""
+    if p >= q:
+        return p
+    lo, hi = p, p + 1  # lo falls short of q throughout
+    while hi * comb(hi, p) < q:
+        lo, hi = hi, p + 2 * (hi - p)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * comb(mid, p) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def component_dist(t: TypedComponent) -> int:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import starmap
+from operator import mul
 
 from .degseq import DegreeSequence, PairedDegreeSequence, brief, is_graphical
 from .errors import NotGraphical
@@ -38,49 +40,49 @@ class SplitClass:
 
 def durfee_index(s: DegreeSequence) -> int:
     """Largest i with d_i >= i - 1 (1-indexed); 0 for the empty sequence."""
-    return _durfee(s.runs)
+    return _durfee(s.runs)[0]
 
 
-def _durfee(runs) -> int:
-    m = 0
-    pos = 0
+def _durfee(runs) -> tuple[int, int]:
+    """(m, d_1 + ... + d_m) for the Durfee index m; reads only the runs up
+    to m."""
+    m = top = pos = 0
     for d, mult in runs:
-        if d >= pos:  # first vertex of this run has index pos+1
-            m = min(pos + mult, d + 1)
-        pos += mult
-        if d < pos:
+        if d < pos:  # the run's first vertex has index pos + 1
             break
-    return m
+        m = min(pos + mult, d + 1)
+        top += d * (m - pos)
+        pos += mult
+    return m, top
 
 
 def _take_top(runs, count: int):
     """Split the runs after the first `count` degrees."""
-    top: list[tuple[int, int]] = []
-    rest: list[tuple[int, int]] = []
     left = count
-    for d, mult in runs:
-        if left >= mult:
-            top.append((d, mult))
-            left -= mult
-        elif left > 0:
-            top.append((d, left))
-            rest.append((d, mult - left))
-            left = 0
-        else:
-            rest.append((d, mult))
-    return tuple(top), tuple(rest)
+    for i, (d, mult) in enumerate(runs):
+        if left < mult:
+            if not left:
+                return tuple(runs[:i]), tuple(runs[i:])
+            return (*runs[:i], (d, left)), ((d, mult - left), *runs[i + 1 :])
+        left -= mult
+    return tuple(runs), ()
 
 
 def split_runs(runs):
     """Hammer-Simeone on the runs of a graphical sequence: (kind, clique
     runs, stable runs) of its balanced or K-max partition, or None when it
-    is not split. The caller has proved the runs graphical."""
+    is not split. The caller has proved the runs graphical.
+
+    With top = d_1 + ... + d_m and every later degree below m, the equality
+    reads 2 top == m(m-1) + (degree total), so the verdict costs the runs
+    up to m and one C-level sum; the partition is built only for a split
+    sequence."""
     if not runs:
         return None
-    m = _durfee(runs)
-    kruns, sruns = _take_top(runs, m)
-    if sum(d * c for d, c in kruns) != m * (m - 1) + sum(d * c for d, c in sruns):
+    m, top = _durfee(runs)
+    if 2 * top != m * (m - 1) + sum(starmap(mul, runs)):
         return None
+    kruns, sruns = _take_top(runs, m)
     kind = SplitKind.BALANCED if kruns[-1][0] >= m else SplitKind.KMAX
     return kind, kruns, sruns
 

@@ -151,6 +151,54 @@ class TestNormalize:
         assert sorted(raw, reverse=True) == s.to_list()
 
 
+class TestTrustedConstructor:
+    def test_recognition_checks_no_run_twice(self, monkeypatch):
+        # the kernel's runs are well formed by construction, so normalize
+        # and decompose build their sequences without __post_init__
+        rng = random.Random(12)
+        heads = [random_split_paired(rng) for _ in range(5)]
+        tail = normalize([len(a) for a in realize_random(rng, 7).adj])
+        raw = compose_all(heads, tail).to_list()
+        rng.shuffle(raw)
+        checked = 0
+        post_init = DegreeSequence.__post_init__
+
+        def counted(self):
+            nonlocal checked
+            checked += 1
+            post_init(self)
+
+        monkeypatch.setattr(DegreeSequence, "__post_init__", counted)
+        s = normalize(raw)
+        d, report = is_unigraph(s)
+        assert checked == 0
+        monkeypatch.undo()
+        built = [s, d.tail]
+        for c, _ in d.runs:
+            built += [c.kpart, c.spart]
+        assert len(d.runs) > 1 and d.tail.n > 1
+        for part in built:
+            assert DegreeSequence(part.runs) == part
+
+    @pytest.mark.parametrize(
+        "runs, error",
+        [
+            (((1, 1), (2, 1)), FormatError),
+            (((2, 1), (2, 1)), FormatError),
+            (((1, 0),), FormatError),
+            (((1, 1), (-1, 2)), NegativeDegree),
+        ],
+    )
+    def test_public_constructor_still_checks(self, runs, error):
+        with pytest.raises(error):
+            DegreeSequence(runs)
+
+    @pytest.mark.parametrize("text", ["1^0", "2,-1"])
+    def test_parse_sequence_still_checks(self, text):
+        with pytest.raises(FormatError):
+            parse_sequence(text)
+
+
 class TestGraphical:
     def test_tree_sequence(self):
         assert is_graphical(parse_sequence("3,2,1^3"))
@@ -315,6 +363,22 @@ class TestInverse:
         for _ in range(200):
             ps = random_split_paired(rng)
             assert inverse_paired(inverse_paired(ps)) == ps
+
+
+class TestToList:
+    def test_small(self):
+        assert parse_sequence("3,1^3").to_list() == [3, 1, 1, 1]
+
+    def test_size_guard_refuses_before_allocating(self):
+        s = parse_sequence("1^100000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                s.to_list()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
 
 
 class TestCompose:

@@ -3,6 +3,9 @@ and the package must reach the kernel through the ``unigraph._kernel``
 module."""
 
 import random
+from bisect import bisect_right
+from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 
@@ -20,6 +23,30 @@ def random_graph_degrees(rng, n, p):
                 deg[u] += 1
                 deg[v] += 1
     return deg
+
+
+def flatten(records):
+    """Per-vertex (heads, tail) of the kernel's records, in the form
+    ``reference.decompose_naive`` returns."""
+    heads = []
+    tail = None
+    for rec in records:
+        if rec[0] == "k1":
+            heads += [([0], [])] * rec[1]
+        elif rec[0] == "s1":
+            heads += [([], [0])] * rec[1]
+        elif rec[0] == "head":
+            _, kv, km, sv, sm = rec
+            heads.append((reference.expand(kv, km), reference.expand(sv, sm)))
+        else:
+            tail = reference.expand(rec[1], rec[2])
+    return heads, tail
+
+
+def nonincreasing_sequences(nmax):
+    """Every non-increasing sequence of n degrees in [0, n-1], n <= nmax."""
+    for n in range(nmax + 1):
+        yield from combinations_with_replacement(range(n - 1, -1, -1), n)
 
 
 @pytest.mark.parametrize("kernel", [_pykernel], ids=[_kernel.IMPL])
@@ -45,26 +72,22 @@ class TestAgainstReference:
             n = rng.randint(0, 12)
             deg = random_graph_degrees(rng, n, rng.random())
             vals, mults = reference._runs(deg)
-            heads_naive, tail_naive = reference.decompose_naive(vals, mults)
-            flat = []
-            tail = None
-            for rec in kernel.decompose_runs(vals, mults):
-                if rec[0] == "k1":
-                    flat += [([0], [])] * rec[1]
-                elif rec[0] == "s1":
-                    flat += [([], [0])] * rec[1]
-                elif rec[0] == "head":
-                    _, kv, km, sv, sm = rec
-                    flat.append(
-                        (
-                            [v for v, m in zip(kv, km) for _ in range(m)],
-                            [v for v, m in zip(sv, sm) for _ in range(m)],
-                        )
-                    )
-                else:
-                    tail = [v for v, m in zip(rec[1], rec[2]) for _ in range(m)]
-            assert flat == [(list(k), list(s)) for k, s in heads_naive]
-            assert tail == tail_naive
+            heads, tail = reference.decompose_naive(vals, mults)
+            assert flatten(kernel.decompose_runs(vals, mults)) == (heads, tail)
+
+    def test_exhaustive_n_le_9(self, kernel):
+        # the Durfee-bounded loops against the naive ones on every sequence
+        graphical_count = 0
+        for deg in nonincreasing_sequences(9):
+            vals, mults = reference._runs(deg)
+            graphical = kernel.eg_graphical(vals, mults)
+            assert graphical == reference.eg_graphical_naive(vals, mults), deg
+            records = kernel.decompose_runs(vals, mults)
+            assert (records is None) == (not graphical), deg
+            if graphical:
+                graphical_count += 1
+                assert flatten(records) == reference.decompose_naive(vals, mults), deg
+        assert graphical_count == 6068
 
     def test_normalize(self, kernel):
         rng = random.Random(4)
@@ -121,3 +144,42 @@ def test_public_functions_call_through_kernel_module(monkeypatch):
     assert calls == {"normalize_runs": 1, "eg_graphical": 1}
     decompose(s)
     assert calls["decompose_runs"] == 1
+
+
+def wide_runs(seed=9, r=5000):
+    """r distinct degrees in [2000, 22000) with multiplicities in [300, 600]
+    and an even sum: graphical by Zverovich-Zverovich (n >= 72 000), with a
+    Durfee prefix of a few dozen runs."""
+    rng = random.Random(seed)
+    vals = sorted(rng.sample(range(2000, 22000), r), reverse=True)
+    mults = [rng.randint(300, 600) for _ in vals]
+    if sum(map(mul, vals, mults)) % 2:
+        mults[next(t for t, v in enumerate(vals) if v % 2)] += 1
+    return vals, mults
+
+
+def durfee_runs(vals, mults):
+    """Runs holding a vertex i with d_i >= i - 1."""
+    pos = 0
+    for t, d in enumerate(vals):
+        if d < pos:  # the run's first vertex has index pos + 1
+            return t
+        pos += mults[t]
+    return len(vals)
+
+
+@pytest.mark.parametrize("fn", ["eg_graphical", "decompose_runs"])
+def test_run_loops_stop_at_durfee_prefix(monkeypatch, fn):
+    vals, mults = wide_runs()
+    bound = durfee_runs(vals, mults) + 2
+    assert bound < 100
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bisect_right(*args)
+
+    monkeypatch.setattr(_pykernel, "bisect_right", counted)
+    assert getattr(_pykernel, fn)(vals, mults)
+    assert 0 < calls <= bound

@@ -1,0 +1,97 @@
+"""Metamorphic properties on run-length inputs far past the oracle's n of
+about 10: up to n = 10^6 vertices and r = 10^3 runs, where every run-level
+loop of recognition stops at the Durfee prefix."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unigraph.decomp import K1, compose_all, decompose
+from unigraph.degseq import (
+    DegreeSequence,
+    complement_seq,
+    compose_runs,
+    is_graphical,
+)
+from unigraph.gen import GenSpec, compose_types, generate
+from unigraph.unitype import is_unigraph
+
+NMAX = 10**6
+RMAX = 10**3
+
+
+@st.composite
+def random_runs(draw):
+    """r distinct degrees below n with random multiplicities; mostly not
+    graphical, so Erdos-Gallai fails at every depth."""
+    rng = draw(st.randoms(use_true_random=False))
+    r = draw(st.integers(min_value=1, max_value=RMAX))
+    n = draw(st.integers(min_value=r, max_value=NMAX))
+    cuts = sorted(rng.sample(range(1, n), r - 1)) if r > 1 else []
+    mults = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    vals = sorted(rng.sample(range(n), r), reverse=True)
+    return DegreeSequence(tuple(zip(vals, mults)))
+
+
+@st.composite
+def zz_runs(draw):
+    """Degrees in [a, b] with n >= (a + b + 1)^2 / 4a and an even sum, which
+    Zverovich-Zverovich proves graphical."""
+    rng = draw(st.randoms(use_true_random=False))
+    a = draw(st.integers(min_value=1, max_value=2000))
+    r = draw(st.integers(min_value=1, max_value=RMAX))
+    b = a + draw(st.integers(min_value=r - 1, max_value=4 * a + r))
+    n = draw(st.integers(min_value=max((a + b + 2) ** 2 // (4 * a), r), max_value=NMAX))
+    vals = sorted(rng.sample(range(a, b + 1), r), reverse=True)
+    cuts = sorted(rng.sample(range(1, n), r - 1)) if r > 1 else []
+    mults = [y - x for x, y in zip([0, *cuts], [*cuts, n])]
+    if sum(v * m for v, m in zip(vals, mults)) % 2:
+        mults[next(t for t, v in enumerate(vals) if v % 2)] += 1
+    return DegreeSequence(tuple(zip(vals, mults)))
+
+
+@st.composite
+def generated_unigraphs(draw):
+    """Compositions of k generated catalog components."""
+    k = draw(st.integers(min_value=1, max_value=60))
+    # k one-vertex components, or at least 3 more vertices for a larger one
+    n = draw(st.integers(min_value=k + 3, max_value=NMAX))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return compose_types(generate(GenSpec(n, k, seed=seed)))
+
+
+large_sequences = st.one_of(random_runs(), zz_runs(), generated_unigraphs())
+
+
+def run_pairs(d):
+    """(clique runs, stable runs) per decomposition run, a run of m > 1
+    single vertices as the complete or edgeless block it composes to."""
+    for c, m in d.runs:
+        if m == 1:
+            yield c.kpart.runs, c.spart.runs
+        elif c == K1:
+            yield ((m - 1, m),), ()
+        else:
+            yield (), ((0, m),)
+
+
+@given(large_sequences)
+@settings(max_examples=40, deadline=None)
+def test_complement_keeps_verdicts(s):
+    c = complement_seq(s)
+    assert c.n == s.n
+    graphical = is_graphical(s)
+    assert is_graphical(c) == graphical
+    if graphical:
+        assert is_unigraph(c)[1].is_unigraph == is_unigraph(s)[1].is_unigraph
+
+
+@given(large_sequences)
+@settings(max_examples=40, deadline=None)
+def test_compose_inverts_decompose(s):
+    if not is_graphical(s):
+        return
+    d = decompose(s)
+    assert compose_runs(list(run_pairs(d)), d.tail.runs) == s.runs
+    if s.n <= 2000:
+        assert compose_all(d.components, d.tail) == s
+

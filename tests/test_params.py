@@ -1,3 +1,6 @@
+import time
+from math import comb
+
 import pytest
 
 from unigraph import oracle
@@ -6,6 +9,8 @@ from unigraph.degseq import complement_seq, parse_sequence, realize
 from unigraph.errors import NotUnigraph
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.params import (
+    _dist_star_block,
+    _min_colors_for_pairs,
     compact_typed,
     component_dist,
     component_fix,
@@ -155,6 +160,53 @@ class TestComponentDist:
                 assert component_fix(t) == oracle.brute_fix(g), t
                 checked += 1
         assert checked > 100
+
+
+def min_colors_loop(m):
+    d = 1
+    while d * (d - 1) // 2 < m:
+        d += 1
+    return d
+
+
+def dist_star_loops(p, qmax):
+    """The counting loop for q = 0..qmax, each q resuming from the previous
+    answer, which never falls as q rises."""
+    d = p
+    for q in range(qmax + 1):
+        while d * comb(d, p) < q:
+            d += 1
+        yield d
+
+
+class TestClosedForms:
+    """The closed-form helpers against the counting loops they replaced."""
+
+    def test_min_colors_for_pairs(self):
+        for m in range(10**4 + 1):
+            assert _min_colors_for_pairs(m) == min_colors_loop(m), m
+
+    def test_dist_star_block(self):
+        for p in range(13):
+            for q, d in enumerate(dist_star_loops(p, 10**4)):
+                assert _dist_star_block(p, q) == d, (p, q)
+
+    @pytest.mark.parametrize(
+        "text, dist",
+        [
+            # spq(p=1, q=10^12): the least d with d^2 >= 10^12
+            ("1000000000000^1000000000000,1^1000000000000", 10**6),
+            # 10^12 disjoint edges: the least d with C(d, 2) >= 10^12
+            ("1^2000000000000", 1414215),
+        ],
+    )
+    def test_huge_blocks_take_no_loop(self, text, dist):
+        s = parse_sequence(text)
+        assert unigraph_params(s).dist == dist
+        start = time.perf_counter()
+        unigraph_params(s)
+        # the counting loops took over 100 ms here
+        assert time.perf_counter() - start < 0.02
 
 
 class TestDistinguishingNumber:
