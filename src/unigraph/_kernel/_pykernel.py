@@ -184,8 +184,11 @@ def decompose_runs(vals, mults):
     order:
       ('k1', count)  count consecutive dominant-vertex components (0; -)
       ('s1', count)  count consecutive isolated-vertex components (-; 0)
-      ('head', kvals, kmults, svals, smults)  one multi-vertex split head
-      ('tail', tvals, tmults)  the final indecomposable remainder (last)
+      ('head', kruns, sruns, p, q)  one multi-vertex split head: its clique
+          and stable runs as tuples of (degree, multiplicity) pairs, and
+          their orders p and q, the cut the search found
+      ('tail', truns, n)  the final indecomposable remainder (last): its
+          runs as such a tuple, and its order
 
     Dominant and isolated vertices strip one at a time under the
     lexicographic rule, and a maximal run of them always strips as that many
@@ -203,16 +206,16 @@ def decompose_runs(vals, mults):
     shift = 0
     while True:
         if n == 0:
-            records.append(("tail", [], []))
+            records.append(("tail", (), 0))
             break
         if n == 1:
-            records.append(("tail", [vals[lo] - shift], [1]))
+            records.append(("tail", ((vals[lo] - shift, 1),), 1))
             break
         if vals[hi - 1] - shift == 0:
             m = mults[hi - 1]
             if m == n:
                 records.append(("s1", n - 1))
-                records.append(("tail", [0], [1]))
+                records.append(("tail", ((0, 1),), 1))
                 break
             records.append(("s1", m))
             hi -= 1
@@ -222,7 +225,7 @@ def decompose_runs(vals, mults):
             m = mults[lo]
             if m == n:
                 records.append(("k1", n - 1))
-                records.append(("tail", [0], [1]))
+                records.append(("tail", ((0, 1),), 1))
                 break
             records.append(("k1", m))
             lo += 1
@@ -231,16 +234,20 @@ def decompose_runs(vals, mults):
             continue
         found = _cut_search(neg, ccnt, csum, lo, hi, shift, n, below)
         if found is None:
+            # drop the O(r) prefix lists first: the garbage collections that
+            # the tail's new tuples trigger would walk them while they live
+            del ccnt, csum, neg, below
             tvals = vals[lo:hi]
             if shift:
                 tvals = [v - shift for v in tvals]
-            records.append(("tail", tvals, mults[lo:hi]))
+            records.append(("tail", tuple(zip(tvals, mults[lo:hi])), n))
             break
         i, j, p, q = found
         mid = n - p - q
-        kvals = [v - shift - mid for v in vals[lo : lo + i]]
-        svals = [v - shift for v in vals[hi - j : hi]]
-        records.append(("head", kvals, mults[lo : lo + i], svals, mults[hi - j : hi]))
+        down = shift + mid
+        kruns = tuple([(vals[t] - down, mults[t]) for t in range(lo, lo + i)])
+        sruns = tuple([(vals[t] - shift, mults[t]) for t in range(hi - j, hi)])
+        records.append(("head", kruns, sruns, p, q))
         lo += i
         hi -= j
         shift += p

@@ -58,7 +58,7 @@ class Decomposition:
             out.extend([c] * m)
         return tuple(out)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(c.order * m for c, m in self.runs) + self.tail.n
 
@@ -105,13 +105,14 @@ def find_split_point(s: DegreeSequence) -> tuple[int, int] | None:
     if rec[0] == "s1":
         return 0, 1
     if rec[0] == "head":
-        return sum(rec[2]), sum(rec[4])
+        return rec[3], rec[4]
     return None
 
 
 def decompose(s: DegreeSequence) -> Decomposition:
     """Full canonical decomposition of a graphical sequence. The kernel's
-    runs are well formed by construction, so they are not checked again."""
+    runs are well formed by construction and come with their orders, so
+    they are neither checked nor summed again."""
     trusted = DegreeSequence._trusted
     runs: list[tuple[PairedDegreeSequence, int]] = []
     tail = EMPTY
@@ -122,13 +123,11 @@ def decompose(s: DegreeSequence) -> Decomposition:
         elif kind == "s1":
             runs.append((S1, rec[1]))
         elif kind == "head":
-            _, kv, km, sv, sm = rec
-            head = PairedDegreeSequence(
-                trusted(tuple(zip(kv, km))), trusted(tuple(zip(sv, sm)))
-            )
+            _, kruns, sruns, p, q = rec
+            head = PairedDegreeSequence(trusted(kruns, p), trusted(sruns, q))
             runs.append((head, 1))
         else:
-            tail = trusted(tuple(zip(rec[1], rec[2])))
+            tail = trusted(rec[1], rec[2])
     return Decomposition(tuple(runs), tail)
 
 

@@ -31,7 +31,11 @@ REALIZE_MAX = 10**7
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Run-length encoded, non-increasing degree multiset."""
+    """Run-length encoded, non-increasing degree multiset.
+
+    Values derived from the runs are kept on the instance once computed:
+    ``n``, ``degree_sum``, and the verdict of ``unitype.is_unigraph``.
+    Equality, hashing and repr read ``runs`` only."""
 
     runs: tuple[tuple[int, int], ...]
 
@@ -50,12 +54,16 @@ class DegreeSequence:
             prev = d
 
     @classmethod
-    def _trusted(cls, runs) -> DegreeSequence:
+    def _trusted(cls, runs, n: int) -> DegreeSequence:
         """A sequence on runs the kernel produced, which are strictly
         decreasing with non-negative degrees and positive multiplicities by
-        construction, so ``__post_init__`` does not check them again."""
+        construction, so ``__post_init__`` does not check them again. The
+        kernel also knows their order ``n``, which seeds the cached
+        property."""
         s = object.__new__(cls)
-        object.__setattr__(s, "runs", runs)
+        fields = s.__dict__
+        fields["runs"] = runs
+        fields["n"] = n
         return s
 
     @cached_property
@@ -156,7 +164,7 @@ def normalize(raw) -> DegreeSequence:
             raise NegativeDegree(f"negative degree {lo}") from None
         n = len(degrees)
         raise NotGraphical(f"degree {hi} out of range for {n} vertices") from None
-    return DegreeSequence._trusted(tuple(zip(vals, mults)))
+    return DegreeSequence._trusted(tuple(zip(vals, mults)), len(degrees))
 
 
 # error messages quote a sequence's text up to this many characters

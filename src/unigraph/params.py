@@ -219,7 +219,11 @@ def distinguishing_number(
 
 
 def unigraph_params(s) -> ParamSet:
-    """All six parameters of a unigraph sequence in one pass."""
+    """All six parameters of a unigraph sequence in one pass.
+
+    The decomposition and types come from :func:`is_unigraph`, which keeps
+    them on the sequence object: after ``is_unigraph(s)`` this reuses that
+    verdict and neither decomposes nor matches again."""
     d, r = is_unigraph(s)
     if not r.is_unigraph:
         raise NotUnigraph(f"{brief(s)} is not a unigraph")

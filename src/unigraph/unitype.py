@@ -19,6 +19,7 @@ from .decomp import Decomposition, decompose, tail_joins_clique
 from .degseq import (
     DegreeSequence,
     PairedDegreeSequence,
+    check_sequence,
     complement_runs,
     complement_seq,
     inverse_runs,
@@ -228,12 +229,33 @@ def _split_shape(ka, kb):
     return None
 
 
+# variants whose transform swaps the (clique, stable) run counts; the
+# inverse complement swaps them twice
+_COUNT_SWAPPING = frozenset({Variant.INVERSE, Variant.COMPLEMENT})
+
+
+def _split_counts_fit(a: int, b: int) -> bool:
+    """Whether a clique runs over b stable runs fit a split family: K1
+    (1, 0), S1 (0, 1), spq (1, 1), S2 (>= 2, 1), S3 (1, 2) or S4 (2, 1)."""
+    return b == 1 or (a, b) in ((1, 0), (1, 2))
+
+
 def match_split_runs(kruns, sruns) -> TypedComponent | None:
     """Recognize the clique and stable runs of an indecomposable split
     component against the five split families under original, inverse,
-    complement and inverse-complement, in that order."""
+    complement and inverse-complement, in that order.
+
+    Complement and split inverse each map a run to one run and swap the
+    two sides, so a variant is transformed only when its swapped run
+    counts fit a family; a head that fits none costs no transform."""
+    a, b = len(kruns), len(sruns)
+    straight, swapped = _split_counts_fit(a, b), _split_counts_fit(b, a)
+    if not (straight or swapped):
+        return None
     p, q = runs_order(kruns), runs_order(sruns)
     for variant in SPLIT_VARIANTS:
+        if not (swapped if variant in _COUNT_SWAPPING else straight):
+            continue
         shape = _split_shape(*split_variant(variant, kruns, sruns, p, q))
         if shape is not None:
             return TypedComponent(variant, *shape, p + q)
@@ -388,7 +410,22 @@ def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
 
     Each run of the decomposition is matched once, and the report keeps one
     entry per run; ``failure_index`` is still a strip index.
+
+    The sequence is immutable, so its (decomposition, report) is kept on the
+    sequence object, as its cached ``n`` is: a second call on the same
+    object, or :func:`~unigraph.params.unigraph_params` after this one,
+    returns it without decomposing or matching again. Equality, hashing and
+    repr of the sequence still read its runs only.
     """
+    check_sequence(s)
+    verdict = s.__dict__.get("_unigraph")
+    if verdict is None:
+        verdict = s.__dict__["_unigraph"] = _classify(s)
+    return verdict
+
+
+def _classify(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
+    """The verdict :func:`is_unigraph` keeps."""
     d = decompose(s)
     runs: list[tuple[TypedComponent, int]] = []
     failure: int | None = None

@@ -12,7 +12,7 @@ import pytest
 from unigraph import _kernel
 from unigraph._kernel import _pykernel, reference
 from unigraph.decomp import decompose
-from unigraph.degseq import is_graphical, normalize
+from unigraph.degseq import is_graphical, normalize, runs_order
 
 
 def random_graph_degrees(rng, n, p):
@@ -23,6 +23,11 @@ def random_graph_degrees(rng, n, p):
                 deg[u] += 1
                 deg[v] += 1
     return deg
+
+
+def expand_runs(runs):
+    """Per-vertex degrees of a run tuple."""
+    return [d for d, m in runs for _ in range(m)]
 
 
 def flatten(records):
@@ -36,10 +41,9 @@ def flatten(records):
         elif rec[0] == "s1":
             heads += [([], [0])] * rec[1]
         elif rec[0] == "head":
-            _, kv, km, sv, sm = rec
-            heads.append((reference.expand(kv, km), reference.expand(sv, sm)))
+            heads.append((expand_runs(rec[1]), expand_runs(rec[2])))
         else:
-            tail = reference.expand(rec[1], rec[2])
+            tail = expand_runs(rec[1])
     return heads, tail
 
 
@@ -88,6 +92,24 @@ class TestAgainstReference:
                 graphical_count += 1
                 assert flatten(records) == reference.decompose_naive(vals, mults), deg
         assert graphical_count == 6068
+
+    def test_record_orders_exhaustive_n_le_9(self, kernel):
+        # a head carries the (p, q) its cut search found and the tail its
+        # order; each must equal the order of the runs beside it
+        heads = 0
+        for deg in nonincreasing_sequences(9):
+            records = kernel.decompose_runs(*reference._runs(deg))
+            if records is None:
+                continue
+            for rec in records:
+                if rec[0] == "head":
+                    heads += 1
+                    _, kruns, sruns, p, q = rec
+                    assert (p, q) == (runs_order(kruns), runs_order(sruns)), deg
+                elif rec[0] == "tail":
+                    assert rec[2] == runs_order(rec[1]), deg
+            assert records[-1][0] == "tail", deg
+        assert heads > 0
 
     def test_normalize(self, kernel):
         rng = random.Random(4)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from unigraph.decomp import K1, compose_all, decompose
 from unigraph.degseq import (
     DegreeSequence,
+    complement_paired,
     complement_seq,
     compose_runs,
     is_graphical,
 )
 from unigraph.gen import GenSpec, compose_types, generate
+from unigraph.params import unigraph_params
 from unigraph.unitype import is_unigraph
 
 NMAX = 10**6
@@ -50,13 +52,18 @@ def zz_runs(draw):
 
 
 @st.composite
-def generated_unigraphs(draw):
-    """Compositions of k generated catalog components."""
+def generated_specs(draw):
+    """Specs of k catalog components on n vertices."""
     k = draw(st.integers(min_value=1, max_value=60))
     # k one-vertex components, or at least 3 more vertices for a larger one
     n = draw(st.integers(min_value=k + 3, max_value=NMAX))
     seed = draw(st.integers(min_value=0, max_value=2**32))
-    return compose_types(generate(GenSpec(n, k, seed=seed)))
+    return GenSpec(n, k, seed=seed)
+
+
+def generated_unigraphs():
+    """Compositions of k generated catalog components."""
+    return generated_specs().map(lambda spec: compose_types(generate(spec)))
 
 
 large_sequences = st.one_of(random_runs(), zz_runs(), generated_unigraphs())
@@ -95,3 +102,39 @@ def test_compose_inverts_decompose(s):
     if s.n <= 2000:
         assert compose_all(d.components, d.tail) == s
 
+
+@given(large_sequences)
+@settings(max_examples=40, deadline=None)
+def test_complement_complements_every_component(s):
+    # the complement of (G, A, B) o H is (co-G, B, A) o co-H: the same
+    # components in the same order, each with its sides swapped and its
+    # runs reversed (a K1 run turns into an S1 run), over the complemented
+    # tail
+    if not is_graphical(s):
+        return
+    d = decompose(s)
+    c = decompose(complement_seq(s))
+    assert c.runs == tuple((complement_paired(x), m) for x, m in d.runs)
+    assert c.tail == complement_seq(d.tail)
+
+
+@given(generated_unigraphs())
+@settings(max_examples=40, deadline=None)
+def test_complement_swaps_clique_and_independence(s):
+    # a clique of G is an independent set of its complement, and both have
+    # the same automorphism group
+    p = unigraph_params(s)
+    c = unigraph_params(complement_seq(s))
+    assert (c.omega, c.alpha) == (p.alpha, p.omega)
+    assert c.beta == s.n - p.omega
+    assert (c.fix, c.dist) == (p.fix, p.dist)
+
+
+@given(generated_specs())
+@settings(max_examples=40, deadline=None)
+def test_recognition_returns_generated_tags(spec):
+    comps = generate(spec)
+    d, r = is_unigraph(compose_types(comps))
+    assert r.is_unigraph
+    assert r.tags() == [t.tag() for t in comps]
+    assert d.n == spec.n

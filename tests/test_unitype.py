@@ -104,6 +104,23 @@ class TestMatchSplit:
         # indecomposable split sequence with two realization classes
         assert match_split_type(parse_paired("4^2,3;2^2,1")) is None
 
+    def test_run_counts_fitting_no_family_skip_every_transform(self, monkeypatch):
+        # 3 clique runs over 2 stable runs, or 2 over 3 once a variant
+        # swaps the sides, fit no split family
+        calls = []
+        for name in ("complement_runs", "inverse_runs"):
+            def counted(*args, _fn=getattr(unitype, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(unitype, name, counted)
+        assert match_split_runs(((9, 1), (8, 1), (7, 2)), ((2, 1), (1, 3))) is None
+        assert calls == []
+        # one clique run over one stable run fits spq under every variant
+        assert match_split_runs(((3, 2),), ((1, 4),)).tag() == "spq(p=2,q=2)"
+        assert match_split_runs(((4, 4),), ((2, 2),)).tag() == "inverse:spq(p=2,q=2)"
+        assert calls == ["inverse_runs"]
+
 
 class TestTypeToSequence:
     def test_u2_row(self):
@@ -338,6 +355,43 @@ class TestIsUnigraph:
         d, r = is_unigraph(s)
         assert d.tail == s and r.is_unigraph
         assert calls == {"eg_graphical": 0, "decompose_runs": 1}
+
+    def test_params_reuse_the_verdict(self, monkeypatch):
+        # the verdict is kept on the sequence object, so neither a second
+        # is_unigraph nor unigraph_params decomposes it again
+        from unigraph import _kernel
+        from unigraph.params import unigraph_params
+
+        text = "7^4,6,5,3^3,0"
+        s = parse_sequence(text)
+        verdict = is_unigraph(s)
+        calls = 0
+
+        def counted(*args, _fn=_kernel.decompose_runs):
+            nonlocal calls
+            calls += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(_kernel, "decompose_runs", counted)
+        assert is_unigraph(s) is verdict
+        params = unigraph_params(s)
+        assert calls == 0
+        assert params == unigraph_params(parse_sequence(text))
+        assert calls == 1
+
+    def test_verdict_leaves_equality_hash_and_repr(self):
+        from unigraph.degseq import normalize
+
+        text = "7^4,6,5,3^3,0"
+        classified = parse_sequence(text)
+        d, r = is_unigraph(classified)
+        for other in (parse_sequence(text), normalize([7] * 4 + [6, 5, 3, 3, 3, 0])):
+            assert "_unigraph" not in vars(other)
+            assert classified == other and other == classified
+            assert hash(classified) == hash(other)
+            assert repr(classified) == repr(other)
+            assert {other: 1}[classified] == 1
+        assert d.tail == parse_sequence("0") and r.is_unigraph
 
     def test_edgeless(self):
         for k in (1, 2, 5):
