@@ -8,14 +8,17 @@ orders up to _ENUM_LIMIT. Above that limit types are sampled structurally
 (base first, then parameters), which is deterministic but not uniform over
 parameter tuples. Neither stage is uniform over isomorphism classes.
 
-Every type comes out with the canonical tag the recognizer assigns. The
-enumeration below the limit re-tags through the matcher once per order and
-caches the result. The structured sampler instead reads its candidates off
-fixed tables in O(1) steps and tags them by a closed rule: a drawn
-(variant, base, params) is already canonical, except that spq(1, q) is
-self-inverse and the complement of spq(p, 2) equals its inverse (see
-:func:`_spq_variant`). So drawing a large component emits and matches no
-runs.
+Every type comes out with the canonical tag the recognizer assigns, and
+neither stage calls the matcher. The enumeration below the limit reads each
+family's candidates of an order off the catalog table
+(:data:`unigraph.unitype.CATALOG`), emits every variant's runs unchecked
+and keeps, of the variants with equal runs, the one the matcher tries
+first; it caches the result per order. The structured sampler instead
+reads its candidates off fixed tables in O(1) steps and tags them by a
+closed rule: a drawn (variant, base, params) is already canonical, except
+that spq(1, q) is self-inverse and the complement of spq(p, 2) equals its
+inverse (see :func:`_spq_variant`). So drawing a large component emits and
+matches no runs.
 
 The composition is drawn by first picking j, the number of multi-vertex
 parts, with weight w_j = C(k, j) * C(F - 2j - 1, j - 1), where F = n - k
@@ -45,19 +48,21 @@ from math import isqrt
 from .degseq import DegreeSequence, compose_runs
 from .errors import Infeasible, ParamOutOfRange
 from .unitype import (
+    CATALOG,
+    FAMILIES,
+    SPLIT_FAMILIES,
     SPLIT_VARIANTS,
     Base,
-    NON_SPLIT_BASES,
     TypedComponent,
     Variant,
     emit_runs,
+    family_of,
     match_nonsplit_runs,
     match_split_runs,
 )
 
 _ENUM_LIMIT = 24
-SPLIT_BASES = frozenset({Base.K1, Base.S1, Base.SPQ, Base.S2, Base.S3, Base.S4})
-ALL_BASES = SPLIT_BASES | NON_SPLIT_BASES
+ALL_BASES = frozenset(f.base for f in FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -93,105 +98,40 @@ class GenSpec:
 
 
 def _canonical(t: TypedComponent) -> TypedComponent:
-    """Re-tag a candidate through the matcher, so generated components carry
-    the same canonical variant the recognizer would assign. The enumeration
-    of small orders uses it; the structured sampler's tags must agree."""
-    runs = emit_runs(t)
-    if t.base in NON_SPLIT_BASES:
-        out = match_nonsplit_runs(runs)
-    else:
-        out = match_split_runs(*runs)
+    """Re-tag a candidate through the matcher: the canonical variant the
+    recognizer would assign. The tests hold the enumeration and the
+    structured sampler to it."""
+    runs, split = emit_runs(t), CATALOG[t.base].split
+    out = match_split_runs(*runs) if split else match_nonsplit_runs(runs)
     assert out is not None, f"catalog instance failed to match itself: {t}"
-    return out
-
-
-def _s2_tuples(order: int):
-    """All S2 parameter tuples (p1,q1,...,pm,qm) of the given order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], rest: int, pmax: int, m: int):
-        if rest == 0:
-            if m >= 2:
-                out.append(prefix)
-            return
-        for p in range(min(pmax, rest - 1), 0, -1):
-            # one block of q stars with p leaves costs q*(p+1)
-            for q in range(1, rest // (p + 1) + 1):
-                rec(prefix + (p, q), rest - q * (p + 1), p - 1, m + 1)
-
-    rec((), order, order, 0)
     return out
 
 
 @lru_cache(maxsize=4096)
 def components_of_order(order: int, split_only: bool) -> tuple[TypedComponent, ...]:
-    """Canonical catalog types with the given vertex count, deduplicated by
-    tag and sorted for reproducibility. Orders above _ENUM_LIMIT refuse."""
+    """Canonical catalog types with the given vertex count, deduplicated and
+    sorted by tag for reproducibility. Orders above _ENUM_LIMIT refuse.
+
+    The matcher tags a run tuple by the first (variant, family) that fits
+    it, in variant-major order, so of the candidate variants with equal runs
+    the first one in that order is the canonical one, and no run tuple is
+    matched. A split key is a pair of run tuples, so it never equals a
+    non-split one."""
     if order > _ENUM_LIMIT:
         raise ValueError(f"enumeration capped at order {_ENUM_LIMIT}")
-    cands: list[TypedComponent] = []
-    if order == 1:
-        cands += [
-            TypedComponent(Variant.ORIGINAL, Base.K1, (), 1),
-            TypedComponent(Variant.ORIGINAL, Base.S1, (), 1),
-        ]
-    if not split_only:
-        if order == 5:
-            cands.append(TypedComponent(Variant.ORIGINAL, Base.C5, (), 5))
-        if order % 2 == 0 and order >= 4:
-            cands.append(
-                TypedComponent(Variant.ORIGINAL, Base.MK2, (order // 2,), order)
-            )
-        for m in range(1, (order - 3) // 2 + 1):
-            ell = order - 1 - 2 * m
-            if ell >= 2:
-                cands.append(
-                    TypedComponent(Variant.ORIGINAL, Base.U2, (m, ell), order)
-                )
-        if order % 2 == 0 and order >= 6:
-            cands.append(
-                TypedComponent(Variant.ORIGINAL, Base.U3, ((order - 4) // 2,), order)
-            )
-    for q in range(2, order + 1):
-        if order % q == 0 and order // q >= 2:
-            cands.append(
-                TypedComponent(Variant.ORIGINAL, Base.SPQ, (order // q - 1, q), order)
-            )
-    for prm in _s2_tuples(order):
-        cands.append(TypedComponent(Variant.ORIGINAL, Base.S2, prm, order))
-    for p in range(1, order):
-        for q2 in range(1, order):
-            rest = order - 1 - q2 * (p + 2)
-            if rest < 2 * (p + 1):
-                break
-            if rest % (p + 1) == 0:
-                q1 = rest // (p + 1)
-                cands.append(
-                    TypedComponent(Variant.ORIGINAL, Base.S3, (p, q1, q2), order)
-                )
-    for p in range(1, order):
-        num = order - 2 * p - 4
-        if num < p + 2:
-            break
-        if num % (p + 2) == 0:
-            cands.append(
-                TypedComponent(Variant.ORIGINAL, Base.S4, (p, num // (p + 2)), order)
-            )
-    seen: dict[str, TypedComponent] = {}
-    for cand in cands:
-        variants = (
-            (Variant.ORIGINAL, Variant.COMPLEMENT)
-            if cand.base in NON_SPLIT_BASES
-            else SPLIT_VARIANTS
-        )
-        if cand.base in (Base.K1, Base.S1):
-            variants = (Variant.ORIGINAL,)
-        for v in variants:
-            canon = _canonical(
-                TypedComponent(v, cand.base, cand.params, cand.order)
-            )
-            seen.setdefault(canon.tag(), canon)
-    return tuple(sorted(seen.values(), key=lambda t: t.tag()))
+    cands = [
+        (f, prm, f.runs(*prm), f.orders(*prm))
+        for f in (SPLIT_FAMILIES if split_only else FAMILIES)
+        for prm in f.candidates(order)
+    ]
+    first: dict = {}
+    for v in SPLIT_VARIANTS:
+        for f, prm, runs, orders in cands:
+            if v in f.variants:
+                key = f.transform(v, runs, orders)
+                if key not in first:
+                    first[key] = TypedComponent(v, f.base, prm, order)
+    return tuple(sorted(first.values(), key=TypedComponent.tag))
 
 
 def _weights(k: int, extra: int, j: int = 1, w: int | None = None):
@@ -350,17 +290,8 @@ def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComp
     tests check this against :func:`_canonical` for every candidate and
     variant at orders 25-200 and for seeded draws up to order 10^5.
     """
-    options: list[tuple[Base, tuple[int, ...]]] = []
-    spq, s2, s3, s4 = _candidates(order)
-    if spq:
-        options.append((Base.SPQ, spq[rng.randrange(len(spq))]))
-    if s2:
-        p1, q1, used = s2[rng.randrange(len(s2))]
-        options.append((Base.S2, (p1, q1, 1, (order - used) // 2)))
-    if s3:
-        options.append((Base.S3, s3[rng.randrange(len(s3))]))
-    if s4:
-        options.append((Base.S4, s4[rng.randrange(len(s4))]))
+    lists = zip((Base.SPQ, Base.S2, Base.S3, Base.S4), _candidates(order))
+    options = [(base, c[rng.randrange(len(c))]) for base, c in lists if c]
     if not split_only:
         if order % 2 == 0:
             options.append((Base.MK2, (order // 2,)))
@@ -368,12 +299,13 @@ def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComp
         m = rng.randrange(1, (order - 3) // 2 + 1)
         options.append((Base.U2, (m, order - 1 - 2 * m)))
     base, prm = options[rng.randrange(len(options))]
-    if base in NON_SPLIT_BASES:
-        variant = (Variant.ORIGINAL, Variant.COMPLEMENT)[rng.randrange(2)]
-    else:
-        variant = SPLIT_VARIANTS[rng.randrange(len(SPLIT_VARIANTS))]
-        if base is Base.SPQ:
-            variant = _spq_variant(variant, *prm)
+    if base is Base.S2:
+        p1, q1, used = prm
+        prm = (p1, q1, 1, (order - used) // 2)
+    variants = CATALOG[base].variants
+    variant = variants[rng.randrange(len(variants))]
+    if base is Base.SPQ:
+        variant = _spq_variant(variant, *prm)
     return TypedComponent(variant, base, prm, order)
 
 
@@ -466,15 +398,15 @@ def _break_singleton_runs(comps: list[TypedComponent]) -> list[TypedComponent]:
 
 def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
     """Sequence of the composition of typed components (tail last), built
-    from their catalog runs in one pass."""
+    from their catalog runs in one pass. Each type is checked once against
+    its catalog record, whose runs and side orders then need no check."""
     if not comps:
         raise ParamOutOfRange("compose_types needs at least one component")
-    heads = []
-    for t in comps[:-1]:
-        heads.append(emit_runs(t))
-        if t.base in NON_SPLIT_BASES:
+    families = [family_of(t) for t in comps]
+    for f, t in zip(families, comps[:-1]):
+        if not f.split:
             raise ParamOutOfRange(f"a non-split {t} can only be the tail")
-    tail = emit_runs(comps[-1])
-    if comps[-1].base not in NON_SPLIT_BASES:
+    *heads, tail = [f.emit(t.variant, t.params) for f, t in zip(families, comps)]
+    if families[-1].split:
         tail = compose_runs((tail,), ())
     return DegreeSequence(compose_runs(heads, tail))

@@ -7,7 +7,9 @@ indecomposable split component is balanced. A unigraph is perfect unless its
 tail is a 5-cycle, which pins the chromatic number. Fixing numbers sum over
 compact components and distinguishing numbers take their maximum.
 
-The per-family distinguishing values are derived here and gated by a brute
+The per-component values are read off the catalog records of
+:mod:`unigraph.unitype`. Their distinguishing numbers are derived as below
+and gated, with the fixing, clique and independence numbers, by a brute
 force sweep (all parameter tuples up to order 9) in the test suite:
 
 * q stars with p leaves each, centers mutually adjacent and interchangeable:
@@ -22,29 +24,25 @@ force sweep (all parameter tuples up to order 9) in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
 
 from .decomp import CompactDecomposition, Decomposition, compact
-from .degseq import brief, runs_order
+from .degseq import brief
 from .errors import NotUnigraph
-from .unitype import (
+from .unitype import (  # the star-block helpers are read by the tests here
+    CATALOG,
+    SIDE_SWAPPING,
     Base,
     TypedComponent,
     UnigraphReport,
     Variant,
-    emit_runs,
+    _dist_star_block,
+    _min_colors_for_pairs,
+    family_of,
     is_unigraph,
 )
 
 # compact block of a run of m > 1 single vertices; only K1 and S1 runs repeat
 _BLOCK = {Base.K1: Base.COMPLETE_BLOCK, Base.S1: Base.EMPTY_BLOCK}
-
-_TABLE_OMEGA_ALPHA = {
-    Base.C5: lambda p: (2, 2),
-    Base.MK2: lambda p: (2, p[0]),
-    Base.U2: lambda p: (2, p[0] + p[1]),
-    Base.U3: lambda p: (3, p[0] + 2),
-}
 
 
 @dataclass(frozen=True)
@@ -72,18 +70,17 @@ class ParamSet:
         }
 
 
+def _omega_alpha(t: TypedComponent) -> tuple[int, int]:
+    f = CATALOG[t.base]
+    omega, alpha = (f.omega_alpha or f.orders)(*t.params)
+    return (alpha, omega) if t.variant in SIDE_SWAPPING else (omega, alpha)
+
+
 def component_omega_alpha(t: TypedComponent) -> tuple[int, int]:
-    """Clique and independence numbers of one typed component."""
-    if t.base in _TABLE_OMEGA_ALPHA:
-        omega, alpha = _TABLE_OMEGA_ALPHA[t.base](t.params)
-        if t.variant is Variant.COMPLEMENT:
-            return alpha, omega
-        return omega, alpha
-    if t.order == 1:
-        return 1, 1
-    # multi-vertex split components are balanced: the parts are extremal
-    kruns, sruns = emit_runs(t)
-    return runs_order(kruns), runs_order(sruns)
+    """Clique and independence numbers of one typed component: its record's,
+    swapped by a variant that swaps the sides."""
+    family_of(t)
+    return _omega_alpha(t)
 
 
 def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int]:
@@ -96,93 +93,22 @@ def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int
     alpha = sum(c.q * m for c, m in d.runs)
     tail_type = r.runs[-1][0] if d.tail.n else None
     if tail_type is not None:
-        t_omega, t_alpha = component_omega_alpha(tail_type)
+        t_omega, t_alpha = _omega_alpha(tail_type)
         omega += t_omega
         alpha += t_alpha
     chi = omega + (1 if tail_type is not None and tail_type.base is Base.C5 else 0)
     return omega, alpha, d.n - alpha, chi
 
 
-def _fix_star_block(p: int, q: int) -> int:
-    # q stars with p leaves each; rigid pendants when p == 1
-    return q - 1 if p == 1 else q * (p - 1)
-
-
 def component_fix(t: TypedComponent) -> int:
     """Fixing number of one typed component; complement and split inverse
     preserve the automorphism group, so the variant is ignored."""
-    b, prm = t.base, t.params
-    if b in (Base.K1, Base.S1):
-        return 0
-    if b in (Base.COMPLETE_BLOCK, Base.EMPTY_BLOCK):
-        return prm[0] - 1
-    if b is Base.C5:
-        return 2
-    if b is Base.MK2:
-        return prm[0]
-    if b is Base.U2:
-        return prm[0] + prm[1] - 1
-    if b is Base.U3:
-        return prm[0] + 1
-    if b is Base.SPQ:
-        return _fix_star_block(prm[0], prm[1])
-    if b is Base.S2:
-        return sum(_fix_star_block(p, q) for p, q in zip(prm[::2], prm[1::2]))
-    if b is Base.S3:
-        p, q1, q2 = prm
-        return _fix_star_block(p, q1) + _fix_star_block(p + 1, q2)
-    p, q = prm  # S4
-    return _fix_star_block(p, 2) + _fix_star_block(p + 1, q)
-
-
-def _min_colors_for_pairs(m: int) -> int:
-    """Least d >= 1 with C(d, 2) >= m."""
-    # C(d, 2) <= m  <=>  (2d - 1)^2 <= 8m + 1
-    d = (isqrt(8 * m + 1) + 1) // 2
-    return d if d * (d - 1) // 2 >= m else d + 1
-
-
-def _dist_star_block(p: int, q: int) -> int:
-    """Least d >= p with d * C(d, p) >= q. The product rises with d, so the
-    offset from p doubles until it is reached, then a bisection finds it."""
-    if p >= q:
-        return p
-    lo, hi = p, p + 1  # lo falls short of q throughout
-    while hi * comb(hi, p) < q:
-        lo, hi = hi, p + 2 * (hi - p)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid * comb(mid, p) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return family_of(t).fix(*t.params)
 
 
 def component_dist(t: TypedComponent) -> int:
     """Distinguishing number of one typed component (variant-insensitive)."""
-    b, prm = t.base, t.params
-    if b in (Base.K1, Base.S1):
-        return 1
-    if b in (Base.COMPLETE_BLOCK, Base.EMPTY_BLOCK):
-        return prm[0]
-    if b is Base.C5:
-        return 3
-    if b is Base.MK2:
-        return _min_colors_for_pairs(prm[0])
-    if b is Base.U2:
-        return max(_min_colors_for_pairs(prm[0]), prm[1])
-    if b is Base.U3:
-        return max(_min_colors_for_pairs(prm[0]), 2)
-    if b is Base.SPQ:
-        return _dist_star_block(prm[0], prm[1])
-    if b is Base.S2:
-        return max(_dist_star_block(p, q) for p, q in zip(prm[::2], prm[1::2]))
-    if b is Base.S3:
-        p, q1, q2 = prm
-        return max(_dist_star_block(p, q1), _dist_star_block(p + 1, q2))
-    p, q = prm  # S4
-    return max(_dist_star_block(p, 2), _dist_star_block(p + 1, q))
+    return family_of(t).dist(*t.params)
 
 
 def compact_typed(
@@ -207,15 +133,18 @@ def compact_typed(
 def fixing_number(
     cd: CompactDecomposition, types: tuple[TypedComponent, ...]
 ) -> int:
-    """Sum of per-component fixing numbers over the compact decomposition."""
-    return sum(component_fix(t) for t in types)
+    """Sum of per-component fixing numbers over the compact decomposition;
+    the types are those :func:`compact_typed` returns, so they are not
+    checked again."""
+    return sum(CATALOG[t.base].fix(*t.params) for t in types)
 
 
 def distinguishing_number(
     cd: CompactDecomposition, types: tuple[TypedComponent, ...]
 ) -> int:
-    """Maximum per-component distinguishing number; 1 for the empty graph."""
-    return max((component_dist(t) for t in types), default=1)
+    """Maximum per-component distinguishing number; 1 for the empty graph.
+    The types are not checked, as in :func:`fixing_number`."""
+    return max((CATALOG[t.base].dist(*t.params) for t in types), default=1)
 
 
 def unigraph_params(s) -> ParamSet:

@@ -1,9 +1,20 @@
 """Catalog of indecomposable unigraph components and their recognizers.
 
 Every indecomposable unigraph is, up to complement (and split inverse for
-split graphs), one of a dozen parametric families. The matchers below try
-the variants and families in a fixed order, so the tag assigned to a
-sequence is deterministic; the emitters are their exact inverses.
+split graphs), one of ten parametric base families; the compact
+decomposition adds two blocks, a run of m dominant or of m isolated
+vertices. Each of the twelve is described once, by its :class:`Family`
+record in ``CATALOG``: parameter names and bounds, unchecked runs, the
+closed-form orders of its sides, the shape that reads the parameters back
+off the runs, its candidates of a given order, and its clique,
+independence, fixing and distinguishing numbers. The matchers, the emitter,
+the tag, the enumeration of small orders in :mod:`unigraph.gen` and the
+per-component parameters in :mod:`unigraph.params` are loops over, or
+lookups in, that table.
+
+The matchers try the variants and families in a fixed order, so the tag
+assigned to a sequence is deterministic; the emitters are their exact
+inverses.
 
 Tag strings are part of the CLI contract, e.g. ``k1``, ``complement:mk2(m=2)``,
 ``inverse:spq(p=2,q=2)``, ``s2(2,1,1,1)``, ``s3(p=1,q1=2,q2=1)``.
@@ -12,8 +23,10 @@ Tag strings are part of the CLI contract, e.g. ``k1``, ``complement:mk2(m=2)``,
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb, isqrt
 
 from .decomp import Decomposition, decompose, tail_joins_clique
 from .degseq import (
@@ -51,19 +64,6 @@ class Base(enum.Enum):
     EMPTY_BLOCK = "empty"
 
 
-NON_SPLIT_BASES = frozenset({Base.C5, Base.MK2, Base.U2, Base.U3})
-_PARAM_NAMES = {
-    Base.MK2: ("m",),
-    Base.U2: ("m", "l"),
-    Base.U3: ("m",),
-    Base.SPQ: ("p", "q"),
-    Base.S3: ("p", "q1", "q2"),
-    Base.S4: ("p", "q"),
-    Base.COMPLETE_BLOCK: ("m",),
-    Base.EMPTY_BLOCK: ("m",),
-}
-
-
 @dataclass(frozen=True)
 class TypedComponent:
     variant: Variant
@@ -72,13 +72,7 @@ class TypedComponent:
     order: int
 
     def tag(self) -> str:
-        if self.base is Base.S2:
-            body = f"s2({','.join(map(str, self.params))})"
-        elif self.base in _PARAM_NAMES:
-            names = _PARAM_NAMES[self.base]
-            body = f"{self.base.value}({','.join(f'{k}={v}' for k, v in zip(names, self.params))})"
-        else:
-            body = self.base.value
+        body = CATALOG[self.base].tag(self.params)
         if self.variant is Variant.ORIGINAL:
             return body
         return f"{self.variant.value}:{body}"
@@ -123,6 +117,11 @@ SPLIT_VARIANTS = (
     Variant.COMPLEMENT,
     Variant.INVERSE_COMPLEMENT,
 )
+NON_SPLIT_VARIANTS = (Variant.ORIGINAL, Variant.COMPLEMENT)
+# variants that swap the clique and stable sides, and with them the run
+# counts and the clique and independence numbers; the inverse complement
+# swaps them twice
+SIDE_SWAPPING = frozenset({Variant.INVERSE, Variant.COMPLEMENT})
 
 
 def split_variant(v: Variant, kruns, sruns, p: int, q: int):
@@ -151,87 +150,319 @@ def apply_variant(x, v: Variant):
     return complement_seq(x)
 
 
-def _nonsplit_shape(runs):
-    """(base, params, order) of the non-split family whose runs these are."""
-    if runs == ((2, 5),):
-        return Base.C5, (), 5
-    if len(runs) == 1:
-        d1, r1 = runs[0]
-        if d1 == 1 and r1 % 2 == 0 and r1 // 2 >= 2:
-            return Base.MK2, (r1 // 2,), r1
-    if len(runs) == 2:
-        (d1, r1), (d2, r2) = runs
-        if r1 == 1 and d2 == 1 and (r2 - d1) % 2 == 0:
-            m, ell = (r2 - d1) // 2, d1
-            if m >= 1 and ell >= 2:
-                return Base.U2, (m, ell), 2 * m + ell + 1
-        if d1 % 2 == 0 and r1 == 1 and d2 == 2:
-            m = (d1 - 2) // 2
-            if m >= 1 and r2 == 2 * m + 3:
-                return Base.U3, (m,), 2 * m + 4
+def _min_colors_for_pairs(m: int) -> int:
+    """Least d >= 1 with C(d, 2) >= m: m interchangeable edges need pairwise
+    distinct color pairs on their endpoints."""
+    # C(d, 2) <= m  <=>  (2d - 1)^2 <= 8m + 1
+    d = (isqrt(8 * m + 1) + 1) // 2
+    return d if d * (d - 1) // 2 >= m else d + 1
+
+
+def _dist_star_block(p: int, q: int) -> int:
+    """Least d >= p with d * C(d, p) >= q: q stars with p leaves each and
+    mutually adjacent centers. The product rises with d, so the offset from
+    p doubles until it is reached, then a bisection finds it."""
+    if p >= q:
+        return p
+    lo, hi = p, p + 1  # lo falls short of q throughout
+    while hi * comb(hi, p) < q:
+        lo, hi = hi, p + 2 * (hi - p)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * comb(mid, p) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _stars_fix(*blocks) -> int:
+    """Fixing number of blocks of q stars with p leaves each; rigid pendants
+    when p == 1."""
+    return sum(q - 1 if p == 1 else q * (p - 1) for p, q in blocks)
+
+
+def _stars_dist(*blocks) -> int:
+    return max(_dist_star_block(p, q) for p, q in blocks)
+
+
+def _pairs(prm):
+    """The (p_i, q_i) star blocks of S2 parameters."""
+    return tuple(zip(prm[::2], prm[1::2]))
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """The catalog record of one base.
+
+    Parameters are passed unpacked. ``runs``, ``orders`` and the parameter
+    functions check nothing: they take parameters that :meth:`check`
+    accepts, or that a matcher read off a sequence.
+    """
+
+    base: Base
+    names: tuple[str, ...] | None  # None: S2's pairs, tagged positionally
+    bounds: str  # what check() requires, for its message
+    valid: Callable[..., bool]
+    # plain runs of a non-split base, (clique runs, stable runs) otherwise
+    runs: Callable
+    # (clique, stable) orders of a split base; (order,) of a non-split one
+    orders: Callable[..., tuple[int, ...]]
+    # the parameters a run tuple of this base must have, if any; shape()
+    # confirms them by emitting
+    guess: Callable
+    candidates: Callable[[int], list]  # every parameter tuple of an order
+    fix: Callable[..., int]
+    dist: Callable[..., int]
+    # (clique, independence) numbers; None for a balanced split family,
+    # whose sides are extremal, so that they are its orders
+    omega_alpha: Callable[..., tuple[int, int]] | None = None
+    split: bool = True
+
+    @property
+    def variants(self) -> tuple[Variant, ...]:
+        """The variants this base admits, in the matcher's order."""
+        return SPLIT_VARIANTS if self.split else NON_SPLIT_VARIANTS
+
+    def check(self, params) -> None:
+        if not (
+            isinstance(params, tuple)
+            and all(isinstance(x, int) for x in params)
+            and (self.names is None or len(params) == len(self.names))
+            and self.valid(*params)
+        ):
+            raise ParamOutOfRange(f"{self.base.value} takes {self.bounds}: {params!r}")
+
+    def tag(self, params) -> str:
+        if not params:
+            return self.base.value
+        if self.names is None:
+            return f"{self.base.value}({','.join(map(str, params))})"
+        return f"{self.base.value}({','.join(map('{}={}'.format, self.names, params))})"
+
+    def emit(self, v: Variant, params):
+        """Runs of variant v (unchecked; v must be one of ``variants``)."""
+        return self.transform(v, self.runs(*params), self.orders(*params))
+
+    def transform(self, v: Variant, runs, orders):
+        """Variant v of the runs of an instance with the given orders."""
+        if v is Variant.ORIGINAL:
+            return runs
+        if self.split:
+            return split_variant(v, *runs, *orders)
+        return complement_runs(runs, *orders)
+
+    def shape(self, runs):
+        """The parameters whose runs these are, or None: the exact inverse
+        of ``runs``."""
+        prm = self.guess(runs)
+        if prm is not None and self.valid(*prm) and self.runs(*prm) == runs:
+            return prm
+        return None
+
+
+def _s2_tuples(order: int):
+    """All S2 parameter tuples (p1,q1,...,pm,qm) of the given order."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], rest: int, pmax: int, m: int):
+        if rest == 0:
+            if m >= 2:
+                out.append(prefix)
+            return
+        for p in range(min(pmax, rest - 1), 0, -1):
+            # one block of q stars with p leaves costs q*(p+1)
+            for q in range(1, rest // (p + 1) + 1):
+                rec(prefix + (p, q), rest - q * (p + 1), p - 1, m + 1)
+
+    rec((), order, order, 0)
+    return out
+
+
+def _s2_runs(*prm):
+    pairs, centers = _pairs(prm), sum(prm[1::2])
+    kruns = tuple((p + centers - 1, q) for p, q in pairs)
+    return kruns, ((1, sum(p * q for p, q in pairs)),)
+
+
+def _s2_guess(runs):
+    ka, kb = runs
+    if len(ka) >= 2 and len(kb) == 1:
+        centers = runs_order(ka)
+        return tuple(x for d, q in ka for x in (d - centers + 1, q))
+    return None
+
+
+def _spq_guess(runs):
+    ka, kb = runs
+    if len(ka) == len(kb) == 1:
+        return kb[0][1] // ka[0][1], ka[0][1]
+    return None
+
+
+def _s3_guess(runs):
+    ka, kb = runs
+    if len(ka) == 1 and len(kb) == 2:
+        (d, r), (q1, _) = ka[0], kb[0]
+        return d - r, q1, r - q1
+    return None
+
+
+def _s4_guess(runs):
+    ka, kb = runs
+    if len(ka) == 2 and len(kb) == 1:
+        d, r = ka[1]
+        return d - r - 1, r - 2
+    return None
+
+
+# The catalog, one record per base, each tuple in the order the matchers try
+# its families.
+NON_SPLIT_FAMILIES = (
+    Family(
+        Base.C5, (), "no parameters", lambda: True,
+        runs=lambda: ((2, 5),), orders=lambda: (5,), guess=lambda runs: (),
+        candidates=lambda n: [()] if n == 5 else [],
+        omega_alpha=lambda: (2, 2), fix=lambda: 2, dist=lambda: 3, split=False,
+    ),
+    Family(
+        Base.MK2, ("m",), "m >= 2", lambda m: m >= 2,
+        runs=lambda m: ((1, 2 * m),), orders=lambda m: (2 * m,),
+        guess=lambda runs: (runs[0][1] // 2,) if len(runs) == 1 else None,
+        candidates=lambda n: [(n // 2,)] if n % 2 == 0 and n >= 4 else [],
+        omega_alpha=lambda m: (2, m), fix=lambda m: m, split=False,
+        dist=_min_colors_for_pairs,
+    ),
+    Family(
+        Base.U2, ("m", "l"), "m >= 1, l >= 2", lambda m, ell: m >= 1 and ell >= 2,
+        runs=lambda m, ell: ((ell, 1), (1, 2 * m + ell)),
+        orders=lambda m, ell: (2 * m + ell + 1,),
+        guess=lambda runs: (
+            ((runs[1][1] - runs[0][0]) // 2, runs[0][0]) if len(runs) == 2 else None
+        ),
+        candidates=lambda n: [(m, n - 1 - 2 * m) for m in range(1, (n - 3) // 2 + 1)],
+        omega_alpha=lambda m, ell: (2, m + ell), fix=lambda m, ell: m + ell - 1,
+        dist=lambda m, ell: max(_min_colors_for_pairs(m), ell), split=False,
+    ),
+    Family(
+        Base.U3, ("m",), "m >= 1", lambda m: m >= 1,
+        runs=lambda m: ((2 * m + 2, 1), (2, 2 * m + 3)),
+        orders=lambda m: (2 * m + 4,),
+        guess=lambda runs: ((runs[0][0] - 2) // 2,) if len(runs) == 2 else None,
+        candidates=lambda n: [((n - 4) // 2,)] if n % 2 == 0 and n >= 6 else [],
+        omega_alpha=lambda m: (3, m + 2), fix=lambda m: m + 1,
+        dist=lambda m: max(_min_colors_for_pairs(m), 2), split=False,
+    ),
+)
+SPLIT_FAMILIES = (
+    Family(
+        Base.K1, (), "no parameters", lambda: True,
+        runs=lambda: (((0, 1),), ()), orders=lambda: (1, 0), guess=lambda runs: (),
+        candidates=lambda n: [()] if n == 1 else [],
+        omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
+    ),
+    Family(
+        Base.S1, (), "no parameters", lambda: True,
+        runs=lambda: ((), ((0, 1),)), orders=lambda: (0, 1), guess=lambda runs: (),
+        candidates=lambda n: [()] if n == 1 else [],
+        omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
+    ),
+    # q stars with p leaves each, centers mutually adjacent
+    Family(
+        Base.SPQ, ("p", "q"), "p >= 1, q >= 2", lambda p, q: p >= 1 and q >= 2,
+        runs=lambda p, q: (((p + q - 1, q),), ((1, p * q),)),
+        orders=lambda p, q: (q, p * q), guess=_spq_guess,
+        candidates=lambda n: [
+            (n // q - 1, q) for q in range(2, n // 2 + 1) if n % q == 0
+        ],
+        fix=lambda p, q: _stars_fix((p, q)), dist=_dist_star_block,
+    ),
+    # blocks of q_i stars with p_i leaves, all centers mutually adjacent
+    Family(
+        Base.S2, None, "pairs p1, q1, ..., pm, qm with m >= 2,"
+        " p1 > ... > pm >= 1 and every qi >= 1",
+        lambda *prm: (
+            len(prm) >= 4 and len(prm) % 2 == 0 and prm[-2] >= 1
+            and all(q >= 1 for q in prm[1::2])
+            and all(a > b for a, b in zip(prm[::2], prm[2::2]))
+        ),
+        runs=_s2_runs,
+        orders=lambda *prm: (sum(prm[1::2]), sum(p * q for p, q in _pairs(prm))),
+        guess=_s2_guess, candidates=_s2_tuples,
+        fix=lambda *prm: _stars_fix(*_pairs(prm)),
+        dist=lambda *prm: _stars_dist(*_pairs(prm)),
+    ),
+    Family(
+        Base.S3, ("p", "q1", "q2"), "p >= 1, q1 >= 2, q2 >= 1",
+        lambda p, q1, q2: p >= 1 and q1 >= 2 and q2 >= 1,
+        runs=lambda p, q1, q2: (
+            ((p + q1 + q2, q1 + q2),), ((q1, 1), (1, p * q1 + (p + 1) * q2))
+        ),
+        orders=lambda p, q1, q2: (q1 + q2, 1 + p * q1 + (p + 1) * q2),
+        guess=_s3_guess,
+        # q2 blocks of p+2 vertices and the center leave a multiple of p+1
+        candidates=lambda n: [
+            (p, rest // (p + 1), q2)
+            for p in range(1, n)
+            for q2 in range(1, (n - 1) // (p + 2) + 1)
+            if (rest := n - 1 - q2 * (p + 2)) >= 2 * (p + 1) and rest % (p + 1) == 0
+        ],
+        fix=lambda p, q1, q2: _stars_fix((p, q1), (p + 1, q2)),
+        dist=lambda p, q1, q2: _stars_dist((p, q1), (p + 1, q2)),
+    ),
+    Family(
+        Base.S4, ("p", "q"), "p >= 1, q >= 1", lambda p, q: p >= 1 and q >= 1,
+        runs=lambda p, q: (
+            ((2 * (p + q + 1) + q * p, 1), (p + q + 3, q + 2)),
+            ((2, q * p + 2 * p + q + 1),),
+        ),
+        orders=lambda p, q: (q + 3, q * p + 2 * p + q + 1),
+        guess=_s4_guess,
+        # the order is (p + 2)(q + 2)
+        candidates=lambda n: [
+            (p, n // (p + 2) - 2) for p in range(1, n // 3 - 1) if n % (p + 2) == 0
+        ],
+        fix=lambda p, q: _stars_fix((p, 2), (p + 1, q)),
+        dist=lambda p, q: _stars_dist((p, 2), (p + 1, q)),
+    ),
+)
+# compact blocks: a run of m > 1 single vertices; never matched or drawn
+BLOCKS = (
+    Family(
+        Base.COMPLETE_BLOCK, ("m",), "m >= 1", lambda m: m >= 1,
+        runs=lambda m: (((m - 1, m),), ()), orders=lambda m: (m, 0),
+        guess=lambda runs: None, candidates=lambda n: [],
+        omega_alpha=lambda m: (m, 1), fix=lambda m: m - 1, dist=lambda m: m,
+    ),
+    Family(
+        Base.EMPTY_BLOCK, ("m",), "m >= 1", lambda m: m >= 1,
+        runs=lambda m: ((), ((0, m),)), orders=lambda m: (0, m),
+        guess=lambda runs: None, candidates=lambda n: [],
+        omega_alpha=lambda m: (1, m), fix=lambda m: m - 1, dist=lambda m: m,
+    ),
+)
+FAMILIES = NON_SPLIT_FAMILIES + SPLIT_FAMILIES
+CATALOG: dict[Base, Family] = {f.base: f for f in FAMILIES + BLOCKS}
+NON_SPLIT_BASES = frozenset(f.base for f in NON_SPLIT_FAMILIES)
+
+
+def _first_shape(families, variant: Variant, runs) -> TypedComponent | None:
+    for f in families:
+        prm = f.shape(runs)
+        if prm is not None:
+            return TypedComponent(variant, f.base, prm, sum(f.orders(*prm)))
     return None
 
 
 def match_nonsplit_runs(runs) -> TypedComponent | None:
     """Recognize the runs of an indecomposable non-split sequence against
     the four non-split families, trying the original then the complement."""
-    shape = _nonsplit_shape(runs)
-    if shape is not None:
-        return TypedComponent(Variant.ORIGINAL, *shape)
-    if len(runs) > 2:
+    t = _first_shape(NON_SPLIT_FAMILIES, Variant.ORIGINAL, runs)
+    if t is None and len(runs) <= 2:
         # every family has at most two runs, and complement keeps the count
-        return None
-    shape = _nonsplit_shape(complement_runs(runs, runs_order(runs)))
-    if shape is not None:
-        return TypedComponent(Variant.COMPLEMENT, *shape)
-    return None
-
-
-def _split_shape(ka, kb):
-    """(base, params) of the split family whose clique and stable runs
-    these are."""
-    if len(ka) == 1 and not kb and ka[0] == (0, 1):
-        return Base.K1, ()
-    if not ka and len(kb) == 1 and kb[0] == (0, 1):
-        return Base.S1, ()
-    if len(ka) == 1 and len(kb) == 1:
-        (d1, r1), (d2, r2) = ka[0], kb[0]
-        if r2 % r1 == 0 and d2 == 1:
-            p, q = r2 // r1, r1
-            if p >= 1 and q >= 2 and d1 == p + q - 1:
-                return Base.SPQ, (p, q)
-    if len(ka) >= 2 and len(kb) == 1 and kb[0][0] == 1:
-        ncenters = runs_order(ka)
-        pis = [d - ncenters + 1 for d, _ in ka]
-        qis = [r for _, r in ka]
-        if pis[-1] >= 1 and kb[0][1] == sum(p * q for p, q in zip(pis, qis)):
-            return Base.S2, tuple(x for pq in zip(pis, qis) for x in pq)
-    if len(ka) == 1 and len(kb) == 2:
-        (d1, r1) = ka[0]
-        (d2, r2), (d3, r3) = kb
-        if r2 == 1 and d3 == 1:
-            p, q1, q2 = d1 - r1, d2, r1 - d2
-            if p >= 1 and q1 >= 2 and q2 >= 1 and r3 == p * q1 + (p + 1) * q2:
-                return Base.S3, (p, q1, q2)
-    if len(ka) == 2 and len(kb) == 1:
-        (d1, r1), (d2, r2) = ka
-        (d3, r3) = kb[0]
-        if r1 == 1 and d3 == 2:
-            q = r2 - 2
-            p = d2 - 3 - q
-            if (
-                p >= 1
-                and q >= 1
-                and d1 == 2 * (p + q + 1) + q * p
-                and r3 == q * p + 2 * p + q + 1
-            ):
-                return Base.S4, (p, q)
-    return None
-
-
-# variants whose transform swaps the (clique, stable) run counts; the
-# inverse complement swaps them twice
-_COUNT_SWAPPING = frozenset({Variant.INVERSE, Variant.COMPLEMENT})
+        complement = complement_runs(runs, runs_order(runs))
+        t = _first_shape(NON_SPLIT_FAMILIES, Variant.COMPLEMENT, complement)
+    return t
 
 
 def _split_counts_fit(a: int, b: int) -> bool:
@@ -242,7 +473,7 @@ def _split_counts_fit(a: int, b: int) -> bool:
 
 def match_split_runs(kruns, sruns) -> TypedComponent | None:
     """Recognize the clique and stable runs of an indecomposable split
-    component against the five split families under original, inverse,
+    component against the six split families under original, inverse,
     complement and inverse-complement, in that order.
 
     Complement and split inverse each map a run to one run and swap the
@@ -254,11 +485,12 @@ def match_split_runs(kruns, sruns) -> TypedComponent | None:
         return None
     p, q = runs_order(kruns), runs_order(sruns)
     for variant in SPLIT_VARIANTS:
-        if not (swapped if variant in _COUNT_SWAPPING else straight):
+        if not (swapped if variant in SIDE_SWAPPING else straight):
             continue
-        shape = _split_shape(*split_variant(variant, kruns, sruns, p, q))
-        if shape is not None:
-            return TypedComponent(variant, *shape, p + q)
+        runs = split_variant(variant, kruns, sruns, p, q)
+        t = _first_shape(SPLIT_FAMILIES, variant, runs)
+        if t is not None:
+            return t
     return None
 
 
@@ -272,114 +504,40 @@ def match_split_type(ps: PairedDegreeSequence) -> TypedComponent | None:
     return match_split_runs(ps.kpart.runs, ps.spart.runs)
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParamOutOfRange(msg)
+def family_of(t: TypedComponent) -> Family:
+    """The catalog record of a well-formed typed component.
 
-
-# parameter count of each base; S2 takes any even count of at least 4
-_ARITY = {Base.C5: 0, Base.K1: 0, Base.S1: 0, Base.S2: None}
-_ARITY.update((b, len(names)) for b, names in _PARAM_NAMES.items())
-
-
-def _base_runs(base: Base, params: tuple[int, ...]):
-    """Runs of a base family instance: plain runs for a non-split base,
-    (clique runs, stable runs) otherwise."""
-    if base is Base.C5:
-        return ((2, 5),)
-    if base is Base.MK2:
-        (m,) = params
-        _check(m >= 2, "mk2 needs m >= 2")
-        return ((1, 2 * m),)
-    if base is Base.U2:
-        m, ell = params
-        _check(m >= 1 and ell >= 2, "u2 needs m >= 1, l >= 2")
-        return ((ell, 1), (1, 2 * m + ell))
-    if base is Base.U3:
-        (m,) = params
-        _check(m >= 1, "u3 needs m >= 1")
-        return ((2 * m + 2, 1), (2, 2 * m + 3))
-    if base is Base.K1:
-        return ((0, 1),), ()
-    if base is Base.S1:
-        return (), ((0, 1),)
-    if base is Base.SPQ:
-        p, q = params
-        _check(p >= 1 and q >= 2, "spq needs p >= 1, q >= 2")
-        return ((p + q - 1, q),), ((1, p * q),)
-    if base is Base.S2:
-        _check(len(params) >= 4 and len(params) % 2 == 0, "s2 needs >= 2 pairs")
-        pairs = list(zip(params[::2], params[1::2]))
-        _check(all(q >= 1 for _, q in pairs), "s2 needs q_i >= 1")
-        _check(
-            all(a > b for (a, _), (b, _) in zip(pairs, pairs[1:]))
-            and pairs[-1][0] >= 1,
-            "s2 needs p_1 > ... > p_m >= 1",
-        )
-        ncenters = sum(q for _, q in pairs)
-        kruns = tuple((p + ncenters - 1, q) for p, q in pairs)
-        leaves = sum(p * q for p, q in pairs)
-        return kruns, ((1, leaves),)
-    if base is Base.S3:
-        p, q1, q2 = params
-        _check(p >= 1 and q1 >= 2 and q2 >= 1, "s3 needs p >= 1, q1 >= 2, q2 >= 1")
-        return ((p + q1 + q2, q1 + q2),), ((q1, 1), (1, p * q1 + (p + 1) * q2))
-    if base is Base.S4:
-        p, q = params
-        _check(p >= 1 and q >= 1, "s4 needs p >= 1, q >= 1")
-        return (
-            ((2 * (p + q + 1) + q * p, 1), (p + q + 3, q + 2)),
-            ((2, q * p + 2 * p + q + 1),),
-        )
-    if base is Base.COMPLETE_BLOCK:
-        (m,) = params
-        _check(m >= 1, "complete block needs m >= 1")
-        return ((m - 1, m),), ()
-    (m,) = params  # EMPTY_BLOCK
-    _check(m >= 1, "empty block needs m >= 1")
-    return (), ((0, m),)
+    Raises ParamOutOfRange when ``t`` is not a typed component, its
+    parameters leave the catalog bounds or its order is not theirs, and
+    VariantUndefined for a split inverse of a non-split base.
+    """
+    if not isinstance(t, TypedComponent):
+        raise ParamOutOfRange(f"not a typed component: {t!r}")
+    if not (isinstance(t.base, Base) and isinstance(t.variant, Variant)):
+        raise ParamOutOfRange(f"unknown base or variant in {t!r}")
+    f = CATALOG[t.base]
+    f.check(t.params)
+    order = sum(f.orders(*t.params))
+    if t.order != order:
+        raise ParamOutOfRange(f"{f.tag(t.params)} has order {order}, not {t.order!r}")
+    if t.variant not in f.variants:
+        raise VariantUndefined("non-split bases only admit the complement")
+    return f
 
 
 def emit_runs(t: TypedComponent):
     """Catalog runs of a typed component (the exact matcher inverse): plain
-    runs for a non-split base, (clique runs, stable runs) otherwise.
-
-    Raises ParamOutOfRange when ``t`` is not a well-formed typed component
-    or its parameters leave the catalog bounds, and VariantUndefined for a
-    split inverse of a non-split base.
-    """
-    if not isinstance(t, TypedComponent):
-        raise ParamOutOfRange(f"not a typed component: {t!r}")
-    base, params = t.base, t.params
-    if not (isinstance(base, Base) and isinstance(t.variant, Variant)):
-        raise ParamOutOfRange(f"unknown base or variant in {t!r}")
-    arity = _ARITY[base]
-    if not (
-        isinstance(params, tuple)
-        and (arity is None or len(params) == arity)
-        and all(isinstance(x, int) for x in params)
-    ):
-        raise ParamOutOfRange(
-            f"{base.value} takes {'an even number of' if arity is None else arity}"
-            f" integer parameters, got {params!r}"
-        )
-    runs = _base_runs(base, params)
-    if base in NON_SPLIT_BASES:
-        if t.variant is Variant.ORIGINAL:
-            return runs
-        if t.variant is not Variant.COMPLEMENT:
-            raise VariantUndefined("non-split bases only admit the complement")
-        return complement_runs(runs, runs_order(runs))
-    kruns, sruns = runs
-    return split_variant(t.variant, kruns, sruns, runs_order(kruns), runs_order(sruns))
+    runs for a non-split base, (clique runs, stable runs) otherwise. Raises
+    as :func:`family_of` does."""
+    return family_of(t).emit(t.variant, t.params)
 
 
 def type_to_sequence(t: TypedComponent):
     """Emit the catalog sequence for a typed component (exact matcher inverse)."""
     runs = emit_runs(t)
-    if t.base in NON_SPLIT_BASES:
-        return DegreeSequence(runs)
-    return PairedDegreeSequence.from_runs(*runs)
+    if CATALOG[t.base].split:
+        return PairedDegreeSequence.from_runs(*runs)
+    return DegreeSequence(runs)
 
 
 @lru_cache(maxsize=1 << 14)

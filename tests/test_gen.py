@@ -111,6 +111,35 @@ class TestSoundness:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("split_only", [True, False])
+    def test_pools_are_every_candidate_retagged(self, split_only, monkeypatch):
+        # the pool of an order is exactly the matcher's re-tag of every
+        # candidate variant, once each and sorted by tag, and building it
+        # matches no runs
+        expect = {}
+        for order in range(1, gen._ENUM_LIMIT + 1):
+            expect[order] = {
+                _canonical(TypedComponent(v, f.base, prm, order))
+                for f in unitype.FAMILIES
+                if split_only <= f.split
+                for prm in f.candidates(order)
+                for v in f.variants
+            }
+        calls = []
+        for module in (gen, unitype):
+            for name in ("match_split_runs", "match_nonsplit_runs"):
+                def counted(*args, _real=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        for order, canon in expect.items():
+            pool = components_of_order.__wrapped__(order, split_only)
+            assert set(pool) == canon, order
+            assert len(pool) == len(canon), order
+            assert [t.tag() for t in pool] == sorted(t.tag() for t in canon), order
+        assert calls == []
+
     def test_order_one(self):
         tags = [t.tag() for t in components_of_order(1, split_only=True)]
         assert tags == ["k1", "s1"]
@@ -411,6 +440,12 @@ class TestEntryPointErrors:
             (
                 lambda: type_to_sequence(
                     TypedComponent("inverse", Base.SPQ, (1, 2), 4)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, Base.SPQ, (1, 2), 99)
                 ),
                 ParamOutOfRange,
             ),

@@ -6,7 +6,7 @@ import pytest
 from unigraph import oracle
 from unigraph.decomp import compact
 from unigraph.degseq import complement_seq, parse_sequence, realize
-from unigraph.errors import NotUnigraph
+from unigraph.errors import NotUnigraph, ParamOutOfRange
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.params import (
     _dist_star_block,
@@ -141,7 +141,8 @@ class TestComponentDist:
         assert oracle.brute_dist(realize(parse_sequence("3^3,1^3"))) == 2
 
     def test_formula_sweep_all_orders_le_9(self, atlas8):
-        # gate for every closed form: brute force over the whole catalog
+        # gate for every closed form: brute force over the whole catalog,
+        # clique and independence numbers included
         from unigraph.degseq import DegreeSequence
         from unigraph.gen import components_of_order
         from unigraph.unitype import type_to_sequence
@@ -158,8 +159,35 @@ class TestComponentDist:
                 g = realize(seq)
                 assert component_dist(t) == oracle.brute_dist(g), t
                 assert component_fix(t) == oracle.brute_fix(g), t
+                assert component_omega_alpha(t) == oracle.brute_params(g)[:2], t
                 checked += 1
         assert checked > 100
+
+
+@pytest.mark.parametrize("fn", [component_fix, component_dist, component_omega_alpha])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        None,
+        "spq(p=1,q=2)",
+        T(Variant.ORIGINAL, "spq", (1, 2), 4),
+        T("original", Base.SPQ, (1, 2), 4),
+        T(Variant.ORIGINAL, Base.SPQ, (1,), 4),
+        T(Variant.ORIGINAL, Base.SPQ, (1, 2, 3), 4),
+        T(Variant.ORIGINAL, Base.SPQ, [1, 2], 4),
+        T(Variant.ORIGINAL, Base.SPQ, (1.0, 2), 4),
+        T(Variant.ORIGINAL, Base.SPQ, (0, 2), 2),
+        T(Variant.ORIGINAL, Base.SPQ, (1, 2), 99),
+        T(Variant.ORIGINAL, Base.C5, (1,), 5),
+        T(Variant.ORIGINAL, Base.S2, (2, 1, 2, 1), 6),
+        T(Variant.ORIGINAL, Base.COMPLETE_BLOCK, (0,), 0),
+        T(Variant.ORIGINAL, Base.EMPTY_BLOCK, (), 3),
+    ],
+)
+def test_component_params_reject_bad_types(fn, bad):
+    # public per-component functions validate against the catalog record
+    with pytest.raises(ParamOutOfRange):
+        fn(bad)
 
 
 def min_colors_loop(m):
