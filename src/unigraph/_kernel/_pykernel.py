@@ -5,33 +5,32 @@ parallel lists: strictly decreasing run values and positive multiplicities.
 Costs scale with the number of runs and emitted components, not with the
 vertex count, so sequences with huge multiplicities stay cheap.
 
-The decomposition routine searches for "cut points" (p, q): indices
-splitting the sorted sequence into a top block of p degrees, a bottom block
-of q degrees, and a middle, such that
+A component of the canonical decomposition strips off a top block of p
+degrees and a bottom block of q degrees, with
 
-    sum(top p) == p * (N - q - 1) + sum(bottom q).
+    sum(top p) == p * (N - q - 1) + sum(bottom q):
 
-Cut points of one sequence form a chain (both coordinates non-decreasing
-along it), and the lexicographically smallest cut strips exactly the first
-component of the canonical decomposition, so the first record of
-``decompose_runs`` names it. For a multi-vertex first component both p and
-q land on run boundaries, while p <= 1 or q == 0 cuts are exactly the
-isolated/dominant single-vertex strips; those two facts keep the search
-run-granular.
+the top block is a clique joined to everything but the bottom block, which
+is a stable set. The clique cuts of the decomposition are read off the
+Erdos-Gallai pass itself (Barrus, "Hereditary unigraphs and Erdos-Gallai
+equalities", Discrete Math. 2013). The running clique count after each
+dominant-vertex strip and each multi-vertex head is an index k at which
+the Erdos-Gallai inequality holds with equality, and each such index is
+one of these counts, except possibly the largest, which then lies inside a
+split tail. At an equality index k the top k vertices form a clique and
+each later vertex of degree below k sends all its edges into it, so the
+stable block of the head ending at k is the vertices of degree below k
+that are left.
 
-Both run-level loops stop at the corrected Durfee index m, the largest i
-with d_i >= i - 1, so their cost follows the runs up to m, not all r runs:
-
-* Erdos-Gallai needs checking only at run ends up to the first one at or
-  past m (Hammer-Ibaraki-Simeone 1978; Tripathi-Vijay 2003 for run ends):
-  from a run end k with d_{k+1} < k on, every later degree is below k, so
-  the slack of the inequality only grows.
-* A head with p clique vertices needs d_p >= p - 1, since a clique vertex
-  is adjacent to the other p - 1 clique vertices, so the cut search stops
-  at the first p past m.
+Erdos-Gallai needs checking only at run ends (Tripathi-Vijay 2003), and
+only up to the first one at or past the corrected Durfee index m, the
+largest i with d_i >= i - 1 (Hammer-Ibaraki-Simeone 1978): from a run end
+k with d_{k+1} < k on, every later degree is below k, so the slack of the
+inequality only grows. The run loop therefore follows the runs up to m,
+not all r runs, and each head then costs one bisection.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
 from operator import index, mul
@@ -69,30 +68,32 @@ def _eg_holds(vals, neg, ccnt, csum):
     the first run end at or past the corrected Durfee index
     (Hammer-Ibaraki-Simeone 1978): every later degree is below k, so from
     there on the slack k(k-1) + S_n - 2 S_k rises by 2k - 2d_{k+1} > 0 per
-    vertex.
+    vertex, and no later index is an equality either.
 
-    Returns None when an inequality fails, else ``below``: below[t] is the
-    first run after t with value < ccnt[t+1], for every t the loop checked.
-    The first cut search of ``decompose_runs`` reads its bounds from it.
+    Returns None when an inequality fails, else the equality run ends: the
+    ascending run counts b whose inequality, at k = ccnt[b], holds with
+    equality. ``decompose_runs`` takes its clique cuts from them.
     """
     r = len(vals)
-    n = ccnt[r]
-    if csum[r] % 2 or (r and vals[0] >= n):
+    total = csum[r]
+    if total % 2 or (r and vals[0] >= ccnt[r]):
         return None
-    below = []
-    for t in range(r):
-        k = ccnt[t + 1]
-        last = t + 1 == r or vals[t + 1] < k
-        # suffix i > k: runs with value >= k contribute k each, smaller
-        # values contribute themselves
-        s = t + 1 if last else bisect_right(neg, -k, t + 1, r)
-        rhs = k * (k - 1) + k * (ccnt[s] - ccnt[t + 1]) + (csum[r] - csum[s])
-        if csum[t + 1] > rhs:
+    cuts = []
+    for b in range(1, r + 1):
+        k = ccnt[b]
+        last = b == r or vals[b] < k
+        # suffix i > k: the runs before s have value >= k and contribute k
+        # each, smaller values contribute themselves; so the slack is
+        # k(k-1) + k(ccnt[s] - k) + (total - csum[s]) - csum[b]
+        s = b if last else bisect_right(neg, -k, b, r)
+        slack = k * (ccnt[s] - 1) + total - csum[s] - csum[b]
+        if slack < 0:
             return None
-        below.append(s)
+        if not slack:
+            cuts.append(b)
         if last:
             break
-    return below
+    return cuts
 
 
 def _prefix(vals, mults):
@@ -101,79 +102,6 @@ def _prefix(vals, mults):
         list(accumulate(mults, initial=0)),
         list(accumulate(map(mul, vals, mults), initial=0)),
     )
-
-
-def _cut_search(neg, ccnt, csum, lo, hi, shift, n, below):
-    """Lex-min cut with p >= 2, q >= 1 over run boundaries of [lo, hi).
-
-    Returns (i, j, p, q) where the top i and bottom j window runs form the
-    cut, or None. Assumes the isolated/dominant fast paths already failed,
-    which confines any remaining cut to run boundaries.
-
-    The search stops at the first p whose p-th effective degree is below
-    p - 1, i.e. at the first p past the window's corrected Durfee index
-    (the index that bounds Erdos-Gallai, Hammer-Ibaraki-Simeone 1978). A
-    cut makes its top p vertices a clique joined to the middle, so each has
-    effective degree >= n - q - 1 >= p - 1, and a later i only raises p and
-    lowers the p-th degree. While the window starts at run 0 (so shift ==
-    0), the first bottom run below p is Erdos-Gallai's ``below[i - 1]``,
-    which covers every i up to that stop and never passes hi: the only run
-    that can lie past hi then is the stripped degree-0 run.
-    """
-    base_cnt = ccnt[lo]
-    nruns = hi - lo
-
-    def bot_cnt(j):
-        return ccnt[hi] - ccnt[hi - j]
-
-    def h(j, p):
-        # p*q - (effective sum of the bottom q degrees)
-        cnt = ccnt[hi] - ccnt[hi - j]
-        return p * cnt - (csum[hi] - csum[hi - j] - shift * cnt)
-
-    for i in range(1, nruns - 1):
-        p = ccnt[lo + i] - base_cnt
-        if -neg[lo + i - 1] - shift < p - 1:
-            break
-        if p < 2:
-            continue
-        jmax = nruns - i - 1
-        top = csum[lo + i] - csum[lo] - shift * p
-        gamma = p * (n - 1) - top  # > 0 once the dominant fast path failed
-        # h rises strictly over bottom runs with value < p, is flat at
-        # value == p, then falls strictly; zeros of the cut equation are
-        # h == gamma crossings.
-        if lo:
-            first_lt = bisect_right(neg, -(p + shift), lo + i, hi)
-        else:
-            first_lt = below[i - 1]
-        jr = min(hi - first_lt, jmax)
-        if jr <= 0 or h(jr, p) < gamma:
-            continue
-        a, b = 1, jr
-        while a < b:
-            mid = (a + b) // 2
-            if h(mid, p) >= gamma:
-                b = mid
-            else:
-                a = mid + 1
-        if h(a, p) == gamma:
-            return i, a, p, bot_cnt(a)
-        # the rising side jumped past gamma; the falling side may cross back
-        first_le = bisect_left(neg, -(p + shift), lo + i, hi)
-        jle = min(hi - first_le, jmax)
-        if jle >= jmax:
-            continue
-        a, b = jle + 1, jmax
-        while a < b:
-            mid = (a + b) // 2
-            if h(mid, p) <= gamma:
-                b = mid
-            else:
-                a = mid + 1
-        if h(a, p) == gamma:
-            return i, a, p, bot_cnt(a)
-    return None
 
 
 def decompose_runs(vals, mults):
@@ -186,7 +114,7 @@ def decompose_runs(vals, mults):
       ('s1', count)  count consecutive isolated-vertex components (-; 0)
       ('head', kruns, sruns, p, q)  one multi-vertex split head: its clique
           and stable runs as tuples of (degree, multiplicity) pairs, and
-          their orders p and q, the cut the search found
+          their orders p and q, read off an Erdos-Gallai equality
       ('tail', truns, n)  the final indecomposable remainder (last): its
           runs as such a tuple, and its order
 
@@ -198,12 +126,13 @@ def decompose_runs(vals, mults):
     r = len(vals)
     ccnt, csum = _prefix(vals, mults)
     neg = [-v for v in vals]
-    below = _eg_holds(vals, neg, ccnt, csum)
-    if below is None:
+    cuts = _eg_holds(vals, neg, ccnt, csum)
+    if cuts is None:
         return None
     n = ccnt[r]
     lo, hi = 0, r
-    shift = 0
+    shift = 0  # clique vertices stripped so far, ccnt[lo]
+    c = 0
     while True:
         if n == 0:
             records.append(("tail", (), 0))
@@ -232,24 +161,37 @@ def decompose_runs(vals, mults):
             shift += m
             n -= m
             continue
-        found = _cut_search(neg, ccnt, csum, lo, hi, shift, n, below)
-        if found is None:
+        # the next equality index k past the clique vertices stripped so
+        # far; its stable side is the window runs with value below k
+        while c < len(cuts) and cuts[c] <= lo:
+            c += 1
+        if c < len(cuts):
+            b = cuts[c]
+            j = bisect_right(neg, -ccnt[b], b, hi)
+            p = ccnt[b] - shift
+            q = ccnt[hi] - ccnt[j]
+            mid = n - p - q
+        if c == len(cuts) or not q or not mid:
             # drop the O(r) prefix lists first: the garbage collections that
             # the tail's new tuples trigger would walk them while they live
-            del ccnt, csum, neg, below
+            del ccnt, csum, neg, cuts
             tvals = vals[lo:hi]
             if shift:
                 tvals = [v - shift for v in tvals]
             records.append(("tail", tuple(zip(tvals, mults[lo:hi])), n))
             break
-        i, j, p, q = found
-        mid = n - p - q
         down = shift + mid
-        kruns = tuple([(vals[t] - down, mults[t]) for t in range(lo, lo + i)])
-        sruns = tuple([(vals[t] - shift, mults[t]) for t in range(hi - j, hi)])
+        # most sides are one run, which needs no comprehension
+        if b - lo == 1:
+            kruns = ((vals[lo] - down, mults[lo]),)
+        else:
+            kruns = tuple([(vals[t] - down, mults[t]) for t in range(lo, b)])
+        if hi - j == 1:
+            sruns = ((vals[j] - shift, mults[j]),)
+        else:
+            sruns = tuple([(vals[t] - shift, mults[t]) for t in range(j, hi)])
         records.append(("head", kruns, sruns, p, q))
-        lo += i
-        hi -= j
+        lo, hi = b, j
         shift += p
         n = mid
     return records

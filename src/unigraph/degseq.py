@@ -18,11 +18,16 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import gt
 from typing import Iterable, Iterator
 
 from . import _kernel
 from .errors import FormatError, NegativeDegree, NotGraphical, TooLarge
 
+# the characters of a sequence text, and one run of it; parse_sequence
+# matches the first over the whole text, and the second per part only for a
+# text its scan refused
+_TEXT_RE = re.compile(r"[\d\s,^]*")
 _RUN_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
 
 # realize refuses sequences whose graph has more vertices plus edges
@@ -307,27 +312,61 @@ def _check_text(text) -> None:
 
 
 def parse_sequence(text: str) -> DegreeSequence:
-    """Parse the ``8^4,5^4,2^2`` text form (``-`` is the empty sequence)."""
+    """Parse the ``8^4,5^4,2^2`` text form (``-`` is the empty sequence).
+
+    One scan: the whole text is matched against the characters a sequence
+    may hold, then each run is read with ``split``, ``partition`` and
+    ``int``, which refuse every malformed run the class lets through. Runs
+    are merged and sorted only when they are not already strictly
+    decreasing. A whole-text regex of the run grammar is avoided on
+    purpose: ``re`` keeps backtracking state for each of its repetitions.
+    """
     _check_text(text)
     text = text.strip()
     if text in ("", "-"):
         return DegreeSequence(())
-    degrees: list[tuple[int, int]] = []
-    for part in text.split(","):
-        m = _RUN_RE.match(part)
-        if not m:
-            raise FormatError(f"bad degree run {part!r}")
-        degrees.append((int(m.group(1)), int(m.group(2) or 1)))
-    raw_vals: dict[int, int] = {}
-    for d, mult in degrees:
-        if mult < 1:
-            raise FormatError(f"bad multiplicity in {text!r}")
-        raw_vals[d] = raw_vals.get(d, 0) + mult
-    runs = tuple(sorted(raw_vals.items(), reverse=True))
+    vals: list[int] = []
+    mults: list[int] = []
     try:
-        return DegreeSequence(runs)
-    except (ValueError, NegativeDegree) as exc:
-        raise FormatError(str(exc)) from exc
+        if not _TEXT_RE.fullmatch(text):
+            raise ValueError
+        for part in text.split(","):
+            d, caret, m = part.partition("^")
+            vals.append(int(d))
+            mults.append(int(m) if caret else 1)
+    except ValueError:
+        vals, mults = _runs_per_part(text)
+    if 0 in mults:
+        raise FormatError(f"bad multiplicity in {text!r}")
+    if all(map(gt, vals, vals[1:])):
+        runs = tuple(zip(vals, mults))
+    else:
+        merged: defaultdict[int, int] = defaultdict(int)
+        for d, m in zip(vals, mults):
+            merged[d] += m
+        runs = tuple(sorted(merged.items(), reverse=True))
+    return DegreeSequence._trusted(runs, sum(mults))
+
+
+def _runs_per_part(text: str) -> tuple[list[int], list[int]]:
+    """Degrees and multiplicities of a text the one scan of
+    :func:`parse_sequence` refused, read one part at a time. A part that is
+    not a run, or a number longer than ``int`` converts, raises FormatError.
+    The scan also refuses runs padded with the separators U+001C-U+001F,
+    which ``re`` and ``str.strip`` take as whitespace and ``int`` does not;
+    they parse here."""
+    vals: list[int] = []
+    mults: list[int] = []
+    for part in text.split(","):
+        run = _RUN_RE.match(part)
+        if not run:
+            raise FormatError(f"bad degree run {part!r}")
+        try:
+            vals.append(int(run.group(1)))
+            mults.append(int(run.group(2) or 1))
+        except ValueError:
+            raise FormatError("degree or multiplicity with too many digits") from None
+    return vals, mults
 
 
 def parse_paired(text: str) -> PairedDegreeSequence:

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 from .decomp import CompactDecomposition, Decomposition, compact
 from .degseq import brief
-from .errors import NotUnigraph
+from .errors import FormatError, NotUnigraph
 from .unitype import (  # the star-block helpers are read by the tests here
     CATALOG,
     SIDE_SWAPPING,
     Base,
+    Family,
     TypedComponent,
     UnigraphReport,
     Variant,
@@ -83,8 +84,17 @@ def component_omega_alpha(t: TypedComponent) -> tuple[int, int]:
     return _omega_alpha(t)
 
 
+def _check_verdict(d, r) -> None:
+    """Raise FormatError unless (d, r) has the shape is_unigraph returns."""
+    if not isinstance(d, Decomposition):
+        raise FormatError(f"expected a Decomposition, got {type(d).__name__}")
+    if not isinstance(r, UnigraphReport):
+        raise FormatError(f"expected a UnigraphReport, got {type(r).__name__}")
+
+
 def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int]:
     """(omega, alpha, beta, chi) from the canonical decomposition."""
+    _check_verdict(d, r)
     if not r.is_unigraph:
         raise NotUnigraph("exact parameters require a unigraph sequence")
     if d.n == 0:
@@ -117,34 +127,53 @@ def compact_typed(
     """Compact decomposition with one typed component per compact entry,
     read from the report's runs: a run of m > 1 single vertices types as
     its block, and every other entry keeps its type."""
+    _check_verdict(d, r)
     if not r.is_unigraph:
         raise NotUnigraph("compact typing requires a unigraph sequence")
+    return compact(d), _compact_types(d, r)
+
+
+def _compact_types(d: Decomposition, r: UnigraphReport) -> tuple[TypedComponent, ...]:
+    """The types of :func:`compact_typed`, without building the compact
+    decomposition they describe."""
     runs = list(r.runs)
     if d.tail.n == 1 and len(runs) > 1 and runs[-2][0] == runs[-1][0]:
         # compact absorbs a single-vertex tail into a run of its own type
         runs[-2:] = [(runs[-1][0], runs[-2][1] + 1)]
-    types = tuple(
+    return tuple(
         t if m == 1 else TypedComponent(Variant.ORIGINAL, _BLOCK[t.base], (m,), m)
         for t, m in runs
     )
-    return compact(d), types
+
+
+def _families(cd, types) -> list[tuple[Family, TypedComponent]]:
+    """The catalog record of each typed component of a compact
+    decomposition, with the component; raises as :func:`family_of` does."""
+    if not isinstance(cd, CompactDecomposition):
+        raise FormatError(f"expected a CompactDecomposition, got {type(cd).__name__}")
+    try:
+        types = list(types)
+    except TypeError:
+        raise FormatError(
+            f"expected typed components, got {type(types).__name__}"
+        ) from None
+    return [(family_of(t), t) for t in types]
 
 
 def fixing_number(
     cd: CompactDecomposition, types: tuple[TypedComponent, ...]
 ) -> int:
-    """Sum of per-component fixing numbers over the compact decomposition;
-    the types are those :func:`compact_typed` returns, so they are not
-    checked again."""
-    return sum(CATALOG[t.base].fix(*t.params) for t in types)
+    """Sum of per-component fixing numbers over the compact decomposition
+    ``cd``, from the types :func:`compact_typed` returns with it."""
+    return sum(f.fix(*t.params) for f, t in _families(cd, types))
 
 
 def distinguishing_number(
     cd: CompactDecomposition, types: tuple[TypedComponent, ...]
 ) -> int:
     """Maximum per-component distinguishing number; 1 for the empty graph.
-    The types are not checked, as in :func:`fixing_number`."""
-    return max((CATALOG[t.base].dist(*t.params) for t in types), default=1)
+    The arguments are those of :func:`fixing_number`."""
+    return max((f.dist(*t.params) for f, t in _families(cd, types)), default=1)
 
 
 def unigraph_params(s) -> ParamSet:
@@ -157,12 +186,10 @@ def unigraph_params(s) -> ParamSet:
     if not r.is_unigraph:
         raise NotUnigraph(f"{brief(s)} is not a unigraph")
     omega, alpha, beta, chi = core_params(d, r)
-    cd, types = compact_typed(d, r)
-    return ParamSet(
-        omega=omega,
-        alpha=alpha,
-        beta=beta,
-        chi=chi,
-        fix=fixing_number(cd, types),
-        dist=distinguishing_number(cd, types),
-    )
+    # the compact types straight from the report, one catalog lookup each
+    fix, dist = 0, 1
+    for t in _compact_types(d, r):
+        f = CATALOG[t.base]
+        fix += f.fix(*t.params)
+        dist = max(dist, f.dist(*t.params))
+    return ParamSet(omega=omega, alpha=alpha, beta=beta, chi=chi, fix=fix, dist=dist)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -105,6 +106,21 @@ class TestParams:
     def test_non_unigraph_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "params", "-d", "2^8")
         assert code == 1 and "error" in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter converts any number of digits",
+    )
+    def test_json_error_on_number_past_int_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "--json", "params", "-d", "1" * 5000)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "type": "FormatError",
+                "message": "degree or multiplicity with too many digits",
+            }
+        }
+        assert "error" in err
 
 
 class TestComposeRealizeSplit:

@@ -1,8 +1,10 @@
 import random
+import re
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unigraph import oracle
@@ -22,6 +24,7 @@ from unigraph.degseq import (
     parse_paired,
     parse_sequence,
     realize,
+    runs_order,
 )
 from unigraph.errors import FormatError, NegativeDegree, NotGraphical, TooLarge
 from unigraph.graphcore import (
@@ -436,6 +439,44 @@ def realize_random(rng, n):
     return Graph.from_edges(n, edges)
 
 
+_PER_PART_RUN = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
+
+
+def per_part_runs(text):
+    """The runs of ``text`` as the per-part parser that the one-scan
+    ``parse_sequence`` replaced reads them: one regex match per part, then a
+    merge through a dict and a sort. Raises FormatError where it did."""
+    text = text.strip()
+    if text in ("", "-"):
+        return ()
+    merged = {}
+    for part in text.split(","):
+        m = _PER_PART_RUN.match(part)
+        if not m:
+            raise FormatError(f"bad degree run {part!r}")
+        d, mult = int(m.group(1)), int(m.group(2) or 1)
+        if mult < 1:
+            raise FormatError(f"bad multiplicity in {text!r}")
+        merged[d] = merged.get(d, 0) + mult
+    return tuple(sorted(merged.items(), reverse=True))
+
+
+# runs of digits (ASCII, Arabic-Indic, Devanagari, fullwidth), whitespace
+# (ASCII, no-break, em space, a separator control) and the characters that
+# int() or a whole-text scan might let through where a run must not
+_TEXT_PIECES = ["0", "1", "2", "3", "7", "10", "\u0663", "\u0969", "\uff13",
+                " ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "^", "+", "_", "-"]
+_pad = st.text(alphabet=" \t\u00a0\u2003\x1c", max_size=2)
+_number = st.text(alphabet="0123456789\u0663\u0969\uff13", min_size=1, max_size=3)
+_run = st.tuples(
+    _pad, _number, _pad, st.just("") | st.tuples(_pad, _number, _pad).map("".join)
+).map(lambda t: t[0] + t[1] + t[2] + (t[3] and "^" + t[3]))
+sequence_texts = (
+    st.lists(st.lists(st.sampled_from(_TEXT_PIECES), max_size=6).map("".join), max_size=6)
+    | st.lists(_run, max_size=6)
+).map(",".join)
+
+
 class TestTextFormat:
     @pytest.mark.parametrize(
         "text", ["8^4,5^4,2^2", "3,2,1^3", "0", "-", "2^5", "9,7,6,4^5,1^2"]
@@ -526,3 +567,54 @@ class TestTextFormat:
     def test_generic_round_trip(self, raw):
         s = normalize(raw)
         assert parse_sequence(s.to_text()) == s
+
+    @given(sequence_texts)
+    @example(" 3 , 2 ^ 2 ,1")
+    @example("1^3,3,2,3")
+    @example("+3")
+    @example("1_0")
+    @example("3,,2")
+    @example("3^")
+    @example("3^2^1")
+    @example("1^0")
+    @example("3 4")
+    @example("\u0663^\uff12,1")
+    @example("-")
+    @example("-,1")
+    @example("0,\x1c0")
+    def test_one_scan_matches_per_part_parser(self, text):
+        # the one-scan parser gives the per-part parser's runs, or both refuse
+        try:
+            expect = per_part_runs(text)
+        except FormatError:
+            with pytest.raises(FormatError):
+                parse_sequence(text)
+        else:
+            s = parse_sequence(text)
+            assert s.runs == expect
+            assert s.n == runs_order(expect)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter converts any number of digits",
+    )
+    @pytest.mark.parametrize("text", ["1" * 5000, "3^" + "1" * 5000, "2,1" + "0" * 5000])
+    def test_number_past_int_digit_limit_is_format_error(self, text):
+        with pytest.raises(FormatError, match="too many digits"):
+            parse_sequence(text)
+
+    def test_parse_memory_stays_linear_in_text(self):
+        # 10^5 runs of about ten characters each; a whole-text regex of the
+        # run grammar would keep backtracking state per run and peak near 60
+        # bytes per character
+        rng = random.Random(5)
+        vals = sorted(rng.sample(range(10**6, 10**7), 10**5), reverse=True)
+        text = ",".join(f"{d}^{rng.randint(2, 99)}" for d in vals)
+        tracemalloc.start()
+        try:
+            s = parse_sequence(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s.runs) == 10**5
+        assert peak < 30 * len(text)

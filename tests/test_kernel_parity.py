@@ -13,6 +13,7 @@ from unigraph import _kernel
 from unigraph._kernel import _pykernel, reference
 from unigraph.decomp import decompose
 from unigraph.degseq import is_graphical, normalize, runs_order
+from unigraph.gen import GenSpec, compose_types, generate
 
 
 def random_graph_degrees(rng, n, p):
@@ -93,9 +94,24 @@ class TestAgainstReference:
                 assert flatten(records) == reference.decompose_naive(vals, mults), deg
         assert graphical_count == 6068
 
+    def test_exhaustive_n_10(self, kernel):
+        # the clique cuts read off Erdos-Gallai equalities against the naive
+        # cut search, one order past the n <= 9 sweep
+        graphical_count = 0
+        for deg in combinations_with_replacement(range(9, -1, -1), 10):
+            vals, mults = reference._runs(deg)
+            graphical = kernel.eg_graphical(vals, mults)
+            assert graphical == reference.eg_graphical_naive(vals, mults), deg
+            records = kernel.decompose_runs(vals, mults)
+            assert (records is None) == (not graphical), deg
+            if graphical:
+                graphical_count += 1
+                assert flatten(records) == reference.decompose_naive(vals, mults), deg
+        assert graphical_count == 22084 - 6068
+
     def test_record_orders_exhaustive_n_le_9(self, kernel):
-        # a head carries the (p, q) its cut search found and the tail its
-        # order; each must equal the order of the runs beside it
+        # a head carries the (p, q) of its Erdos-Gallai equality and the
+        # tail its order; each must equal the order of the runs beside it
         heads = 0
         for deg in nonincreasing_sequences(9):
             records = kernel.decompose_runs(*reference._runs(deg))
@@ -205,3 +221,22 @@ def test_run_loops_stop_at_durfee_prefix(monkeypatch, fn):
     monkeypatch.setattr(_pykernel, "bisect_right", counted)
     assert getattr(_pykernel, fn)(vals, mults)
     assert 0 < calls <= bound
+
+
+def test_each_head_costs_one_bisect(monkeypatch):
+    # the Erdos-Gallai pass finds every clique cut, so past its Durfee-bounded
+    # loop a head costs one bisection for its stable side and no search
+    s = compose_types(generate(GenSpec(n=4000, k=300, seed=1)))
+    vals, mults = s.values_mults()
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bisect_right(*args)
+
+    monkeypatch.setattr(_pykernel, "bisect_right", counted)
+    records = _pykernel.decompose_runs(vals, mults)
+    heads = sum(rec[0] == "head" for rec in records)
+    assert heads > 200
+    assert calls <= durfee_runs(vals, mults) + 2 + heads

@@ -6,7 +6,7 @@ import pytest
 from unigraph import oracle
 from unigraph.decomp import compact
 from unigraph.degseq import complement_seq, parse_sequence, realize
-from unigraph.errors import NotUnigraph, ParamOutOfRange
+from unigraph.errors import FormatError, NotUnigraph, ParamOutOfRange
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.params import (
     _dist_star_block,
@@ -188,6 +188,41 @@ def test_component_params_reject_bad_types(fn, bad):
     # public per-component functions validate against the catalog record
     with pytest.raises(ParamOutOfRange):
         fn(bad)
+
+
+def _verdict():
+    return is_unigraph(parse_sequence("3,2,1^3"))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: fixing_number(None, [None]), FormatError),
+        (lambda: distinguishing_number(None, ["spq"]), FormatError),
+        (lambda: fixing_number(compact(_verdict()[0]), [None]), ParamOutOfRange),
+        (lambda: distinguishing_number(compact(_verdict()[0]), ["spq"]), ParamOutOfRange),
+        (lambda: fixing_number(compact(_verdict()[0]), None), FormatError),
+        (
+            lambda: distinguishing_number(
+                compact(_verdict()[0]), [T(Variant.ORIGINAL, Base.SPQ, (1, 2), 99)]
+            ),
+            ParamOutOfRange,
+        ),
+        (lambda: core_params(None, None), FormatError),
+        (lambda: core_params(_verdict()[0], None), FormatError),
+        (lambda: compact_typed(None, None), FormatError),
+        (lambda: compact_typed(_verdict()[0], "report"), FormatError),
+    ],
+    ids=[
+        "fix-none", "dist-none", "fix-none-type", "dist-text-type", "fix-types-none",
+        "dist-wrong-order", "core-none", "core-no-report", "compact-none",
+        "compact-text-report",
+    ],
+)
+def test_verdict_params_reject_bad_arguments(call, error):
+    # the public functions over a verdict raise only UnigraphError subclasses
+    with pytest.raises(error):
+        call()
 
 
 def min_colors_loop(m):
