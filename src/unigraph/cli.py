@@ -126,7 +126,7 @@ def cmd_realize(args) -> int:
     if args.json:
         print(g.to_json())
     else:
-        sys.stdout.write(g.to_edge_list())
+        sys.stdout.writelines(g.edge_list_chunks())
     return 0
 
 

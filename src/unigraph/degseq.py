@@ -15,6 +15,7 @@ semicolon and writes an empty part as ``-`` (``3,2;1^3``).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +31,10 @@ from .errors import FormatError, NegativeDegree, NotGraphical, TooLarge
 _TEXT_RE = re.compile(r"[\d\s,^]*")
 _RUN_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
 
-# realize refuses sequences whose graph has more vertices plus edges
+# realize refuses sequences whose graph has more vertices plus edges. Its
+# tracemalloc peak per unit of n + m is 91 bytes on 1^666666 (the worst
+# shape measured), 53 on 3^400000 and 16 on 2500^5000, so the cap allows
+# about 0.91 GB
 REALIZE_MAX = 10**7
 
 
@@ -196,6 +200,16 @@ def brief(s) -> str:
     return f"{','.join(lead)},... (n={s.n}, r={len(s.runs)})"
 
 
+def _quote(text: str) -> str:
+    """``repr`` of an input text for an error message: verbatim up to
+    BRIEF_CHARS characters, otherwise its first BRIEF_CHARS // 2 characters
+    and the length of the text. Only BRIEF_CHARS + 1 characters are read."""
+    quoted = repr(text[: BRIEF_CHARS + 1])
+    if len(quoted) <= BRIEF_CHARS:
+        return quoted
+    return f"{quoted[: BRIEF_CHARS // 2]}... ({len(text)} characters)"
+
+
 def check_sequence(s) -> None:
     """Raise FormatError unless ``s`` is a DegreeSequence (not a raw list)."""
     if not isinstance(s, DegreeSequence):
@@ -337,7 +351,7 @@ def parse_sequence(text: str) -> DegreeSequence:
     except ValueError:
         vals, mults = _runs_per_part(text)
     if 0 in mults:
-        raise FormatError(f"bad multiplicity in {text!r}")
+        raise FormatError(f"bad multiplicity in {_quote(text)}")
     if all(map(gt, vals, vals[1:])):
         runs = tuple(zip(vals, mults))
     else:
@@ -360,7 +374,7 @@ def _runs_per_part(text: str) -> tuple[list[int], list[int]]:
     for part in text.split(","):
         run = _RUN_RE.match(part)
         if not run:
-            raise FormatError(f"bad degree run {part!r}")
+            raise FormatError(f"bad degree run {_quote(part)}")
         try:
             vals.append(int(run.group(1)))
             mults.append(int(run.group(2) or 1))
@@ -381,24 +395,25 @@ def parse_paired(text: str) -> PairedDegreeSequence:
     try:
         ps.validate()
     except (ValueError, NotGraphical) as exc:
-        raise FormatError(f"invalid paired sequence {text!r}: {exc}") from exc
+        raise FormatError(f"invalid paired sequence {_quote(text)}: {exc}") from exc
     return ps
 
 
 def realize(s: DegreeSequence):
-    """Deterministic Havel-Hakimi realization in O(n + m).
+    """Deterministic Havel-Hakimi realization.
 
     Vertices are numbered in non-increasing degree order, so vertex v has
-    degree ``s.to_list()[v]``. Unfinished vertices wait in one bucket per
-    remaining degree. Each round pops a vertex u from the highest non-empty
-    bucket and joins it to deg(u) targets taken from the highest non-empty
-    buckets downward; each target then moves one bucket lower. A round scans
-    at most deg(u) buckets and the top bucket only moves down.
+    degree ``s.to_list()[v]``. Each vertex u, in id order, is joined to the
+    vertices above it of largest remaining degree, as many as it still
+    needs. Ties: among vertices of equal remaining degree the highest ids
+    are taken first. The remaining degrees then stay non-increasing in id,
+    so u always has the largest remaining degree, and the vertices of one
+    remaining degree always form an id interval (a run).
 
-    Ties: a bucket is a stack. It starts with its run's ids, lowest on top,
-    and a lowered vertex is pushed on top of the bucket below after the
-    round, so within one remaining degree the vertex that entered the bucket
-    last is taken first, whether as u or as a target.
+    Costs: O(n) interpreted steps, with at most one bisect over the runs
+    per vertex; no step runs per edge and no neighbour list is sorted. The
+    neighbour ids are copied into the adjacency tuples by slicing and
+    concatenating tuples, O(n + m) work done in C.
 
     Raises TooLarge, before building anything, when n + m exceeds
     REALIZE_MAX.
@@ -411,35 +426,145 @@ def realize(s: DegreeSequence):
         raise TooLarge(f"realize supports n + m up to {REALIZE_MAX}, got {n + m}")
     if not is_graphical(s):
         raise NotGraphical(f"{brief(s)} is not graphical")
-    top = s.runs[0][0] if s.runs else 0
-    buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    end = 0
-    for d, mult in s.runs:
-        end += mult
-        buckets[d] = list(range(end - 1, end - mult - 1, -1))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    while top:
-        if not buckets[top]:
-            top -= 1
+    return graphcore.Graph(_havel_hakimi_adjacency(s.runs, n))
+
+
+def _havel_hakimi_adjacency(runs, n: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour tuples of :func:`realize` on a graphical
+    sequence of order n.
+
+    The vertices still owed edges form a stack of runs, the run of the
+    current vertex u on top: ``neg_lo[i]`` is minus the first id of run i,
+    so the list increases and ``bisect`` finds the run that holds an id,
+    and ``gap[i]`` is the remaining degree of run i minus that of run
+    i - 1, which holds higher ids. Entry 0 is a degree-0 sentinel run from
+    the first vertex owed nothing. u's targets are the next ``owed`` ids
+    in id order, except in the run where that count ends, whose highest ids
+    are taken. The runs taken whole lose one degree each, which changes
+    only the gap at the bottom one; the run cut splits in two, and a run
+    whose gap falls to 0 merges with the run below.
+
+    So u's neighbours above it are two id intervals, [u + 1, first) and
+    [second, hi). Its neighbours below it are the earlier vertices whose
+    intervals hold u: one sweep keeps them, sorted, in ``active``. An
+    interval of w files w in ``events`` at its end and, unless it starts
+    at w + 1 where w is simply appended, at its start; the sweep toggles w
+    in or out there. The two intervals of w never touch, as [first,
+    second) lies between them. Every tuple is built from slices of one
+    tuple of ids, so all of them share its int objects.
+    """
+    ids = tuple(range(n))
+    # the lowest id owed nothing: a run of degree 0 ends the sequence
+    end = n - runs[-1][1] if runs and not runs[-1][0] else n
+    neg_lo, gap = [-end], [0]
+    owed = 0  # the remaining degree of the top run, so of u
+    for d, mult in reversed(runs):
+        if d:
+            end -= mult
+            neg_lo.append(-end)
+            gap.append(d - owed)
+            owed = d
+    events: list[list[int] | None] = [None] * (n + 1)
+    active: list[int] = []
+    lower: tuple[int, ...] = ()
+    adj: list[tuple[int, ...]] = []
+    for u in ids:
+        ev = events[u]
+        if ev is not None:
+            events[u] = None
+            for w in ev:
+                i = bisect_left(active, w)
+                if i < len(active) and active[i] == w:
+                    del active[i]
+                else:
+                    active.insert(i, w)
+            lower = tuple(active)
+        if not owed:
+            adj.append(lower)
             continue
-        u = buckets[top].pop()
-        need = d = top
-        taken_from: list[tuple[int, list[int]]] = []
-        while need:
-            bucket = buckets[d]
-            if bucket:
-                taken = bucket[-need:]
-                del bucket[-need:]
-                taken_from.append((d, taken))
-                adj[u] += taken
-                need -= len(taken)
-            d -= 1
-        for d, taken in taken_from:
-            for v in taken:
-                adj[v].append(u)
-            if d > 1:
-                buckets[d - 1] += taken
-    return graphcore.Graph.from_adjacency(adj)
+        x = u + owed  # the last target in id order
+        hi = -neg_lo[-2]  # u's run is [u, hi)
+        if x + 1 < hi:
+            # the targets are the highest ids of u's own run: [second, hi)
+            second = hi - owed
+            if gap[-1] > 1:
+                neg_lo[-1] = -second
+                gap[-1] -= 1
+                neg_lo.append(~u)
+                gap.append(1)
+            else:
+                neg_lo[-2] = -second
+                neg_lo[-1] = ~u
+            adj.append(lower + ids[second:hi])
+            ev = events[second]
+            if ev is None:
+                events[second] = [u]
+            else:
+                ev.append(u)
+            ev = events[hi]
+            if ev is None:
+                events[hi] = [u]
+            else:
+                ev.append(u)
+            continue
+        i = len(neg_lo) - 1
+        if hi == u + 1:
+            # u was the last vertex of its run
+            neg_lo.pop()
+            owed -= gap.pop()
+            i -= 1
+            hi = -neg_lo[-2]
+        else:
+            neg_lo[i] = ~u
+        if x >= hi:
+            i = bisect_left(neg_lo, -x, 0, i)
+            hi = -neg_lo[i - 1]
+        # run i = [first, hi) is cut: u takes its ids from second on
+        first = -neg_lo[i]
+        second = hi + first - x - 1
+        owed -= 1
+        if second > first:
+            # [first, second) keeps its degree, above the taken part
+            neg_lo[i] = -second
+            neg_lo.insert(i + 1, -first)
+            gap.insert(i + 1, 1)
+            if i + 2 == len(neg_lo):
+                owed += 1
+            elif gap[i + 2] == 1:
+                del neg_lo[i + 1]
+                del gap[i + 2]
+            else:
+                gap[i + 2] -= 1
+        else:
+            first = second = hi
+        if gap[i] == 1:
+            neg_lo[i - 1] = neg_lo[i]
+            del neg_lo[i]
+            del gap[i]
+        else:
+            gap[i] -= 1
+        adj.append(lower + ids[u + 1:first] + ids[second:hi])
+        if second < hi:
+            ev = events[second]
+            if ev is None:
+                events[second] = [u]
+            else:
+                ev.append(u)
+            ev = events[hi]
+            if ev is None:
+                events[hi] = [u]
+            else:
+                ev.append(u)
+        if first > u + 1:
+            # u is active from u + 1 on: it is the highest id so far
+            active.append(u)
+            lower = tuple(active)
+            ev = events[first]
+            if ev is None:
+                events[first] = [u]
+            else:
+                ev.append(u)
+    return tuple(adj)
 
 
 EMPTY = DegreeSequence(())

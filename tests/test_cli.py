@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from unigraph.cli import main
+from unigraph.degseq import BRIEF_CHARS, parse_sequence, realize
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,26 @@ class TestComposeRealizeSplit:
         code, out, _ = run_cli(capsys, "--json", "realize", "-d", "1^2")
         assert json.loads(out) == {"n": 2, "edges": [[0, 1]]}
 
+    def test_realize_streams_the_edge_list_text(self, monkeypatch):
+        # dense: 300 vertices and 30 000 edges, written vertex by vertex
+        text = "250^100,200^100,150^100"
+        writes = []
+
+        class Sink:
+            def write(self, chunk):
+                writes.append(chunk)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["realize", "-d", text]) == 0
+        g = realize(parse_sequence(text))
+        assert "".join(writes) == g.to_edge_list()
+        # the header, then one write per vertex with a neighbour above it
+        assert len(writes) == 1 + sum(a[-1] > u for u, a in enumerate(g.adj) if a)
+
     def test_realize_too_large_json_error(self, capsys):
         code, out, err = run_cli(capsys, "--json", "realize", "-d", "1^100000000")
         assert code == 1
@@ -222,6 +243,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "-d", "2^5", "--file", "x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (
+                ["decompose", "-d", "1^0," + ",".join(["1"] * 10**5)],
+                "bad multiplicity in '1^0,1,1",
+            ),
+            (
+                ["compose", ",".join(["3"] * 50000) + ";1", "1"],
+                "invalid paired sequence '3,3,3",
+            ),
+        ],
+        ids=["zero-multiplicity", "paired-validation"],
+    )
+    def test_long_bad_text_error_is_bounded(self, capsys, argv, start):
+        code, out, err = run_cli(capsys, "--json", *argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "FormatError"
+        assert error["message"].startswith(start)
+        assert len(error["message"]) <= BRIEF_CHARS
+        assert len(err) <= BRIEF_CHARS + len("error: \n")
 
     def test_bad_sequence_text_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "-d", "2^^5")

@@ -2,9 +2,13 @@ import random
 import re
 import sys
 import tracemalloc
+from array import array
+from bisect import bisect_left
+from itertools import repeat
+from operator import add, mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unigraph import oracle
@@ -26,7 +30,14 @@ from unigraph.degseq import (
     realize,
     runs_order,
 )
-from unigraph.errors import FormatError, NegativeDegree, NotGraphical, TooLarge
+from unigraph.errors import (
+    FormatError,
+    Infeasible,
+    NegativeDegree,
+    NotGraphical,
+    TooLarge,
+)
+from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.graphcore import (
     Graph,
     VertexPartition,
@@ -103,6 +114,36 @@ def threshold_sequences(draw):
     for v in range(n - 1, -1, -1):
         deg[v] = later + (v if joins[v] else 0)
         later += joins[v]
+    return normalize(deg)
+
+
+@st.composite
+def dense_unigraph_sequences(draw):
+    """A generated unigraph on up to 1500 vertices, complemented when it has
+    fewer than half of all possible edges (a unigraph's complement is one)."""
+    n = draw(st.integers(min_value=40, max_value=1500))
+    k = draw(st.integers(min_value=1, max_value=12))
+    try:
+        s = compose_types(generate(GenSpec(n, k, draw(st.integers(0, 2**31 - 1)))))
+    except Infeasible:
+        assume(False)
+    return complement_seq(s) if 2 * s.degree_sum < n * (n - 1) else s
+
+
+@st.composite
+def many_run_sequences(draw):
+    """Degrees of a random graph on up to 400 vertices whose edge
+    probabilities w_u * w_v spread the degrees, so most runs hold a few
+    vertices."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    rng = draw(st.randoms(use_true_random=False))
+    w = [rng.random() for _ in range(n)]
+    deg = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < w[u] * w[v]:
+                deg[u] += 1
+                deg[v] += 1
     return normalize(deg)
 
 
@@ -293,6 +334,94 @@ class TestRealize:
             tracemalloc.stop()
         assert peak < 10**5
 
+    def test_every_graphical_sequence_n_le_9(self):
+        from unigraph.verify import iter_graphical
+
+        for s in iter_graphical(9):
+            assert_realizes(realize(s), s)
+
+    @given(st.one_of(dense_unigraph_sequences(), many_run_sequences()))
+    @settings(max_examples=30, deadline=None)
+    def test_dense_and_many_run_sequences(self, s):
+        assert_realizes_in_c(realize(s), s)
+
+    def test_unigraphs_match_the_bucket_realization(self):
+        # a unigraph has one realization up to isomorphism, so the run
+        # realization and the bucket one must have the same canonical form
+        from unigraph.verify import iter_unigraphs
+
+        for s in iter_unigraphs(9):
+            g, ref = realize(s), bucket_havel_hakimi(s)
+            assert_realizes(ref, s)
+            if g != ref:
+                assert oracle.canonical_form(g) == oracle.canonical_form(ref)
+
+    @pytest.mark.parametrize(
+        "small, large",
+        [("199^200", "399^400"), ("199^100,100^100", "399^200,200^200")],
+        ids=["complete", "two-runs"],
+    )
+    def test_work_grows_with_n_not_with_m(self, small, large):
+        # doubling n quadruples m; the bucket realization ran about 3.8
+        # times the Python lines, since it moved every target vertex
+        assert lines_run(realize, large) <= 2.5 * lines_run(realize, small)
+
+
+def lines_run(fn, text):
+    """Python line events while fn runs on the parsed text, in every frame
+    it opens."""
+    s = parse_sequence(text)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        fn(s)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def bucket_havel_hakimi(s):
+    """Havel-Hakimi with one stack of vertices per remaining degree, the
+    realization that realize used before it worked on runs: O(n + m) steps
+    and a sort of every neighbour list."""
+    n = s.n
+    top = s.runs[0][0] if s.runs else 0
+    buckets = [[] for _ in range(top + 1)]
+    end = 0
+    for d, mult in s.runs:
+        end += mult
+        buckets[d] = list(range(end - 1, end - mult - 1, -1))
+    adj = [[] for _ in range(n)]
+    while top:
+        if not buckets[top]:
+            top -= 1
+            continue
+        u = buckets[top].pop()
+        need = d = top
+        taken_from = []
+        while need:
+            bucket = buckets[d]
+            if bucket:
+                taken = bucket[-need:]
+                del bucket[-need:]
+                taken_from.append((d, taken))
+                adj[u] += taken
+                need -= len(taken)
+            d -= 1
+        for d, taken in taken_from:
+            for v in taken:
+                adj[v].append(u)
+            if d > 1:
+                buckets[d - 1] += taken
+    return Graph.from_adjacency(adj)
+
 
 def assert_realizes(g, s):
     """g is a simple graph in which vertex v has degree s.to_list()[v]."""
@@ -300,6 +429,22 @@ def assert_realizes(g, s):
     for u, nbrs in enumerate(g.adj):
         assert u not in nbrs and len(set(nbrs)) == len(nbrs)
     assert Graph.from_edges(g.n, g.edges()) == g
+
+
+def assert_realizes_in_c(g, s):
+    """What assert_realizes checks, and that every neighbour tuple is
+    sorted, with each edge handled in C rather than in a Python loop: the
+    code u * n + v of every edge u < v, read from u's tuple, must equal the
+    one read from v's."""
+    n = g.n
+    assert [len(a) for a in g.adj] == s.to_list()
+    above, below = array("q"), array("q")
+    for u, nbrs in enumerate(g.adj):
+        assert list(nbrs) == sorted(set(nbrs)) and u not in nbrs
+        i = bisect_left(nbrs, u)
+        above.extend(map(add, repeat(u * n), nbrs[i:]))
+        below.extend(map(add, map(mul, nbrs[:i], repeat(n)), repeat(u)))
+    assert above == array("q", sorted(below))
 
 
 class TestComplement:
@@ -477,6 +622,24 @@ sequence_texts = (
 ).map(",".join)
 
 
+# texts whose parse error once quoted all of them: 10^5 parts after a zero
+# multiplicity, a 100 001-character paired text that fails validation, and
+# one malformed part of 10^5 characters
+LONG_BAD_TEXTS = [
+    (
+        parse_sequence,
+        "1^0," + ",".join(["1"] * 10**5),
+        "bad multiplicity in '1^0,1,1",
+    ),
+    (
+        parse_paired,
+        ",".join(["3"] * 50000) + ";1",
+        "invalid paired sequence '3,3,3",
+    ),
+    (parse_sequence, "x" * 10**5, "bad degree run 'xxx"),
+]
+
+
 class TestTextFormat:
     @pytest.mark.parametrize(
         "text", ["8^4,5^4,2^2", "3,2,1^3", "0", "-", "2^5", "9,7,6,4^5,1^2"]
@@ -557,6 +720,25 @@ class TestTextFormat:
         paired = PairedDegreeSequence(long, short)
         assert brief(paired) == f"{brief(long)};3,1"
         assert len(brief(long)) <= BRIEF_CHARS
+
+    @pytest.mark.parametrize(
+        "parse, text, start",
+        LONG_BAD_TEXTS,
+        ids=["zero-multiplicity", "paired-validation", "bad-run"],
+    )
+    def test_parse_error_quotes_a_bounded_prefix(self, parse, text, start):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        message = str(info.value)
+        assert message.startswith(start)
+        assert f"... ({len(text)} characters)" in message
+        assert len(message) <= BRIEF_CHARS
+
+    def test_parse_error_quotes_short_text_verbatim(self):
+        with pytest.raises(FormatError, match=r"^bad multiplicity in '3,2\^0'$"):
+            parse_sequence("3,2^0")
+        with pytest.raises(FormatError, match=r"^bad degree run ' 2\^\^5'$"):
+            parse_sequence("1, 2^^5")
 
     def test_invalid_paired_structure(self):
         # stable-side degree above the clique size cannot be realized
