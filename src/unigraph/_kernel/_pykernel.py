@@ -1,7 +1,7 @@
 """Run-aware degree-sequence kernel.
 
-Every function works on a run-length encoded degree sequence given as two
-parallel lists: strictly decreasing run values and positive multiplicities.
+Every function takes a degree sequence as ``DegreeSequence.runs`` holds it:
+a tuple of (degree, multiplicity) pairs, degrees strictly decreasing.
 Costs scale with the number of runs and emitted components, not with the
 vertex count, so sequences with huge multiplicities stay cheap.
 
@@ -32,15 +32,15 @@ not all r runs, and each head then costs one bisection.
 
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
-from operator import index, mul
+from itertools import accumulate, starmap
+from operator import index, itemgetter, mul
 
 
 def normalize_runs(degrees):
-    """Count a raw degree list into descending (values, mults) runs.
+    """Count a raw degree list into its run tuple, degrees descending.
 
     Only the r distinct degrees are converted, sorted and range-checked, so
-    the per-degree work is the C-level count. Values come back as plain ints
+    the per-degree work is the C-level count. Degrees come back as plain ints
     (``True`` counts as 1); an entry that is not an integer raises TypeError.
     """
     n = len(degrees)
@@ -48,21 +48,20 @@ def normalize_runs(degrees):
     vals = sorted(map(index, counts), reverse=True)
     if vals and (vals[0] >= n or vals[-1] < 0):
         raise ValueError("degree out of range for %d vertices" % n)
-    return vals, [counts[d] for d in vals]
+    return tuple(zip(vals, map(counts.__getitem__, vals)))
 
 
-def eg_graphical(vals, mults):
+def eg_graphical(runs):
     """Erdos-Gallai test evaluated at run boundaries only."""
-    ccnt, csum = _prefix(vals, mults)
-    return _eg_holds(vals, [-v for v in vals], ccnt, csum) is not None
+    return _eg_holds(*_prefix(runs)) is not None
 
 
-def _eg_holds(vals, neg, ccnt, csum):
-    """Erdos-Gallai on prefix sums the caller has built.
+def _eg_holds(neg, ccnt, csum):
+    """Erdos-Gallai on the prefix lists of :func:`_prefix`.
 
     By Tripathi-Vijay the inequalities need only be checked at indices k
     with d_k > d_{k+1}, i.e. at run ends. ``neg`` is the ascending negated
-    values, which makes bisect applicable.
+    degrees, which makes bisect applicable.
 
     The check stops after the first run end k with d_{k+1} < k, which is
     the first run end at or past the corrected Durfee index
@@ -74,16 +73,16 @@ def _eg_holds(vals, neg, ccnt, csum):
     ascending run counts b whose inequality, at k = ccnt[b], holds with
     equality. ``decompose_runs`` takes its clique cuts from them.
     """
-    r = len(vals)
+    r = len(neg)
     total = csum[r]
-    if total % 2 or (r and vals[0] >= ccnt[r]):
+    if total % 2 or (r and -neg[0] >= ccnt[r]):
         return None
     cuts = []
     for b in range(1, r + 1):
         k = ccnt[b]
-        last = b == r or vals[b] < k
-        # suffix i > k: the runs before s have value >= k and contribute k
-        # each, smaller values contribute themselves; so the slack is
+        last = b == r or neg[b] > -k
+        # suffix i > k: the runs before s have degree >= k and contribute k
+        # each, smaller degrees contribute themselves; so the slack is
         # k(k-1) + k(ccnt[s] - k) + (total - csum[s]) - csum[b]
         s = b if last else bisect_right(neg, -k, b, r)
         slack = k * (ccnt[s] - 1) + total - csum[s] - csum[b]
@@ -96,16 +95,17 @@ def _eg_holds(vals, neg, ccnt, csum):
     return cuts
 
 
-def _prefix(vals, mults):
-    """Vertex counts and degree sums of the first t runs, t = 0..r."""
+def _prefix(runs):
+    """Negated degrees; vertex counts and degree sums of the first t runs."""
     return (
-        list(accumulate(mults, initial=0)),
-        list(accumulate(map(mul, vals, mults), initial=0)),
+        [-d for d, _ in runs],
+        list(accumulate(map(itemgetter(1), runs), initial=0)),
+        list(accumulate(starmap(mul, runs), initial=0)),
     )
 
 
-def decompose_runs(vals, mults):
-    """Strip the canonical decomposition off a run sequence.
+def decompose_runs(runs):
+    """Strip the canonical decomposition off a run tuple.
 
     Returns None when the sequence is not graphical (Erdos-Gallai on the
     prefix sums the strip loop uses), else a list of records, in head-first
@@ -116,53 +116,43 @@ def decompose_runs(vals, mults):
           and stable runs as tuples of (degree, multiplicity) pairs, and
           their orders p and q, read off an Erdos-Gallai equality
       ('tail', truns, n)  the final indecomposable remainder (last): its
-          runs as such a tuple, and its order
+          runs, a slice of ``runs`` if no clique vertex strips, and its order
 
     Dominant and isolated vertices strip one at a time under the
     lexicographic rule, and a maximal run of them always strips as that many
     consecutive single-vertex components, which keeps the loop run-granular.
     """
     records = []
-    r = len(vals)
-    ccnt, csum = _prefix(vals, mults)
-    neg = [-v for v in vals]
-    cuts = _eg_holds(vals, neg, ccnt, csum)
+    neg, ccnt, csum = _prefix(runs)
+    cuts = _eg_holds(neg, ccnt, csum)
     if cuts is None:
         return None
-    n = ccnt[r]
-    lo, hi = 0, r
+    n = ccnt[-1]
+    lo, hi = 0, len(runs)
     shift = 0  # clique vertices stripped so far, ccnt[lo]
     c = 0
     while True:
-        if n == 0:
-            records.append(("tail", (), 0))
+        if n <= 1:
+            # a graphical sequence on one vertex is a degree 0
+            records.append(("tail", ((0, 1),) * n, n))
             break
-        if n == 1:
-            records.append(("tail", ((vals[lo] - shift, 1),), 1))
-            break
-        if vals[hi - 1] - shift == 0:
-            m = mults[hi - 1]
-            if m == n:
-                records.append(("s1", n - 1))
-                records.append(("tail", ((0, 1),), 1))
-                break
+        d, m = runs[hi - 1]
+        if d == shift:
+            m = min(m, n - 1)  # the last vertex of all is the tail
             records.append(("s1", m))
             hi -= 1
             n -= m
             continue
-        if vals[lo] - shift == n - 1:
-            m = mults[lo]
-            if m == n:
-                records.append(("k1", n - 1))
-                records.append(("tail", ((0, 1),), 1))
-                break
+        d, m = runs[lo]
+        if d - shift == n - 1:
+            m = min(m, n - 1)  # the last vertex of all is the tail
             records.append(("k1", m))
             lo += 1
             shift += m
             n -= m
             continue
         # the next equality index k past the clique vertices stripped so
-        # far; its stable side is the window runs with value below k
+        # far; its stable side is the window runs with degree below k
         while c < len(cuts) and cuts[c] <= lo:
             c += 1
         if c < len(cuts):
@@ -172,24 +162,24 @@ def decompose_runs(vals, mults):
             q = ccnt[hi] - ccnt[j]
             mid = n - p - q
         if c == len(cuts) or not q or not mid:
-            # drop the O(r) prefix lists first: the garbage collections that
-            # the tail's new tuples trigger would walk them while they live
-            del ccnt, csum, neg, cuts
-            tvals = vals[lo:hi]
+            tail = runs[lo:hi]
             if shift:
-                tvals = [v - shift for v in tvals]
-            records.append(("tail", tuple(zip(tvals, mults[lo:hi])), n))
+                # drop the O(r) prefix lists first: the garbage collections
+                # that the new tuples trigger would walk them while they live
+                del neg, ccnt, csum, cuts
+                tail = tuple([(d - shift, m) for d, m in tail])
+            records.append(("tail", tail, n))
             break
         down = shift + mid
         # most sides are one run, which needs no comprehension
         if b - lo == 1:
-            kruns = ((vals[lo] - down, mults[lo]),)
+            kruns = ((d - down, m),)  # d, m is runs[lo]
         else:
-            kruns = tuple([(vals[t] - down, mults[t]) for t in range(lo, b)])
+            kruns = tuple([(d - down, m) for d, m in runs[lo:b]])
         if hi - j == 1:
-            sruns = ((vals[j] - shift, mults[j]),)
+            sruns = ((runs[j][0] - shift, runs[j][1]),)
         else:
-            sruns = tuple([(vals[t] - shift, mults[t]) for t in range(j, hi)])
+            sruns = tuple([(d - shift, m) for d, m in runs[j:hi]])
         records.append(("head", kruns, sruns, p, q))
         lo, hi = b, j
         shift += p

@@ -1,19 +1,19 @@
 """Naive per-vertex reference implementations for differential testing.
 
 Everything here is deliberately simple and quadratic; the run-aware kernels
-are validated against these on small inputs.
+are validated against these on small inputs, on the kernel's run tuples.
 """
 
-
-def expand(vals, mults):
-    out = []
-    for v, m in zip(vals, mults):
-        out.extend([v] * m)
-    return out
+from collections import Counter
 
 
-def eg_graphical_naive(vals, mults):
-    d = expand(vals, mults)
+def expand(runs):
+    """Per-vertex degrees of a run tuple."""
+    return [d for d, m in runs for _ in range(m)]
+
+
+def eg_graphical_naive(runs):
+    d = expand(runs)
     n = len(d)
     if n == 0:
         return True
@@ -27,9 +27,9 @@ def eg_graphical_naive(vals, mults):
     return True
 
 
-def split_point_naive(vals, mults):
+def split_point_naive(runs):
     """First (p, q) in lexicographic order satisfying the cut equation."""
-    d = expand(vals, mults)
+    d = expand(runs)
     n = len(d)
     for p in range(n):
         for q in range(n - p):
@@ -40,15 +40,13 @@ def split_point_naive(vals, mults):
     return None
 
 
-def decompose_naive(vals, mults):
+def decompose_naive(runs):
     """Per-vertex strip loop; returns (heads, tail) as degree lists."""
-    d = expand(vals, mults)
+    d = expand(runs)
     heads = []
     while True:
         n = len(d)
-        cut = split_point_naive(
-            *_runs(d)
-        )
+        cut = split_point_naive(_runs(d))
         if cut is None:
             return heads, d
         p, q = cut
@@ -58,11 +56,5 @@ def decompose_naive(vals, mults):
 
 
 def _runs(degrees):
-    vals, mults = [], []
-    for x in sorted(degrees, reverse=True):
-        if vals and vals[-1] == x:
-            mults[-1] += 1
-        else:
-            vals.append(x)
-            mults.append(1)
-    return vals, mults
+    """The run tuple of a degree list."""
+    return tuple(sorted(Counter(degrees).items(), reverse=True))

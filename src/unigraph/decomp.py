@@ -90,7 +90,7 @@ class CompactDecomposition:
 def _strip(s: DegreeSequence) -> list:
     """The kernel's decomposition records of a graphical sequence."""
     check_sequence(s)
-    records = _kernel.decompose_runs(*s.values_mults())
+    records = _kernel.decompose_runs(s.runs)
     if records is None:
         raise NotGraphical(f"{brief(s)} is not graphical")
     return records

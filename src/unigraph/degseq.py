@@ -15,11 +15,12 @@ semicolon and writes an empty part as ``-`` (``3,2;1^3``).
 from __future__ import annotations
 
 import re
+import reprlib
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import gt
+from operator import gt, index
 from typing import Iterable, Iterator
 
 from . import _kernel
@@ -42,6 +43,12 @@ REALIZE_MAX = 10**7
 class DegreeSequence:
     """Run-length encoded, non-increasing degree multiset.
 
+    ``runs`` is a tuple of (degree, multiplicity) int pairs, as the kernel
+    takes it; the constructor rebuilds other iterables of integer pairs
+    (lists, bools) into one. It raises NegativeDegree on a negative degree
+    and FormatError on a non-integer pair, a multiplicity below 1 or runs
+    that do not strictly decrease.
+
     Values derived from the runs are kept on the instance once computed:
     ``n``, ``degree_sum``, and the verdict of ``unitype.is_unigraph``.
     Equality, hashing and repr read ``runs`` only."""
@@ -52,6 +59,7 @@ class DegreeSequence:
     # sequence is one part of a paired form, so only the run-length shape is
     # enforced here; standalone realizability is is_graphical's job.
     def __post_init__(self) -> None:
+        object.__setattr__(self, "runs", _int_runs(self.runs))
         prev = None
         for d, m in self.runs:
             if m < 1:
@@ -83,9 +91,6 @@ class DegreeSequence:
     def degree_sum(self) -> int:
         return sum(d * m for d, m in self.runs)
 
-    def values_mults(self) -> tuple[list[int], list[int]]:
-        return [d for d, _ in self.runs], [m for _, m in self.runs]
-
     def degrees(self) -> Iterator[int]:
         """Yield individual degrees; avoid on huge multiplicities."""
         for d, m in self.runs:
@@ -107,6 +112,23 @@ class DegreeSequence:
         return self.to_text()
 
 
+def _int_runs(runs) -> tuple[tuple[int, int], ...]:
+    """``runs`` itself when it is a tuple of plain int pairs, else its
+    entries as one; FormatError when an entry is not a pair of integers."""
+    if type(runs) is tuple:
+        for run in runs:
+            if type(run) is not tuple or len(run) != 2:
+                break
+            if type(run[0]) is not int or type(run[1]) is not int:
+                break
+        else:
+            return runs
+    try:
+        return tuple([(index(d), index(m)) for d, m in runs])
+    except (TypeError, ValueError):
+        raise FormatError(f"runs must be integer pairs: {reprlib.repr(runs)}") from None
+
+
 @dataclass(frozen=True)
 class PairedDegreeSequence:
     """Split component sequence with clique (K) and stable (S) blocks."""
@@ -116,7 +138,7 @@ class PairedDegreeSequence:
 
     @classmethod
     def from_runs(cls, kruns, sruns) -> PairedDegreeSequence:
-        return cls(DegreeSequence(tuple(kruns)), DegreeSequence(tuple(sruns)))
+        return cls(DegreeSequence(kruns), DegreeSequence(sruns))
 
     @property
     def p(self) -> int:
@@ -144,6 +166,8 @@ class PairedDegreeSequence:
             raise NotGraphical(f"merged sequence of {brief(self)} not graphical")
 
     def merged(self) -> DegreeSequence:
+        check_sequence(self.kpart)
+        check_sequence(self.spart)
         pair = (self.kpart.runs, self.spart.runs)
         return DegreeSequence(compose_runs((pair,), ()))
 
@@ -164,7 +188,7 @@ def normalize(raw) -> DegreeSequence:
     """
     try:
         degrees = raw if isinstance(raw, list) else list(raw)
-        vals, mults = _kernel.normalize_runs(degrees)
+        runs = _kernel.normalize_runs(degrees)
     except TypeError as exc:
         raise FormatError(f"bad degree list: {exc}") from None
     except ValueError:
@@ -173,7 +197,7 @@ def normalize(raw) -> DegreeSequence:
             raise NegativeDegree(f"negative degree {lo}") from None
         n = len(degrees)
         raise NotGraphical(f"degree {hi} out of range for {n} vertices") from None
-    return DegreeSequence._trusted(tuple(zip(vals, mults)), len(degrees))
+    return DegreeSequence._trusted(runs, len(degrees))
 
 
 # error messages quote a sequence's text up to this many characters
@@ -216,11 +240,18 @@ def check_sequence(s) -> None:
         raise FormatError(f"expected a DegreeSequence, got {type(s).__name__}")
 
 
+def check_paired(ps) -> None:
+    """Raise FormatError unless ``ps`` is a PairedDegreeSequence."""
+    if not isinstance(ps, PairedDegreeSequence):
+        raise FormatError(
+            f"expected a PairedDegreeSequence, got {type(ps).__name__}"
+        )
+
+
 def is_graphical(s: DegreeSequence) -> bool:
     """Erdos-Gallai realizability test, evaluated at run boundaries."""
     check_sequence(s)
-    vals, mults = s.values_mults()
-    return _kernel.eg_graphical(vals, mults)
+    return _kernel.eg_graphical(s.runs)
 
 
 def runs_order(runs) -> int:
@@ -255,6 +286,7 @@ def complement_seq(s: DegreeSequence) -> DegreeSequence:
 def complement_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
     """Paired complement: degrees complement within the whole component and
     the K and S parts swap roles."""
+    check_paired(ps)
     n = ps.order
     return PairedDegreeSequence.from_runs(
         complement_runs(ps.spart.runs, n), complement_runs(ps.kpart.runs, n)
@@ -263,6 +295,7 @@ def complement_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
 
 def inverse_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
     """Split inverse of a paired sequence; see :func:`inverse_runs`."""
+    check_paired(ps)
     return PairedDegreeSequence.from_runs(
         *inverse_runs(ps.kpart.runs, ps.spart.runs, ps.p, ps.q)
     )
@@ -312,10 +345,7 @@ def compose_all(
     check_sequence(tail)
     pairs = []
     for c in components:
-        if not isinstance(c, PairedDegreeSequence):
-            raise FormatError(
-                f"expected a PairedDegreeSequence, got {type(c).__name__}"
-            )
+        check_paired(c)
         pairs.append((c.kpart.runs, c.spart.runs))
     return DegreeSequence(compose_runs(pairs, tail.runs))
 
@@ -339,24 +369,24 @@ def parse_sequence(text: str) -> DegreeSequence:
     text = text.strip()
     if text in ("", "-"):
         return DegreeSequence(())
-    vals: list[int] = []
+    degs: list[int] = []
     mults: list[int] = []
     try:
         if not _TEXT_RE.fullmatch(text):
             raise ValueError
         for part in text.split(","):
             d, caret, m = part.partition("^")
-            vals.append(int(d))
+            degs.append(int(d))
             mults.append(int(m) if caret else 1)
     except ValueError:
-        vals, mults = _runs_per_part(text)
+        degs, mults = _runs_per_part(text)
     if 0 in mults:
         raise FormatError(f"bad multiplicity in {_quote(text)}")
-    if all(map(gt, vals, vals[1:])):
-        runs = tuple(zip(vals, mults))
+    if all(map(gt, degs, degs[1:])):
+        runs = tuple(zip(degs, mults))
     else:
         merged: defaultdict[int, int] = defaultdict(int)
-        for d, m in zip(vals, mults):
+        for d, m in zip(degs, mults):
             merged[d] += m
         runs = tuple(sorted(merged.items(), reverse=True))
     return DegreeSequence._trusted(runs, sum(mults))
@@ -369,18 +399,18 @@ def _runs_per_part(text: str) -> tuple[list[int], list[int]]:
     The scan also refuses runs padded with the separators U+001C-U+001F,
     which ``re`` and ``str.strip`` take as whitespace and ``int`` does not;
     they parse here."""
-    vals: list[int] = []
+    degs: list[int] = []
     mults: list[int] = []
     for part in text.split(","):
         run = _RUN_RE.match(part)
         if not run:
             raise FormatError(f"bad degree run {_quote(part)}")
         try:
-            vals.append(int(run.group(1)))
+            degs.append(int(run.group(1)))
             mults.append(int(run.group(2) or 1))
         except ValueError:
             raise FormatError("degree or multiplicity with too many digits") from None
-    return vals, mults
+    return degs, mults
 
 
 def parse_paired(text: str) -> PairedDegreeSequence:

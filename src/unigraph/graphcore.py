@@ -122,7 +122,14 @@ def parse_graph_json(text: str) -> Graph:
         raise FormatError(f"bad graph JSON: {exc}") from exc
 
 
+def _check_graph(g) -> None:
+    """Raise FormatError unless ``g`` is a Graph."""
+    if not isinstance(g, Graph):
+        raise FormatError(f"expected a Graph, got {type(g).__name__}")
+
+
 def degree_sequence_of(g: Graph) -> DegreeSequence:
+    _check_graph(g)
     return normalize([len(a) for a in g.adj])
 
 
@@ -157,6 +164,7 @@ def compose_graphs(head: Graph, part: VertexPartition, tail: Graph) -> Graph:
 
 
 def complement_graph(g: Graph) -> Graph:
+    _check_graph(g)
     allv = set(range(g.n))
     return Graph.from_adjacency(
         [allv - set(g.adj[v]) - {v} for v in range(g.n)]

@@ -220,8 +220,7 @@ def _realizations_assigned(target: list[int]):
     masks = [0] * n
 
     def residual_ok(rem: list[int], frm: int) -> bool:
-        vals, mults = reference._runs(rem[frm:])
-        return reference.eg_graphical_naive(vals, mults)
+        return reference.eg_graphical_naive(reference._runs(rem[frm:]))
 
     def backtrack(u: int, rem: list[int]):
         if u == n:
@@ -526,8 +525,7 @@ def graphical_sequences(n: int):
 
     def gen(prefix: list[int], remaining: int, cap: int):
         if remaining == 0:
-            vals, mults = reference._runs(prefix)
-            if reference.eg_graphical_naive(vals, mults):
+            if reference.eg_graphical_naive(reference._runs(prefix)):
                 yield normalize(prefix)
             return
         for d in range(min(cap, n - 1), -1, -1):

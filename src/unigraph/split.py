@@ -22,7 +22,7 @@ from itertools import starmap
 from operator import mul
 
 from .degseq import DegreeSequence, PairedDegreeSequence, brief, is_graphical
-from .errors import NotGraphical
+from .errors import FormatError, NotGraphical
 
 
 class SplitKind(enum.Enum):
@@ -62,10 +62,10 @@ def _take_top(runs, count: int):
     for i, (d, mult) in enumerate(runs):
         if left < mult:
             if not left:
-                return tuple(runs[:i]), tuple(runs[i:])
+                return runs[:i], runs[i:]
             return (*runs[:i], (d, left)), ((d, mult - left), *runs[i + 1 :])
         left -= mult
-    return tuple(runs), ()
+    return runs, ()
 
 
 def split_runs(runs):
@@ -101,8 +101,12 @@ def determine_split(s: DegreeSequence) -> SplitClass:
 
 def smax_partition(sc: SplitClass) -> SplitClass:
     """Shift the swing vertex of a K-max partition to the stable side."""
-    if sc.kind is not SplitKind.KMAX or sc.paired is None:
-        raise ValueError("S-max shift applies to K-max classes only")
+    if (
+        not isinstance(sc, SplitClass)
+        or sc.kind is not SplitKind.KMAX
+        or sc.paired is None
+    ):
+        raise FormatError("S-max shift applies to K-max classes only")
     ps = sc.paired
     kruns, swing = _take_top(ps.kpart.runs, ps.p - 1)
     merged = list(ps.spart.runs)

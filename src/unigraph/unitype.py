@@ -32,6 +32,7 @@ from .decomp import Decomposition, decompose, tail_joins_clique
 from .degseq import (
     DegreeSequence,
     PairedDegreeSequence,
+    check_paired,
     check_sequence,
     complement_runs,
     complement_seq,
@@ -496,11 +497,13 @@ def match_split_runs(kruns, sruns) -> TypedComponent | None:
 
 def match_nonsplit_type(s: DegreeSequence) -> TypedComponent | None:
     """:func:`match_nonsplit_runs` on a sequence."""
+    check_sequence(s)
     return match_nonsplit_runs(s.runs)
 
 
 def match_split_type(ps: PairedDegreeSequence) -> TypedComponent | None:
     """:func:`match_split_runs` on a paired sequence."""
+    check_paired(ps)
     return match_split_runs(ps.kpart.runs, ps.spart.runs)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from unigraph import cli
 from unigraph.cli import main
 from unigraph.degseq import BRIEF_CHARS, parse_sequence, realize
 
@@ -226,6 +230,33 @@ class TestVerify:
             code, out, _ = run_cli(capsys, "verify", check, "--max-n", "5")
             assert code == 0, check
             assert json.loads(out)["ok"] is True
+
+    def test_unknown_check_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "no-such-check"])
+        assert exc.value.code == 2
+
+    def test_cli_import_leaves_the_oracle_unloaded(self):
+        # verify imports the brute-force oracle, so only the verify
+        # subcommand loads it; its choices still name every check
+        code = (
+            "import sys, unigraph.cli as cli\n"
+            "print(sorted(m for m in ('unigraph.verify', 'unigraph.oracle')"
+            " if m in sys.modules))\n"
+            "sub = next(a for a in cli.build_parser()._actions"
+            " if a.dest == 'command')\n"
+            "check = next(a for a in sub.choices['verify']._actions"
+            " if a.dest == 'check')\n"
+            "from unigraph import verify\n"
+            "print(list(check.choices) == sorted(verify.CHECKS))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.split("\n")[:2] == ["[]", "True"]
 
 
 class TestUsage:

@@ -148,8 +148,7 @@ class TestCanonicity:
         rng = random.Random(4)
         for _ in range(300):
             s = random_graphical(rng, rng.randint(0, 11))
-            vals, mults = s.values_mults()
-            assert find_split_point(s) == reference.split_point_naive(vals, mults)
+            assert find_split_point(s) == reference.split_point_naive(s.runs)
 
 
 class TestCompact:

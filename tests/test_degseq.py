@@ -46,8 +46,8 @@ from unigraph.graphcore import (
     inverse_graph,
 )
 from unigraph.params import unigraph_params
-from unigraph.split import determine_split
-from unigraph.unitype import is_unigraph
+from unigraph.split import determine_split, smax_partition
+from unigraph.unitype import is_unigraph, match_nonsplit_type, match_split_type
 
 raw_degree_lists = st.integers(min_value=0, max_value=12).flatmap(
     lambda n: st.lists(
@@ -243,6 +243,56 @@ class TestTrustedConstructor:
             parse_sequence(text)
 
 
+class TestRunTuple:
+    """``DegreeSequence.runs`` is a tuple of int pairs, which the kernel
+    takes and returns as it is."""
+
+    def test_tail_of_a_sequence_that_strips_nothing_is_its_runs(self):
+        # 10^4 distinct degrees in [10^4, 2 10^4), four vertices each:
+        # graphical by Zverovich-Zverovich, with no dominant or isolated
+        # vertex and no Erdos-Gallai equality to cut at
+        raw = random.Random(14).sample(range(10**4, 2 * 10**4), 10**4) * 4
+        s = normalize(raw)
+        assert len(s.runs) == 10**4
+        d = decompose(s)
+        assert d.runs == ()
+        assert d.tail.runs is s.runs
+
+    def test_well_formed_runs_are_kept_as_given(self):
+        runs = ((3, 2), (1, 2))
+        assert DegreeSequence(runs).runs is runs
+
+    @pytest.mark.parametrize(
+        "runs, text",
+        [
+            ([(2, 5)], "2^5"),
+            ([[2, 5]], "2^5"),
+            (([2, 5],), "2^5"),
+            (((True, 5),), "1^5"),
+        ],
+    )
+    def test_other_run_shapes_become_a_tuple_of_int_pairs(self, runs, text):
+        s = DegreeSequence(runs)
+        parsed = parse_sequence(text)
+        assert s == parsed and hash(s) == hash(parsed)
+        assert type(s.runs) is tuple and type(s.runs[0]) is tuple
+        assert all(type(x) is int for x in s.runs[0])
+
+    def test_list_runs_are_tagged_like_their_text(self):
+        assert is_unigraph(DegreeSequence([[2, 5]]))[1].tags() == ["c5"]
+
+    @pytest.mark.parametrize(
+        "runs", [((2.5, 2),), ((1, 2.0),), "abc", None, ((1, 2, 3),)]
+    )
+    def test_non_integer_pairs_raise_format_error(self, runs):
+        with pytest.raises(FormatError):
+            DegreeSequence(runs)
+
+    def test_negative_degree_still_raises_negative_degree(self):
+        with pytest.raises(NegativeDegree):
+            DegreeSequence(((-1, 1),))
+
+
 class TestGraphical:
     def test_tree_sequence(self):
         assert is_graphical(parse_sequence("3,2,1^3"))
@@ -274,9 +324,8 @@ class TestGraphical:
     def test_matches_naive_reference(self, raw):
         from unigraph._kernel import reference
 
-        vals, mults = reference._runs(raw)
         assert is_graphical(normalize(raw)) == reference.eg_graphical_naive(
-            vals, mults
+            reference._runs(raw)
         )
 
 
@@ -694,6 +743,31 @@ class TestTextFormat:
     )
     def test_bad_input_raises_format_error(self, call):
         # a ValueError too, for callers that catch that
+        with pytest.raises(FormatError):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: complement_paired("1;1"),
+            lambda: inverse_paired("1;1"),
+            lambda: match_split_type("x"),
+            lambda: match_nonsplit_type("x"),
+            lambda: degree_sequence_of("x"),
+            lambda: complement_graph("x"),
+            lambda: PairedDegreeSequence("a", "b").merged(),
+            lambda: smax_partition(determine_split(parse_sequence("2^5"))),
+            lambda: smax_partition("x"),
+        ],
+        ids=[
+            "complement_paired-text", "inverse_paired-text",
+            "match_split_type-text", "match_nonsplit_type-text",
+            "degree_sequence_of-text", "complement_graph-text",
+            "merged-text-parts", "smax_partition-not-kmax",
+            "smax_partition-text",
+        ],
+    )
+    def test_wrong_type_argument_raises_format_error(self, call):
         with pytest.raises(FormatError):
             call()
 

@@ -26,11 +26,6 @@ def random_graph_degrees(rng, n, p):
     return deg
 
 
-def expand_runs(runs):
-    """Per-vertex degrees of a run tuple."""
-    return [d for d, m in runs for _ in range(m)]
-
-
 def flatten(records):
     """Per-vertex (heads, tail) of the kernel's records, in the form
     ``reference.decompose_naive`` returns."""
@@ -42,9 +37,9 @@ def flatten(records):
         elif rec[0] == "s1":
             heads += [([], [0])] * rec[1]
         elif rec[0] == "head":
-            heads.append((expand_runs(rec[1]), expand_runs(rec[2])))
+            heads.append((reference.expand(rec[1]), reference.expand(rec[2])))
         else:
-            tail = expand_runs(rec[1])
+            tail = reference.expand(rec[1])
     return heads, tail
 
 
@@ -66,32 +61,32 @@ class TestAgainstReference:
                 deg = sorted(
                     (rng.randint(0, max(n - 1, 0)) for _ in range(n)), reverse=True
                 )
-            vals, mults = reference._runs(deg)
-            graphical = kernel.eg_graphical(vals, mults)
-            assert graphical == reference.eg_graphical_naive(vals, mults)
-            assert (kernel.decompose_runs(vals, mults) is None) == (not graphical)
+            runs = reference._runs(deg)
+            graphical = kernel.eg_graphical(runs)
+            assert graphical == reference.eg_graphical_naive(runs)
+            assert (kernel.decompose_runs(runs) is None) == (not graphical)
 
     def test_decompose_matches_naive(self, kernel):
         rng = random.Random(3)
         for _ in range(400):
             n = rng.randint(0, 12)
             deg = random_graph_degrees(rng, n, rng.random())
-            vals, mults = reference._runs(deg)
-            heads, tail = reference.decompose_naive(vals, mults)
-            assert flatten(kernel.decompose_runs(vals, mults)) == (heads, tail)
+            runs = reference._runs(deg)
+            heads, tail = reference.decompose_naive(runs)
+            assert flatten(kernel.decompose_runs(runs)) == (heads, tail)
 
     def test_exhaustive_n_le_9(self, kernel):
         # the Durfee-bounded loops against the naive ones on every sequence
         graphical_count = 0
         for deg in nonincreasing_sequences(9):
-            vals, mults = reference._runs(deg)
-            graphical = kernel.eg_graphical(vals, mults)
-            assert graphical == reference.eg_graphical_naive(vals, mults), deg
-            records = kernel.decompose_runs(vals, mults)
+            runs = reference._runs(deg)
+            graphical = kernel.eg_graphical(runs)
+            assert graphical == reference.eg_graphical_naive(runs), deg
+            records = kernel.decompose_runs(runs)
             assert (records is None) == (not graphical), deg
             if graphical:
                 graphical_count += 1
-                assert flatten(records) == reference.decompose_naive(vals, mults), deg
+                assert flatten(records) == reference.decompose_naive(runs), deg
         assert graphical_count == 6068
 
     def test_exhaustive_n_10(self, kernel):
@@ -99,14 +94,14 @@ class TestAgainstReference:
         # cut search, one order past the n <= 9 sweep
         graphical_count = 0
         for deg in combinations_with_replacement(range(9, -1, -1), 10):
-            vals, mults = reference._runs(deg)
-            graphical = kernel.eg_graphical(vals, mults)
-            assert graphical == reference.eg_graphical_naive(vals, mults), deg
-            records = kernel.decompose_runs(vals, mults)
+            runs = reference._runs(deg)
+            graphical = kernel.eg_graphical(runs)
+            assert graphical == reference.eg_graphical_naive(runs), deg
+            records = kernel.decompose_runs(runs)
             assert (records is None) == (not graphical), deg
             if graphical:
                 graphical_count += 1
-                assert flatten(records) == reference.decompose_naive(vals, mults), deg
+                assert flatten(records) == reference.decompose_naive(runs), deg
         assert graphical_count == 22084 - 6068
 
     def test_record_orders_exhaustive_n_le_9(self, kernel):
@@ -114,7 +109,7 @@ class TestAgainstReference:
         # tail its order; each must equal the order of the runs beside it
         heads = 0
         for deg in nonincreasing_sequences(9):
-            records = kernel.decompose_runs(*reference._runs(deg))
+            records = kernel.decompose_runs(reference._runs(deg))
             if records is None:
                 continue
             for rec in records:
@@ -132,12 +127,10 @@ class TestAgainstReference:
         for _ in range(300):
             n = rng.randint(0, 40)
             raw = [rng.randint(0, max(n - 1, 0)) for _ in range(n)]
-            vals, mults = kernel.normalize_runs(raw)
-            assert vals == sorted(set(raw), reverse=True)
-            assert sum(mults) == n
-            assert [v for v, m in zip(vals, mults) for _ in range(m)] == sorted(
-                raw, reverse=True
-            )
+            runs = kernel.normalize_runs(raw)
+            assert [d for d, _ in runs] == sorted(set(raw), reverse=True)
+            assert sum(m for _, m in runs) == n
+            assert reference.expand(runs) == sorted(raw, reverse=True)
 
     def test_normalize_rejects_bad_degrees(self, kernel):
         with pytest.raises(ValueError):
@@ -148,9 +141,9 @@ class TestAgainstReference:
             kernel.normalize_runs([2**70, 0])
 
     def test_normalize_counts_bools_as_ints(self, kernel):
-        vals, mults = kernel.normalize_runs([True, True])
-        assert (vals, mults) == ([1], [2])
-        assert type(vals[0]) is int
+        runs = kernel.normalize_runs([True, True])
+        assert runs == ((1, 2),)
+        assert type(runs[0][0]) is int
 
     @pytest.mark.parametrize("raw", [[1.5, 0.5], [2, None], ["a"]])
     def test_normalize_rejects_non_integers(self, kernel, raw):
@@ -161,9 +154,9 @@ class TestAgainstReference:
 def test_huge_multiplicity():
     # K_n for n = 2^33 strips its n-1 dominant vertices as one run
     n = 2**33
-    vals, mults = [n - 1], [n]
-    assert _pykernel.decompose_runs(vals, mults)[0] == ("k1", n - 1)
-    assert _pykernel.eg_graphical(vals, mults)
+    runs = ((n - 1, n),)
+    assert _pykernel.decompose_runs(runs)[0] == ("k1", n - 1)
+    assert _pykernel.eg_graphical(runs)
 
 
 def test_public_functions_call_through_kernel_module(monkeypatch):
@@ -193,23 +186,23 @@ def wide_runs(seed=9, r=5000):
     mults = [rng.randint(300, 600) for _ in vals]
     if sum(map(mul, vals, mults)) % 2:
         mults[next(t for t, v in enumerate(vals) if v % 2)] += 1
-    return vals, mults
+    return tuple(zip(vals, mults))
 
 
-def durfee_runs(vals, mults):
+def durfee_runs(runs):
     """Runs holding a vertex i with d_i >= i - 1."""
     pos = 0
-    for t, d in enumerate(vals):
+    for t, (d, m) in enumerate(runs):
         if d < pos:  # the run's first vertex has index pos + 1
             return t
-        pos += mults[t]
-    return len(vals)
+        pos += m
+    return len(runs)
 
 
 @pytest.mark.parametrize("fn", ["eg_graphical", "decompose_runs"])
 def test_run_loops_stop_at_durfee_prefix(monkeypatch, fn):
-    vals, mults = wide_runs()
-    bound = durfee_runs(vals, mults) + 2
+    runs = wide_runs()
+    bound = durfee_runs(runs) + 2
     assert bound < 100
     calls = 0
 
@@ -219,7 +212,7 @@ def test_run_loops_stop_at_durfee_prefix(monkeypatch, fn):
         return bisect_right(*args)
 
     monkeypatch.setattr(_pykernel, "bisect_right", counted)
-    assert getattr(_pykernel, fn)(vals, mults)
+    assert getattr(_pykernel, fn)(runs)
     assert 0 < calls <= bound
 
 
@@ -227,7 +220,6 @@ def test_each_head_costs_one_bisect(monkeypatch):
     # the Erdos-Gallai pass finds every clique cut, so past its Durfee-bounded
     # loop a head costs one bisection for its stable side and no search
     s = compose_types(generate(GenSpec(n=4000, k=300, seed=1)))
-    vals, mults = s.values_mults()
     calls = 0
 
     def counted(*args):
@@ -236,7 +228,7 @@ def test_each_head_costs_one_bisect(monkeypatch):
         return bisect_right(*args)
 
     monkeypatch.setattr(_pykernel, "bisect_right", counted)
-    records = _pykernel.decompose_runs(vals, mults)
+    records = _pykernel.decompose_runs(s.runs)
     heads = sum(rec[0] == "head" for rec in records)
     assert heads > 200
-    assert calls <= durfee_runs(vals, mults) + 2 + heads
+    assert calls <= durfee_runs(s.runs) + 2 + heads
