@@ -25,7 +25,6 @@ from .degseq import (
     realize,
 )
 from .decomp import (
-    CompactDecomposition,
     Decomposition,
     compact,
     compose_all,
@@ -60,8 +59,6 @@ from .params import (
     component_fix,
     component_omega_alpha,
     core_params,
-    distinguishing_number,
-    fixing_number,
     unigraph_params,
 )
 from .split import SplitClass, SplitKind, determine_split, smax_partition

@@ -62,16 +62,20 @@ def _emit(args, payload: dict, plain: str) -> None:
 
 
 def cmd_decompose(args) -> int:
-    s = _input_sequence(args)
-    d = decompose(s)
-    if args.compact:
-        report = compact(d).to_report()
-    else:
-        report = d.to_report()
-    lines = [f"{c['k']};{c['s']}" for c in report["components"]]
-    if report["tail"] is not None:
-        lines.append(f"tail: {report['tail']}")
-    _emit(args, report, "\n".join(lines) if lines else "(empty)")
+    """One entry per run: ``k;s`` or ``(k;s)^m`` in text, and
+    ``{"k", "s", "count"}`` in JSON; no tail line for an empty tail."""
+    d = decompose(_input_sequence(args))
+    if args.command == "compact":
+        d = compact(d)
+    components = [
+        {"k": c.kpart.to_text(), "s": c.spart.to_text(), "count": m}
+        for c, m in d.runs
+    ]
+    tail = d.tail.to_text() if d.tail.n else None
+    lines = [str(c) if m == 1 else f"({c})^{m}" for c, m in d.runs]
+    if tail is not None:
+        lines.append(f"tail: {tail}")
+    _emit(args, {"components": components, "tail": tail}, "\n".join(lines) or "(empty)")
     return 0
 
 
@@ -175,12 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="canonical decomposition of a sequence")
     _add_input_flags(p)
-    p.add_argument("--compact", action="store_true", help="merge single-vertex runs")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("compact", help="compact canonical decomposition")
     _add_input_flags(p)
-    p.set_defaults(fn=cmd_decompose, compact=True)
+    p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("split", help="split recognition and KS-partition")
     _add_input_flags(p)

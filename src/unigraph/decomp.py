@@ -1,5 +1,5 @@
 """Canonical decomposition of a degree sequence into indecomposable
-components, plus the compact form that merges single-vertex runs.
+components, and the compact form that merges single-vertex runs.
 
 The head of each strip is the top p degrees (lowered by the middle size)
 paired with the bottom q degrees; the middle, lowered by p, is what remains.
@@ -10,9 +10,11 @@ indecomposable component.
 A decomposition is stored run-length, as the kernel strips it: a maximal
 run of m consecutive dominant (K1) or isolated (S1) single-vertex
 components is one entry (K1, m) or (S1, m), and every multi-vertex head is
-an entry of count 1. Every consumer works per run, so a complete graph on
-a million vertices decomposes into one entry; the per-strip component list
-is expanded only when asked for.
+an entry of count 1. The compact form is a :class:`Decomposition` too, with
+each run turned into one block of count 1. Every consumer works per run, so
+a complete graph on a million vertices decomposes into one entry; the
+per-strip component list is expanded only when asked for, and refused above
+REALIZE_MAX strips.
 
 The kernel's strip loop proves graphicality on its own prefix sums, so
 :func:`decompose` and :func:`find_split_point` (the cut of the first strip)
@@ -25,9 +27,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel
-from .degseq import EMPTY, DegreeSequence, PairedDegreeSequence, brief, check_sequence
+from .degseq import (
+    EMPTY,
+    REALIZE_MAX,
+    DegreeSequence,
+    PairedDegreeSequence,
+    brief,
+    check_sequence,
+)
 from .degseq import compose_all  # noqa: F401  (the inverse of decompose)
-from .errors import FormatError, NotGraphical
+from .errors import FormatError, NotGraphical, TooLarge
 
 K1 = PairedDegreeSequence(DegreeSequence(((0, 1),)), DegreeSequence(()))
 S1 = PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, 1),)))
@@ -42,49 +51,41 @@ def tail_joins_clique(prev: PairedDegreeSequence | None) -> bool:
     return prev is None or prev == K1
 
 
+def per_strip(runs) -> list:
+    """One entry per strip of (x, count) runs; raises TooLarge, before
+    expanding, when the strips number more than REALIZE_MAX."""
+    runs = tuple(runs)
+    strips = sum(m for _, m in runs)
+    if strips > REALIZE_MAX:
+        raise TooLarge(f"per-strip lists allow {REALIZE_MAX} strips, got {strips}")
+    out: list = []
+    for x, m in runs:
+        out.extend([x] * m)
+    return out
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Components as (component, count) runs, outermost (G_k) first, and
-    the indecomposable tail (G_0) as a plain sequence."""
+    the indecomposable tail (G_0) as a plain sequence.
+
+    The canonical decomposition keeps a run of m single vertices as one
+    entry of count m. The compact form (:func:`compact`) turns each run
+    into one block of count 1, and its tail is EMPTY when the single-vertex
+    G_0 was absorbed into a block."""
 
     runs: tuple[tuple[PairedDegreeSequence, int], ...]
     tail: DegreeSequence
 
     @cached_property
     def components(self) -> tuple[PairedDegreeSequence, ...]:
-        """One entry per strip; a run of m single vertices expands to m."""
-        out: list[PairedDegreeSequence] = []
-        for c, m in self.runs:
-            out.extend([c] * m)
-        return tuple(out)
+        """One entry per strip; a run of m single vertices expands to m.
+        Raises TooLarge above REALIZE_MAX strips."""
+        return tuple(per_strip(self.runs))
 
     @cached_property
     def n(self) -> int:
         return sum(c.order * m for c, m in self.runs) + self.tail.n
-
-    def to_report(self) -> dict:
-        return {
-            "components": [
-                {"k": c.kpart.to_text(), "s": c.spart.to_text()}
-                for c in self.components
-            ],
-            "tail": None if self.tail is None else self.tail.to_text(),
-        }
-
-
-@dataclass(frozen=True)
-class CompactDecomposition:
-    """Canonical decomposition with maximal single-vertex runs merged into
-    complete ((m-1)^m; -) or edgeless (-; 0^m) blocks.
-
-    ``tail`` is None when the single-vertex G_0 was absorbed into a block;
-    otherwise it is the multi-vertex tail sequence.
-    """
-
-    components: tuple[PairedDegreeSequence, ...]
-    tail: DegreeSequence | None
-
-    to_report = Decomposition.to_report
 
 
 def _strip(s: DegreeSequence) -> list:
@@ -112,8 +113,9 @@ def find_split_point(s: DegreeSequence) -> tuple[int, int] | None:
 def decompose(s: DegreeSequence) -> Decomposition:
     """Full canonical decomposition of a graphical sequence. The kernel's
     runs are well formed by construction and come with their orders, so
-    they are neither checked nor summed again."""
-    trusted = DegreeSequence._trusted
+    they are neither checked nor summed again, and the heads built on them
+    skip the paired constructor's type check."""
+    trusted, paired = DegreeSequence._trusted, PairedDegreeSequence._trusted
     runs: list[tuple[PairedDegreeSequence, int]] = []
     tail = EMPTY
     for rec in _strip(s):
@@ -124,7 +126,7 @@ def decompose(s: DegreeSequence) -> Decomposition:
             runs.append((S1, rec[1]))
         elif kind == "head":
             _, kruns, sruns, p, q = rec
-            head = PairedDegreeSequence(trusted(kruns, p), trusted(sruns, q))
+            head = paired(trusted(kruns, p), trusted(sruns, q))
             runs.append((head, 1))
         else:
             tail = trusted(rec[1], rec[2])
@@ -140,24 +142,25 @@ def _block(c: PairedDegreeSequence, m: int) -> PairedDegreeSequence:
     return PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, m),)))
 
 
-def compact(d: Decomposition) -> CompactDecomposition:
-    """Merge maximal runs of same-type single-vertex components.
+def compact(d: Decomposition) -> Decomposition:
+    """The compact form: each run as one complete ((m-1)^m; -) or edgeless
+    (-; 0^m) block, or its multi-vertex head, of count 1.
 
     The runs of a decomposition are already maximal. A single-vertex tail is
     absorbed as one more single vertex on the side :func:`tail_joins_clique`
     gives, so it extends a run of its own type or, after a multi-vertex
-    component, becomes a one-vertex edgeless block.
+    component, becomes a one-vertex edgeless block; the tail is then EMPTY.
     """
     if not isinstance(d, Decomposition):
         raise FormatError(f"expected a Decomposition, got {type(d).__name__}")
     runs = list(d.runs)
-    tail: DegreeSequence | None = d.tail
-    if d.tail.n == 1:
+    tail = d.tail
+    if tail.n == 1:
         prev = runs[-1][0] if runs else None
         single = K1 if tail_joins_clique(prev) else S1
         if single == prev:
             runs[-1] = (single, runs[-1][1] + 1)
         else:
             runs.append((single, 1))
-        tail = None
-    return CompactDecomposition(tuple(_block(c, m) for c, m in runs), tail)
+        tail = EMPTY
+    return Decomposition(tuple((_block(c, m), 1) for c, m in runs), tail)

@@ -131,10 +131,26 @@ def _int_runs(runs) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PairedDegreeSequence:
-    """Split component sequence with clique (K) and stable (S) blocks."""
+    """Split component sequence with clique (K) and stable (S) blocks. The
+    constructor raises FormatError unless both parts are DegreeSequences."""
 
     kpart: DegreeSequence
     spart: DegreeSequence
+
+    def __post_init__(self) -> None:
+        check_sequence(self.kpart)
+        check_sequence(self.spart)
+
+    @classmethod
+    def _trusted(cls, kpart, spart) -> PairedDegreeSequence:
+        """A head on parts the kernel produced, which are sequences by
+        construction, so ``__post_init__`` does not check them again. The
+        fields are set as the dataclass sets them: reading ``__dict__``
+        would build a dict per head, 2.5x the head's memory."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "kpart", kpart)
+        object.__setattr__(ps, "spart", spart)
+        return ps
 
     @classmethod
     def from_runs(cls, kruns, sruns) -> PairedDegreeSequence:
@@ -166,8 +182,6 @@ class PairedDegreeSequence:
             raise NotGraphical(f"merged sequence of {brief(self)} not graphical")
 
     def merged(self) -> DegreeSequence:
-        check_sequence(self.kpart)
-        check_sequence(self.spart)
         pair = (self.kpart.runs, self.spart.runs)
         return DegreeSequence(compose_runs((pair,), ()))
 

@@ -1,11 +1,13 @@
 """Linear-time unigraph parameters: clique, independence, vertex-cover and
 chromatic numbers from the canonical decomposition; fixing and
-distinguishing numbers from the compact one.
+distinguishing numbers from the types of the compact one.
 
 Clique/independence numbers add up part sizes because every multi-vertex
 indecomposable split component is balanced. A unigraph is perfect unless its
 tail is a 5-cycle, which pins the chromatic number. Fixing numbers sum over
 compact components and distinguishing numbers take their maximum.
+:func:`unigraph_params` is the one path to all six: it reads the compact
+types straight off the report, one per run, and builds no compact form.
 
 The per-component values are read off the catalog records of
 :mod:`unigraph.unitype`. Their distinguishing numbers are derived as below
@@ -25,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomp import CompactDecomposition, Decomposition, compact
+from .decomp import Decomposition, compact
 from .degseq import brief
 from .errors import FormatError, NotUnigraph
 from .unitype import (  # the star-block helpers are read by the tests here
     CATALOG,
     SIDE_SWAPPING,
     Base,
-    Family,
     TypedComponent,
     UnigraphReport,
     Variant,
@@ -123,10 +124,11 @@ def component_dist(t: TypedComponent) -> int:
 
 def compact_typed(
     d: Decomposition, r: UnigraphReport
-) -> tuple[CompactDecomposition, tuple[TypedComponent, ...]]:
-    """Compact decomposition with one typed component per compact entry,
-    read from the report's runs: a run of m > 1 single vertices types as
-    its block, and every other entry keeps its type."""
+) -> tuple[Decomposition, tuple[TypedComponent, ...]]:
+    """The compact form (:func:`~unigraph.decomp.compact`) of ``d``, with
+    one typed component per compact entry and the type of a non-empty tail
+    last, read from the report's runs: a run of m > 1 single vertices
+    types as its block, and every other entry keeps its type."""
     _check_verdict(d, r)
     if not r.is_unigraph:
         raise NotUnigraph("compact typing requires a unigraph sequence")
@@ -144,36 +146,6 @@ def _compact_types(d: Decomposition, r: UnigraphReport) -> tuple[TypedComponent,
         t if m == 1 else TypedComponent(Variant.ORIGINAL, _BLOCK[t.base], (m,), m)
         for t, m in runs
     )
-
-
-def _families(cd, types) -> list[tuple[Family, TypedComponent]]:
-    """The catalog record of each typed component of a compact
-    decomposition, with the component; raises as :func:`family_of` does."""
-    if not isinstance(cd, CompactDecomposition):
-        raise FormatError(f"expected a CompactDecomposition, got {type(cd).__name__}")
-    try:
-        types = list(types)
-    except TypeError:
-        raise FormatError(
-            f"expected typed components, got {type(types).__name__}"
-        ) from None
-    return [(family_of(t), t) for t in types]
-
-
-def fixing_number(
-    cd: CompactDecomposition, types: tuple[TypedComponent, ...]
-) -> int:
-    """Sum of per-component fixing numbers over the compact decomposition
-    ``cd``, from the types :func:`compact_typed` returns with it."""
-    return sum(f.fix(*t.params) for f, t in _families(cd, types))
-
-
-def distinguishing_number(
-    cd: CompactDecomposition, types: tuple[TypedComponent, ...]
-) -> int:
-    """Maximum per-component distinguishing number; 1 for the empty graph.
-    The arguments are those of :func:`fixing_number`."""
-    return max((f.dist(*t.params) for f, t in _families(cd, types)), default=1)
 
 
 def unigraph_params(s) -> ParamSet:

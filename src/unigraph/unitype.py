@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, isqrt
 
-from .decomp import Decomposition, decompose, tail_joins_clique
+from .decomp import Decomposition, decompose, per_strip, tail_joins_clique
 from .degseq import (
     DegreeSequence,
     PairedDegreeSequence,
@@ -89,8 +89,8 @@ class UnigraphReport:
     ``runs`` holds one (type, count) entry per run of the decomposition
     that matched, in order, and the tail's type last as an entry of its
     own. ``component_types`` and ``tags()`` list one type per strip, and
-    ``failure_index`` is the strip index of the first component that did
-    not match.
+    raise TooLarge above REALIZE_MAX strips; ``failure_index`` is the strip
+    index of the first component that did not match.
     """
 
     is_unigraph: bool
@@ -100,16 +100,10 @@ class UnigraphReport:
     @cached_property
     def component_types(self) -> tuple[TypedComponent, ...]:
         """One entry per strip; a run of m single vertices expands to m."""
-        out: list[TypedComponent] = []
-        for t, m in self.runs:
-            out.extend([t] * m)
-        return tuple(out)
+        return tuple(per_strip(self.runs))
 
     def tags(self) -> list[str]:
-        out: list[str] = []
-        for t, m in self.runs:
-            out.extend([t.tag()] * m)
-        return out
+        return per_strip((t.tag(), m) for t, m in self.runs)
 
 
 SPLIT_VARIANTS = (

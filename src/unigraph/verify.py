@@ -92,7 +92,7 @@ def verify_aut_product(max_n: int = 8) -> Iterator[dict]:
         product = 1
         for comp in cd.components:
             product *= oracle.automorphism_count(realize(comp.merged()))
-        if cd.tail is not None and cd.tail.n:
+        if cd.tail.n:
             product *= oracle.automorphism_count(realize(cd.tail))
         whole = oracle.automorphism_count(realize(s))
         if product != whole:

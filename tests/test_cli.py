@@ -21,29 +21,53 @@ class TestDecompose:
     def test_plain_golden(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "-d", "4^2,2^3")
         assert code == 0
-        assert out == "0;-\n0;-\n-;0\n-;0\ntail: 0\n"
+        assert out == "(0;-)^2\n(-;0)^2\ntail: 0\n"
 
     def test_json_golden(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "decompose", "-d", "4^2,2^3")
         assert code == 0
         assert json.loads(out) == {
             "components": [
-                {"k": "0", "s": "-"},
-                {"k": "0", "s": "-"},
-                {"k": "-", "s": "0"},
-                {"k": "-", "s": "0"},
+                {"k": "0", "s": "-", "count": 2},
+                {"k": "-", "s": "0", "count": 2},
             ],
             "tail": "0",
         }
 
-    def test_compact_flag_and_subcommand_agree(self, capsys):
-        _, a, _ = run_cli(capsys, "--json", "decompose", "-d", "4^2,2^3", "--compact")
-        _, b, _ = run_cli(capsys, "--json", "compact", "-d", "4^2,2^3")
-        assert a == b
-        assert json.loads(a) == {
-            "components": [{"k": "1^2", "s": "-"}, {"k": "-", "s": "0^3"}],
+    def test_compact_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "compact", "-d", "4^2,2^3")
+        assert code == 0
+        assert json.loads(out) == {
+            "components": [
+                {"k": "1^2", "s": "-", "count": 1},
+                {"k": "-", "s": "0^3", "count": 1},
+            ],
             "tail": None,
         }
+        code, out, _ = run_cli(capsys, "compact", "-d", "4^2,2^3")
+        assert code == 0
+        assert out == "1^2;-\n-;0^3\n"
+
+    def test_compact_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["decompose", "-d", "4^2,2^3", "--compact"])
+        assert info.value.code == 2
+
+    def test_empty_sequence_has_no_tail(self, capsys):
+        assert run_cli(capsys, "decompose", "-d", "-")[1] == "(empty)\n"
+        _, out, _ = run_cli(capsys, "--json", "decompose", "-d", "-")
+        assert json.loads(out) == {"components": [], "tail": None}
+
+    def test_one_line_per_run(self, capsys):
+        # K_{10^6}: one run of 999 999 dominant vertices over a one-vertex tail
+        code, out, _ = run_cli(capsys, "decompose", "-d", "999999^1000000")
+        assert code == 0
+        assert out == "(0;-)^999999\ntail: 0\n"
+        code, out, _ = run_cli(capsys, "--json", "decompose", "-d", "999999^1000000")
+        assert code == 0
+        assert out == (
+            '{"components": [{"k": "0", "s": "-", "count": 999999}], "tail": "0"}\n'
+        )
 
     def test_not_graphical_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "-d", "3,3,3,1")
@@ -92,6 +116,22 @@ class TestIsUnigraph:
         )
         assert code == 0
         assert json.loads(out)["components"] == ["s2(2,1,1,1)"]
+
+
+class TestPerStripGuard:
+    # K_{10^7 + 2}: 10^7 + 2 strips, past REALIZE_MAX
+    TEXT = "10000001^10000002"
+
+    def test_is_unigraph_json_error(self, capsys):
+        code, out, err = run_cli(capsys, "--json", "is-unigraph", "-d", self.TEXT)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "TooLarge"
+        assert "error" in err
+
+    def test_params_still_succeed(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "params", "-d", self.TEXT)
+        assert code == 0
+        assert json.loads(out)["omega"] == 10**7 + 2
 
 
 class TestParams:

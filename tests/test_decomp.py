@@ -11,8 +11,8 @@ from unigraph.decomp import (
     decompose,
     find_split_point,
 )
-from unigraph.degseq import DegreeSequence, parse_paired, parse_sequence
-from unigraph.errors import NotGraphical
+from unigraph.degseq import EMPTY, DegreeSequence, parse_paired, parse_sequence
+from unigraph.errors import NotGraphical, TooLarge
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.graphcore import degree_sequence_of
 
@@ -155,14 +155,15 @@ class TestCompact:
     def test_fig2(self):
         cd = compact(decompose(parse_sequence("4^2,2^3")))
         assert [c.to_text() for c in cd.components] == ["1^2;-", "-;0^3"]
-        assert cd.tail is None
+        assert [m for _, m in cd.runs] == [1, 1]
+        assert cd.tail == EMPTY
 
     def test_worked_example_seven_singles(self):
         comps = [S1, K1, K1, K1, S1, S1, S1]
         seq = compose_all(comps, parse_sequence("0"))
         cd = compact(decompose(seq))
         assert [c.to_text() for c in cd.components] == ["-;0", "2^3;-", "-;0^4"]
-        assert cd.tail is None
+        assert cd.tail == EMPTY
 
     def test_no_single_vertex_components_unchanged(self):
         d = decompose(parse_sequence("8^4,5^4,2^2"))
@@ -173,7 +174,7 @@ class TestCompact:
     def test_lone_vertex_is_complete_block(self):
         cd = compact(decompose(parse_sequence("0")))
         assert [c.to_text() for c in cd.components] == ["0;-"]
-        assert cd.tail is None
+        assert cd.tail == EMPTY
 
     def test_single_tail_after_multivertex_head_stays_stable_side(self):
         # S1 o S(2,2)^I o single vertex, as in the fifth worked example
@@ -222,6 +223,23 @@ class TestLargeScale:
         d = decompose(DegreeSequence(((0, n),)))
         assert len(d.components) == n - 1 and d.components[0] == S1
         assert len(d.runs) == 1 and d.n == n
+
+    def test_per_strip_lists_refuse_past_realize_max(self):
+        # K_{10^7 + 2}: the runs stay two entries, the strip lists are refused
+        from unigraph.params import unigraph_params
+        from unigraph.unitype import is_unigraph
+
+        s = parse_sequence("10000001^10000002")
+        d, r = is_unigraph(s)
+        assert [m for _, m in d.runs] == [10**7 + 1] and d.n == 10**7 + 2
+        with pytest.raises(TooLarge):
+            d.components
+        with pytest.raises(TooLarge):
+            r.component_types
+        with pytest.raises(TooLarge):
+            r.tags()
+        ps = unigraph_params(s)
+        assert (ps.omega, ps.alpha, ps.fix, ps.dist) == (10**7 + 2, 1, 10**7 + 1, 10**7 + 2)
 
 
 def random_graphical(rng, n):

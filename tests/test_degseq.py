@@ -756,6 +756,9 @@ class TestTextFormat:
             lambda: degree_sequence_of("x"),
             lambda: complement_graph("x"),
             lambda: PairedDegreeSequence("a", "b").merged(),
+            lambda: PairedDegreeSequence("a", "b").validate(),
+            lambda: PairedDegreeSequence("a", "b").to_text(),
+            lambda: PairedDegreeSequence("a", "b").order,
             lambda: smax_partition(determine_split(parse_sequence("2^5"))),
             lambda: smax_partition("x"),
         ],
@@ -763,7 +766,8 @@ class TestTextFormat:
             "complement_paired-text", "inverse_paired-text",
             "match_split_type-text", "match_nonsplit_type-text",
             "degree_sequence_of-text", "complement_graph-text",
-            "merged-text-parts", "smax_partition-not-kmax",
+            "merged-text-parts", "validate-text-parts", "to_text-text-parts",
+            "order-text-parts", "smax_partition-not-kmax",
             "smax_partition-text",
         ],
     )

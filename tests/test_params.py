@@ -16,8 +16,6 @@ from unigraph.params import (
     component_fix,
     component_omega_alpha,
     core_params,
-    distinguishing_number,
-    fixing_number,
     unigraph_params,
 )
 from unigraph.unitype import (
@@ -110,21 +108,15 @@ class TestComponentFix:
 
 class TestFixingNumber:
     def test_fig2_threshold(self):
-        d, r = is_unigraph(parse_sequence("4^2,2^3"))
-        cd, types = compact_typed(d, r)
-        assert fixing_number(cd, types) == 3
+        assert unigraph_params(parse_sequence("4^2,2^3")).fix == 3
         assert oracle.brute_fix(realize(parse_sequence("4^2,2^3"))) == 3
 
     def test_fig1_tree_rigid_up_to_leaf_swap(self):
-        d, r = is_unigraph(parse_sequence("3,2,1^3"))
-        cd, types = compact_typed(d, r)
-        assert fixing_number(cd, types) == 1
+        assert unigraph_params(parse_sequence("3,2,1^3")).fix == 1
         assert oracle.brute_fix(realize(parse_sequence("3,2,1^3"))) == 1
 
     def test_single_vertex(self):
-        d, r = is_unigraph(parse_sequence("0"))
-        cd, types = compact_typed(d, r)
-        assert fixing_number(cd, types) == 0
+        assert unigraph_params(parse_sequence("0")).fix == 0
 
 
 class TestComponentDist:
@@ -197,26 +189,13 @@ def _verdict():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: fixing_number(None, [None]), FormatError),
-        (lambda: distinguishing_number(None, ["spq"]), FormatError),
-        (lambda: fixing_number(compact(_verdict()[0]), [None]), ParamOutOfRange),
-        (lambda: distinguishing_number(compact(_verdict()[0]), ["spq"]), ParamOutOfRange),
-        (lambda: fixing_number(compact(_verdict()[0]), None), FormatError),
-        (
-            lambda: distinguishing_number(
-                compact(_verdict()[0]), [T(Variant.ORIGINAL, Base.SPQ, (1, 2), 99)]
-            ),
-            ParamOutOfRange,
-        ),
         (lambda: core_params(None, None), FormatError),
         (lambda: core_params(_verdict()[0], None), FormatError),
         (lambda: compact_typed(None, None), FormatError),
         (lambda: compact_typed(_verdict()[0], "report"), FormatError),
     ],
     ids=[
-        "fix-none", "dist-none", "fix-none-type", "dist-text-type", "fix-types-none",
-        "dist-wrong-order", "core-none", "core-no-report", "compact-none",
-        "compact-text-report",
+        "core-none", "core-no-report", "compact-none", "compact-text-report",
     ],
 )
 def test_verdict_params_reject_bad_arguments(call, error):
@@ -275,33 +254,28 @@ class TestClosedForms:
 class TestDistinguishingNumber:
     def test_edgeless(self):
         for k in (2, 5):
-            d, r = is_unigraph(parse_sequence(f"0^{k}"))
-            cd, types = compact_typed(d, r)
+            s = parse_sequence(f"0^{k}")
+            _, types = compact_typed(*is_unigraph(s))
             # the whole graph compacts to one stable-side block
             assert [t.tag() for t in types] == [f"empty(m={k})"]
-            assert distinguishing_number(cd, types) == k
+            assert unigraph_params(s).dist == k
 
     def test_fig2_threshold(self):
-        d, r = is_unigraph(parse_sequence("4^2,2^3"))
-        cd, types = compact_typed(d, r)
-        assert distinguishing_number(cd, types) == 3
+        assert unigraph_params(parse_sequence("4^2,2^3")).dist == 3
         assert oracle.brute_dist(realize(parse_sequence("4^2,2^3"))) == 3
 
     def test_rigid_single_vertex(self):
         # the one rigid unigraph: every multi-vertex catalog family has a
         # non-trivial automorphism, and a single-vertex tail always merges
         # with a same-type neighbor in the compact form
-        d, r = is_unigraph(parse_sequence("0"))
-        cd, types = compact_typed(d, r)
-        assert distinguishing_number(cd, types) == 1
-        assert fixing_number(cd, types) == 0
+        ps = unigraph_params(parse_sequence("0"))
+        assert (ps.dist, ps.fix) == (1, 0)
 
     def test_asymmetric_tree_matches_oracle(self):
-        d, r = is_unigraph(parse_sequence("4,3,1^5"))
-        cd, types = compact_typed(d, r)
+        ps = unigraph_params(parse_sequence("4,3,1^5"))
         g = realize(parse_sequence("4,3,1^5"))
-        assert fixing_number(cd, types) == oracle.brute_fix(g)
-        assert distinguishing_number(cd, types) == oracle.brute_dist(g)
+        assert ps.fix == oracle.brute_fix(g)
+        assert ps.dist == oracle.brute_dist(g)
 
 
 def compact_types_by_blocks(d, r):
@@ -327,7 +301,7 @@ def compact_types_by_blocks(d, r):
             )
         else:
             types.append(match_split_type(comp))
-    if cd.tail is not None and cd.tail.n:
+    if cd.tail.n:
         types.append(r.runs[-1][0])
     return cd, tuple(types)
 
