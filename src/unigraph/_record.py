@@ -1,0 +1,40 @@
+"""The base of the package's immutable value records.
+
+A record class names its fields, in order, in ``_fields`` and sets them in
+its own ``__init__`` with ``object.__setattr__``. Records of one class are
+equal when their field tuples are, hash as that tuple and print as
+``Name(field=value, ...)``. Instances keep a ``__dict__``, so cached
+properties live there and pickling saves and restores it. No class is
+generated at import, so defining a record costs no compilation.
+"""
+
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls._fields)
+        # the field tuple; attrgetter of one name returns the bare value
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -5,26 +5,18 @@ plain mode, oracle disagreement in verify), 2 usage errors. With --json the
 verdict is data, so is-unigraph exits 0 either way and emits exactly one
 JSON document on stdout; a domain error is that document too, as
 ``{"error": {"type": ..., "message": ...}}``, and is also reported on stderr.
+
+Each subcommand imports the modules it uses, and ``json`` only when it
+writes JSON, so a process loads no more than its call needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .decomp import compact, compose_all, decompose
-from .degseq import (
-    DegreeSequence,
-    parse_paired,
-    parse_sequence,
-    realize,
-)
+from .degseq import DegreeSequence, parse_paired, parse_sequence, realize
 from .errors import UnigraphError
-from .gen import Base, GenSpec, compose_types, generate
-from .params import unigraph_params
-from .split import determine_split
-from .unitype import is_unigraph
 
 # the checks of unigraph.verify, which imports the brute-force oracle; the
 # module is loaded only by the verify subcommand, and a test holds this
@@ -54,9 +46,15 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload))
+
+
 def _emit(args, payload: dict, plain: str) -> None:
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(plain)
 
@@ -64,6 +62,8 @@ def _emit(args, payload: dict, plain: str) -> None:
 def cmd_decompose(args) -> int:
     """One entry per run: ``k;s`` or ``(k;s)^m`` in text, and
     ``{"k", "s", "count"}`` in JSON; no tail line for an empty tail."""
+    from .decomp import compact, decompose
+
     d = decompose(_input_sequence(args))
     if args.command == "compact":
         d = compact(d)
@@ -80,6 +80,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from .split import determine_split
+
     sc = determine_split(_input_sequence(args))
     payload = {
         "kind": sc.kind.value,
@@ -91,6 +93,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_is_unigraph(args) -> int:
+    from .unitype import is_unigraph
+
     _, report = is_unigraph(_input_sequence(args))
     payload = {
         "isUnigraph": report.is_unigraph,
@@ -98,7 +102,7 @@ def cmd_is_unigraph(args) -> int:
         "failureIndex": report.failure_index,
     }
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
         return 0
     if report.is_unigraph:
         print("unigraph: " + " o ".join(report.tags()))
@@ -108,6 +112,8 @@ def cmd_is_unigraph(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .decomp import compose_all
+
     parts = [p for p in args.sequences]
     heads = [parse_paired(t) for t in parts[:-1]]
     last = parts[-1]
@@ -122,6 +128,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from .params import unigraph_params
+
     ps = unigraph_params(_input_sequence(args))
     payload = ps.to_dict()
     plain = " ".join(f"{k}={v}" for k, v in payload.items())
@@ -139,6 +147,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .gen import Base, GenSpec, compose_types, generate
+
     allowed = None
     if args.types:
         try:
@@ -149,11 +159,7 @@ def cmd_generate(args) -> int:
         spec = GenSpec(n=args.n, k=args.k, seed=args.seed + i, allowed=allowed)
         comps = generate(spec)
         seq = compose_types(comps)
-        print(
-            json.dumps(
-                {"sequence": seq.to_text(), "components": [c.tag() for c in comps]}
-            )
-        )
+        _print_json({"sequence": seq.to_text(), "components": [c.tag() for c in comps]})
     return 0
 
 
@@ -163,9 +169,9 @@ def cmd_verify(args) -> int:
     fn, default_n = CHECKS[args.check]
     max_n = args.max_n if args.max_n is not None else default_n
     for diff in fn(max_n):
-        print(json.dumps(diff))
+        _print_json(diff)
         return 1
-    print(json.dumps({"check": args.check, "max_n": max_n, "ok": True}))
+    _print_json({"check": args.check, "max_n": max_n, "ok": True})
     return 0
 
 
@@ -234,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnigraphError, OSError) as exc:
         if args.json:
             error = {"type": type(exc).__name__, "message": str(exc)}
-            print(json.dumps({"error": error}))
+            _print_json({"error": error})
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

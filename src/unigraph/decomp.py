@@ -23,10 +23,10 @@ run Erdos-Gallai once and raise NotGraphical on a sequence no graph has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel
+from ._record import Record
 from .degseq import (
     EMPTY,
     REALIZE_MAX,
@@ -64,8 +64,7 @@ def per_strip(runs) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Components as (component, count) runs, outermost (G_k) first, and
     the indecomposable tail (G_0) as a plain sequence.
 
@@ -74,8 +73,13 @@ class Decomposition:
     into one block of count 1, and its tail is EMPTY when the single-vertex
     G_0 was absorbed into a block."""
 
-    runs: tuple[tuple[PairedDegreeSequence, int], ...]
-    tail: DegreeSequence
+    _fields = ("runs", "tail")
+
+    def __init__(
+        self, runs: tuple[tuple[PairedDegreeSequence, int], ...], tail: DegreeSequence
+    ) -> None:
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "tail", tail)
 
     @cached_property
     def components(self) -> tuple[PairedDegreeSequence, ...]:

@@ -18,12 +18,12 @@ import re
 import reprlib
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from operator import gt, index
 from typing import Iterable, Iterator
 
 from . import _kernel
+from ._record import Record
 from .errors import FormatError, NegativeDegree, NotGraphical, TooLarge
 
 # the characters of a sequence text, and one run of it; parse_sequence
@@ -39,8 +39,7 @@ _RUN_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
 REALIZE_MAX = 10**7
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(Record):
     """Run-length encoded, non-increasing degree multiset.
 
     ``runs`` is a tuple of (degree, multiplicity) int pairs, as the kernel
@@ -53,15 +52,15 @@ class DegreeSequence:
     ``n``, ``degree_sum``, and the verdict of ``unitype.is_unigraph``.
     Equality, hashing and repr read ``runs`` only."""
 
-    runs: tuple[tuple[int, int], ...]
+    _fields = ("runs",)
 
     # Degrees may legitimately reach or exceed the run total when the
     # sequence is one part of a paired form, so only the run-length shape is
     # enforced here; standalone realizability is is_graphical's job.
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", _int_runs(self.runs))
+    def __init__(self, runs: tuple[tuple[int, int], ...]) -> None:
+        runs = _int_runs(runs)
         prev = None
-        for d, m in self.runs:
+        for d, m in runs:
             if m < 1:
                 raise FormatError("multiplicity must be positive")
             if d < 0:
@@ -69,12 +68,13 @@ class DegreeSequence:
             if prev is not None and d >= prev:
                 raise FormatError("runs must be strictly decreasing")
             prev = d
+        object.__setattr__(self, "runs", runs)
 
     @classmethod
     def _trusted(cls, runs, n: int) -> DegreeSequence:
         """A sequence on runs the kernel produced, which are strictly
         decreasing with non-negative degrees and positive multiplicities by
-        construction, so ``__post_init__`` does not check them again. The
+        construction, so ``__init__`` does not check them again. The
         kernel also knows their order ``n``, which seeds the cached
         property."""
         s = object.__new__(cls)
@@ -129,23 +129,23 @@ def _int_runs(runs) -> tuple[tuple[int, int], ...]:
         raise FormatError(f"runs must be integer pairs: {reprlib.repr(runs)}") from None
 
 
-@dataclass(frozen=True)
-class PairedDegreeSequence:
+class PairedDegreeSequence(Record):
     """Split component sequence with clique (K) and stable (S) blocks. The
     constructor raises FormatError unless both parts are DegreeSequences."""
 
-    kpart: DegreeSequence
-    spart: DegreeSequence
+    _fields = ("kpart", "spart")
 
-    def __post_init__(self) -> None:
-        check_sequence(self.kpart)
-        check_sequence(self.spart)
+    def __init__(self, kpart: DegreeSequence, spart: DegreeSequence) -> None:
+        check_sequence(kpart)
+        check_sequence(spart)
+        object.__setattr__(self, "kpart", kpart)
+        object.__setattr__(self, "spart", spart)
 
     @classmethod
     def _trusted(cls, kpart, spart) -> PairedDegreeSequence:
         """A head on parts the kernel produced, which are sequences by
-        construction, so ``__post_init__`` does not check them again. The
-        fields are set as the dataclass sets them: reading ``__dict__``
+        construction, so ``__init__`` does not check them again. The
+        fields are set as ``__init__`` sets them: reading ``__dict__``
         would build a dict per head, 2.5x the head's memory."""
         ps = object.__new__(cls)
         object.__setattr__(ps, "kpart", kpart)
@@ -357,6 +357,11 @@ def compose_all(
     """Sequence of components[0] o components[1] o ... o tail; see
     :func:`compose_runs`."""
     check_sequence(tail)
+    try:
+        components = iter(components)
+    except TypeError:
+        what = type(components).__name__
+        raise FormatError(f"expected an iterable of components, got {what}") from None
     pairs = []
     for c in components:
         check_paired(c)

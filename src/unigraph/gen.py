@@ -41,10 +41,10 @@ from __future__ import annotations
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
+from ._record import Record
 from .degseq import DegreeSequence, compose_runs
 from .errors import Infeasible, ParamOutOfRange
 from .unitype import (
@@ -65,33 +65,38 @@ _ENUM_LIMIT = 24
 ALL_BASES = frozenset(f.base for f in FAMILIES)
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    n: int
-    k: int
-    seed: int = 0
-    allowed: frozenset[Base] | None = None
-    distinct_singletons: bool = False
+class GenSpec(Record):
+    _fields = ("n", "k", "seed", "allowed", "distinct_singletons")
 
-    def __post_init__(self) -> None:
-        for name in ("n", "k"):
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        seed: int = 0,
+        allowed: frozenset[Base] | None = None,
+        distinct_singletons: bool = False,
+    ) -> None:
+        for name, value in (("n", n), ("k", k)):
             try:
-                operator.index(getattr(self, name))
+                operator.index(value)
             except TypeError:
+                msg = f"{name} must be an integer, got {value!r}"
+                raise ParamOutOfRange(msg) from None
+        if allowed is not None:
+            try:
+                bases = frozenset(allowed)
+            except TypeError:  # not an iterable of hashables
+                bases = frozenset({None})
+            if not all(isinstance(b, Base) for b in bases):
                 raise ParamOutOfRange(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                ) from None
-        if self.allowed is None:
-            return
-        try:
-            allowed = frozenset(self.allowed)
-        except TypeError:  # not an iterable of hashables
-            allowed = frozenset({None})
-        if not all(isinstance(b, Base) for b in allowed):
-            raise ParamOutOfRange(
-                f"allowed must be a set of Base members, got {self.allowed!r}"
-            )
+                    f"allowed must be a set of Base members, got {allowed!r}"
+                )
+            allowed = bases
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "allowed", allowed)
+        object.__setattr__(self, "distinct_singletons", distinct_singletons)
 
     def allowed_bases(self) -> frozenset[Base]:
         return ALL_BASES if self.allowed is None else self.allowed
@@ -398,8 +403,14 @@ def _break_singleton_runs(comps: list[TypedComponent]) -> list[TypedComponent]:
 
 def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
     """Sequence of the composition of typed components (tail last), built
-    from their catalog runs in one pass. Each type is checked once against
-    its catalog record, whose runs and side orders then need no check."""
+    from their catalog runs in one pass. Any iterable is read once into a
+    list. Each type is checked once against its catalog record, whose runs
+    and side orders then need no check."""
+    try:
+        comps = list(comps)
+    except TypeError:
+        what = type(comps).__name__
+        raise ParamOutOfRange(f"expected an iterable of components, got {what}") from None
     if not comps:
         raise ParamOutOfRange("compose_types needs at least one component")
     families = [family_of(t) for t in comps]

@@ -3,22 +3,23 @@ graph-level complement / split-inverse / composition operations."""
 
 from __future__ import annotations
 
-import json
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from ._record import Record
 from .degseq import DegreeSequence, normalize
 from .errors import FormatError, InvalidPartition
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Immutable graph on vertices 0..n-1 with sorted neighbor tuples."""
 
-    adj: tuple[tuple[int, ...], ...]
+    _fields = ("adj",)
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_adjacency(cls, adj) -> "Graph":
@@ -85,15 +86,19 @@ class Graph:
         return "".join(self.edge_list_chunks())
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({"n": self.n, "edges": self.edges()})
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(Record):
     """Clique/stable-set bipartition of a graph's vertices."""
 
-    kset: frozenset[int]
-    sset: frozenset[int]
+    _fields = ("kset", "sset")
+
+    def __init__(self, kset: frozenset[int], sset: frozenset[int]) -> None:
+        object.__setattr__(self, "kset", kset)
+        object.__setattr__(self, "sset", sset)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -115,6 +120,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def parse_graph_json(text: str) -> Graph:
+    import json
+
     try:
         data = json.loads(text)
         return Graph.from_edges(int(data["n"]), data["edges"])
@@ -134,7 +141,11 @@ def degree_sequence_of(g: Graph) -> DegreeSequence:
 
 
 def check_partition(g: Graph, part: VertexPartition) -> None:
-    """Raise InvalidPartition unless kset is a clique and sset is stable."""
+    """Raise InvalidPartition unless kset is a clique and sset is stable,
+    and FormatError unless ``g`` is a Graph and ``part`` a VertexPartition."""
+    _check_graph(g)
+    if not isinstance(part, VertexPartition):
+        raise FormatError(f"expected a VertexPartition, got {type(part).__name__}")
     if part.kset & part.sset or (part.kset | part.sset) != set(range(g.n)):
         raise InvalidPartition("partition does not cover the vertex set")
     for u in part.kset:
@@ -153,6 +164,7 @@ def compose_graphs(head: Graph, part: VertexPartition, tail: Graph) -> Graph:
     Tail vertex ids are shifted up by the head's size.
     """
     check_partition(head, part)
+    _check_graph(tail)
     off = head.n
     adj: list[list[int]] = [list(a) for a in head.adj]
     adj += [[v + off for v in a] for a in tail.adj]

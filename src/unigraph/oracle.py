@@ -20,10 +20,10 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from ._record import Record
 from .degseq import DegreeSequence, brief, normalize
 from .errors import NotGraphical, TooLarge
 from .graphcore import Graph
@@ -39,9 +39,11 @@ MAX_ATLAS = 8
 _ATLAS_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Permutation:
-    mapping: tuple[int, ...]
+class Permutation(Record):
+    _fields = ("mapping",)
+
+    def __init__(self, mapping: tuple[int, ...]) -> None:
+        object.__setattr__(self, "mapping", mapping)
 
     def __call__(self, v: int) -> int:
         return self.mapping[v]

@@ -25,8 +25,7 @@ force sweep (all parameter tuples up to order 9) in the test suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .decomp import Decomposition, compact
 from .degseq import brief
 from .errors import FormatError, NotUnigraph
@@ -47,14 +46,18 @@ from .unitype import (  # the star-block helpers are read by the tests here
 _BLOCK = {Base.K1: Base.COMPLETE_BLOCK, Base.S1: Base.EMPTY_BLOCK}
 
 
-@dataclass(frozen=True)
-class ParamSet:
-    omega: int
-    alpha: int
-    beta: int
-    chi: int
-    fix: int
-    dist: int
+class ParamSet(Record):
+    _fields = ("omega", "alpha", "beta", "chi", "fix", "dist")
+
+    def __init__(
+        self, omega: int, alpha: int, beta: int, chi: int, fix: int, dist: int
+    ) -> None:
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "fix", fix)
+        object.__setattr__(self, "dist", dist)
 
     @property
     def perfect(self) -> bool:

@@ -17,10 +17,10 @@ sequence; :func:`determine_split` checks graphicality first.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import starmap
 from operator import mul
 
+from ._record import Record
 from .degseq import DegreeSequence, PairedDegreeSequence, brief, is_graphical
 from .errors import FormatError, NotGraphical
 
@@ -32,10 +32,12 @@ class SplitKind(enum.Enum):
     NOT_SPLIT = "not-split"
 
 
-@dataclass(frozen=True)
-class SplitClass:
-    kind: SplitKind
-    paired: PairedDegreeSequence | None
+class SplitClass(Record):
+    _fields = ("kind", "paired")
+
+    def __init__(self, kind: SplitKind, paired: PairedDegreeSequence | None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "paired", paired)
 
 
 def durfee_index(s: DegreeSequence) -> int:

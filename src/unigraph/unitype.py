@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, isqrt
 
+from ._record import Record
 from .decomp import Decomposition, decompose, per_strip, tail_joins_clique
 from .degseq import (
     DegreeSequence,
@@ -65,12 +65,16 @@ class Base(enum.Enum):
     EMPTY_BLOCK = "empty"
 
 
-@dataclass(frozen=True)
-class TypedComponent:
-    variant: Variant
-    base: Base
-    params: tuple[int, ...]
-    order: int
+class TypedComponent(Record):
+    _fields = ("variant", "base", "params", "order")
+
+    def __init__(
+        self, variant: Variant, base: Base, params: tuple[int, ...], order: int
+    ) -> None:
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "order", order)
 
     def tag(self) -> str:
         body = CATALOG[self.base].tag(self.params)
@@ -82,8 +86,7 @@ class TypedComponent:
         return self.tag()
 
 
-@dataclass(frozen=True)
-class UnigraphReport:
+class UnigraphReport(Record):
     """Verdict of :func:`is_unigraph`, run-length.
 
     ``runs`` holds one (type, count) entry per run of the decomposition
@@ -93,9 +96,17 @@ class UnigraphReport:
     index of the first component that did not match.
     """
 
-    is_unigraph: bool
-    runs: tuple[tuple[TypedComponent, int], ...]
-    failure_index: int | None
+    _fields = ("is_unigraph", "runs", "failure_index")
+
+    def __init__(
+        self,
+        is_unigraph: bool,
+        runs: tuple[tuple[TypedComponent, int], ...],
+        failure_index: int | None,
+    ) -> None:
+        object.__setattr__(self, "is_unigraph", is_unigraph)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "failure_index", failure_index)
 
     @cached_property
     def component_types(self) -> tuple[TypedComponent, ...]:
@@ -186,33 +197,54 @@ def _pairs(prm):
     return tuple(zip(prm[::2], prm[1::2]))
 
 
-@dataclass(frozen=True, eq=False)
-class Family:
-    """The catalog record of one base.
+class Family(Record):
+    """The catalog record of one base; records compare by identity.
 
     Parameters are passed unpacked. ``runs``, ``orders`` and the parameter
     functions check nothing: they take parameters that :meth:`check`
     accepts, or that a matcher read off a sequence.
     """
 
-    base: Base
-    names: tuple[str, ...] | None  # None: S2's pairs, tagged positionally
-    bounds: str  # what check() requires, for its message
-    valid: Callable[..., bool]
-    # plain runs of a non-split base, (clique runs, stable runs) otherwise
-    runs: Callable
-    # (clique, stable) orders of a split base; (order,) of a non-split one
-    orders: Callable[..., tuple[int, ...]]
-    # the parameters a run tuple of this base must have, if any; shape()
-    # confirms them by emitting
-    guess: Callable
-    candidates: Callable[[int], list]  # every parameter tuple of an order
-    fix: Callable[..., int]
-    dist: Callable[..., int]
-    # (clique, independence) numbers; None for a balanced split family,
-    # whose sides are extremal, so that they are its orders
-    omega_alpha: Callable[..., tuple[int, int]] | None = None
-    split: bool = True
+    _fields = (
+        "base", "names", "bounds", "valid", "runs", "orders", "guess",
+        "candidates", "fix", "dist", "omega_alpha", "split",
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        base: Base,
+        names: tuple[str, ...] | None,  # None: S2's pairs, tagged positionally
+        bounds: str,  # what check() requires, for its message
+        valid: Callable[..., bool],
+        # plain runs of a non-split base, (clique runs, stable runs) otherwise
+        runs: Callable,
+        # (clique, stable) orders of a split base; (order,) of a non-split one
+        orders: Callable[..., tuple[int, ...]],
+        # the parameters a run tuple of this base must have, if any; shape()
+        # confirms them by emitting
+        guess: Callable,
+        candidates: Callable[[int], list],  # every parameter tuple of an order
+        fix: Callable[..., int],
+        dist: Callable[..., int],
+        # (clique, independence) numbers; None for a balanced split family,
+        # whose sides are extremal, so that they are its orders
+        omega_alpha: Callable[..., tuple[int, int]] | None = None,
+        split: bool = True,
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "guess", guess)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "fix", fix)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "omega_alpha", omega_alpha)
+        object.__setattr__(self, "split", split)
 
     @property
     def variants(self) -> tuple[Variant, ...]:

@@ -298,6 +298,42 @@ class TestVerify:
         ).stdout
         assert out.split("\n")[:2] == ["[]", "True"]
 
+    @staticmethod
+    def _loaded_after(argv):
+        """The unigraph submodules, and dataclasses if loaded, after
+        ``import unigraph`` and after ``main(argv)``, in a fresh process."""
+        code = (
+            "import contextlib, io, sys\n"
+            "def loaded():\n"
+            "    names = [m.partition('.')[2] for m in sys.modules"
+            " if m.startswith('unigraph.')]\n"
+            "    return sorted(names) + ['dataclasses'] * ('dataclasses' in sys.modules)\n"
+            "import unigraph\n"
+            "print(loaded())\n"
+            "from unigraph.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(loaded())\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        return [eval(line) for line in out.splitlines()]
+
+    def test_a_call_loads_only_the_modules_it_uses(self):
+        # the package imports its submodules on first use, and no record
+        # class needs dataclasses
+        after_import, after_realize = self._loaded_after(["realize", "-d", "2^3"])
+        assert after_import == ["_kernel", "_kernel._pykernel", "errors"]
+        assert "graphcore" in after_realize
+        assert not {"unitype", "gen", "params", "decomp", "split"} & set(after_realize)
+        _, after_is_unigraph = self._loaded_after(["--json", "is-unigraph", "-d", "3^4"])
+        assert "unitype" in after_is_unigraph
+        assert not {"gen", "graphcore", "params"} & set(after_is_unigraph)
+        assert "dataclasses" not in after_realize + after_is_unigraph
+
 
 class TestUsage:
     def test_missing_input_exits_2(self, capsys):

@@ -42,12 +42,17 @@ from unigraph.graphcore import (
     Graph,
     VertexPartition,
     complement_graph,
+    compose_graphs,
     degree_sequence_of,
     inverse_graph,
 )
 from unigraph.params import unigraph_params
 from unigraph.split import determine_split, smax_partition
 from unigraph.unitype import is_unigraph, match_nonsplit_type, match_split_type
+
+# the path 0-1-2, split with clique {1} and stable set {0, 2}
+PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+PATH3_PARTITION = VertexPartition(frozenset({1}), frozenset({0, 2}))
 
 raw_degree_lists = st.integers(min_value=0, max_value=12).flatmap(
     lambda n: st.lists(
@@ -198,21 +203,21 @@ class TestNormalize:
 class TestTrustedConstructor:
     def test_recognition_checks_no_run_twice(self, monkeypatch):
         # the kernel's runs are well formed by construction, so normalize
-        # and decompose build their sequences without __post_init__
+        # and decompose build their sequences without the checking __init__
         rng = random.Random(12)
         heads = [random_split_paired(rng) for _ in range(5)]
         tail = normalize([len(a) for a in realize_random(rng, 7).adj])
         raw = compose_all(heads, tail).to_list()
         rng.shuffle(raw)
         checked = 0
-        post_init = DegreeSequence.__post_init__
+        init = DegreeSequence.__init__
 
-        def counted(self):
+        def counted(self, runs):
             nonlocal checked
             checked += 1
-            post_init(self)
+            init(self, runs)
 
-        monkeypatch.setattr(DegreeSequence, "__post_init__", counted)
+        monkeypatch.setattr(DegreeSequence, "__init__", counted)
         s = normalize(raw)
         d, report = is_unigraph(s)
         assert checked == 0
@@ -731,6 +736,8 @@ class TestTextFormat:
             lambda: compact([1]),
             lambda: complement_seq([1, 1]),
             lambda: compose_all([1], EMPTY),
+            lambda: compose_all(None, EMPTY),
+            lambda: compose_all(5, EMPTY),
         ],
         ids=[
             "is_graphical-list", "decompose-list", "find_split_point-text",
@@ -738,7 +745,7 @@ class TestTextFormat:
             "realize-list", "zero-multiplicity", "increasing-runs", "self-loop",
             "edge-out-of-range", "edge-triple", "edge-not-int",
             "validate-stable-degree", "compact-list", "complement_seq-list",
-            "compose_all-int",
+            "compose_all-int", "compose_all-none", "compose_all-not-iterable",
         ],
     )
     def test_bad_input_raises_format_error(self, call):
@@ -761,6 +768,10 @@ class TestTextFormat:
             lambda: PairedDegreeSequence("a", "b").order,
             lambda: smax_partition(determine_split(parse_sequence("2^5"))),
             lambda: smax_partition("x"),
+            lambda: inverse_graph(PATH3, None),
+            lambda: inverse_graph(None, None),
+            lambda: compose_graphs(PATH3, None, PATH3),
+            lambda: compose_graphs(PATH3, PATH3_PARTITION, None),
         ],
         ids=[
             "complement_paired-text", "inverse_paired-text",
@@ -768,7 +779,9 @@ class TestTextFormat:
             "degree_sequence_of-text", "complement_graph-text",
             "merged-text-parts", "validate-text-parts", "to_text-text-parts",
             "order-text-parts", "smax_partition-not-kmax",
-            "smax_partition-text",
+            "smax_partition-text", "inverse_graph-no-partition",
+            "inverse_graph-no-graph", "compose_graphs-no-partition",
+            "compose_graphs-no-tail",
         ],
     )
     def test_wrong_type_argument_raises_format_error(self, call):

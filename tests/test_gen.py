@@ -458,6 +458,8 @@ class TestEntryPointErrors:
             (lambda: generate(GenSpec(10, 2, seed=[1])), ParamOutOfRange),
             (lambda: generate(None), ParamOutOfRange),
             (lambda: generate(GenSpec(10, 0)), Infeasible),
+            (lambda: compose_types(1.5), ParamOutOfRange),
+            (lambda: compose_types(iter([])), ParamOutOfRange),
         ],
     )
     def test_bad_input_raises_domain_error(self, call, error):
@@ -486,6 +488,10 @@ class TestComposeTypes:
             tail = tail.merged()
         heads = [type_to_sequence(t) for t in comps[:-1]]
         assert compose_types(comps) == compose_all(heads, tail)
+
+    def test_takes_any_iterable(self):
+        comps = generate(GenSpec(40, 5, seed=3))
+        assert compose_types(iter(comps)) == compose_types(tuple(comps)) == compose_types(comps)
 
     def test_million_vertices_ten_thousand_components(self):
         comps = generate(GenSpec(10**6, 10**4, seed=1))

@@ -1,0 +1,210 @@
+"""The package surface: its public names, and the value semantics of its
+records (repr, equality, hashing, immutability, pickling and copying)."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import unigraph
+from unigraph import (
+    Base,
+    DegreeSequence,
+    GenSpec,
+    Graph,
+    PairedDegreeSequence,
+    ParamSet,
+    SplitClass,
+    SplitKind,
+    TypedComponent,
+    Variant,
+    VertexPartition,
+    decompose,
+    determine_split,
+    is_unigraph,
+    parse_sequence,
+)
+from unigraph.oracle import Permutation
+
+SRC = str(Path(unigraph.__file__).resolve().parents[1])
+
+
+class TestPublicNames:
+    def test_all_names_resolve_and_none_is_a_module(self):
+        names = unigraph.__all__
+        assert len(names) == len(set(names)) == 56
+        for name in names:
+            assert not isinstance(getattr(unigraph, name), types.ModuleType), name
+
+    def test_star_import_binds_every_name(self):
+        code = (
+            "from unigraph import *\n"
+            "import unigraph\n"
+            "print(all(globals()[n] is getattr(unigraph, n) for n in unigraph.__all__))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "True\n"
+
+    def test_dir_lists_every_name(self):
+        assert set(unigraph.__all__) <= set(dir(unigraph))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            unigraph.no_such_name
+
+
+def _paired(k: str, s: str) -> PairedDegreeSequence:
+    return PairedDegreeSequence(parse_sequence(k), parse_sequence(s))
+
+
+# (field names, fresh instance, an unequal one, the literal repr of the
+# first); each entry builds new objects, so equal instances are never the
+# same object
+RECORDS = {
+    "DegreeSequence": lambda: (
+        ("runs",),
+        DegreeSequence(((3, 2), (1, 1))),
+        DegreeSequence(((3, 2), (1, 2))),
+        "DegreeSequence(runs=((3, 2), (1, 1)))",
+    ),
+    "PairedDegreeSequence": lambda: (
+        ("kpart", "spart"),
+        _paired("2^2", "1^2"),
+        _paired("2^2", "2,0"),
+        "PairedDegreeSequence(kpart=DegreeSequence(runs=((2, 2),)), "
+        "spart=DegreeSequence(runs=((1, 2),)))",
+    ),
+    "Decomposition": lambda: (
+        ("runs", "tail"),
+        decompose(parse_sequence("2^2,1^2,0")),
+        decompose(parse_sequence("2^2,1^2")),
+        "Decomposition(runs=((PairedDegreeSequence(kpart=DegreeSequence(runs=()), "
+        "spart=DegreeSequence(runs=((0, 1),))), 1),), "
+        "tail=DegreeSequence(runs=((2, 2), (1, 2))))",
+    ),
+    "TypedComponent": lambda: (
+        ("variant", "base", "params", "order"),
+        TypedComponent(Variant.INVERSE, Base.SPQ, (1, 2), 3),
+        TypedComponent(Variant.ORIGINAL, Base.SPQ, (1, 2), 3),
+        "TypedComponent(variant=<Variant.INVERSE: 'inverse'>, base=<Base.SPQ: 'spq'>, "
+        "params=(1, 2), order=3)",
+    ),
+    "UnigraphReport": lambda: (
+        ("is_unigraph", "runs", "failure_index"),
+        is_unigraph(parse_sequence("2^2,1^2"))[1],
+        is_unigraph(parse_sequence("2^2,1^2,0"))[1],
+        "UnigraphReport(is_unigraph=True, runs=((TypedComponent("
+        "variant=<Variant.ORIGINAL: 'original'>, base=<Base.SPQ: 'spq'>, "
+        "params=(1, 2), order=4), 1),), failure_index=None)",
+    ),
+    "GenSpec": lambda: (
+        ("n", "k", "seed", "allowed", "distinct_singletons"),
+        GenSpec(10, 2, seed=3, allowed=[Base.K1]),
+        GenSpec(10, 2, seed=4, allowed=[Base.K1]),
+        "GenSpec(n=10, k=2, seed=3, allowed=frozenset({<Base.K1: 'k1'>}), "
+        "distinct_singletons=False)",
+    ),
+    "Graph": lambda: (
+        ("adj",),
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        Graph.from_edges(3, [(0, 1)]),
+        "Graph(adj=((1,), (0, 2), (1,)))",
+    ),
+    "VertexPartition": lambda: (
+        ("kset", "sset"),
+        VertexPartition(frozenset({0}), frozenset({1, 2})),
+        VertexPartition(frozenset({0, 1}), frozenset({2})),
+        "VertexPartition(kset=frozenset({0}), sset=frozenset({1, 2}))",
+    ),
+    "ParamSet": lambda: (
+        ("omega", "alpha", "beta", "chi", "fix", "dist"),
+        ParamSet(omega=2, alpha=2, beta=2, chi=2, fix=1, dist=2),
+        ParamSet(omega=2, alpha=2, beta=2, chi=2, fix=1, dist=3),
+        "ParamSet(omega=2, alpha=2, beta=2, chi=2, fix=1, dist=2)",
+    ),
+    "SplitClass": lambda: (
+        ("kind", "paired"),
+        determine_split(parse_sequence("2^2,1^2")),
+        SplitClass(SplitKind.NOT_SPLIT, None),
+        "SplitClass(kind=<SplitKind.BALANCED: 'balanced'>, paired="
+        + repr(_paired("2^2", "1^2")) + ")",
+    ),
+    "Permutation": lambda: (
+        ("mapping",),
+        Permutation((1, 0, 2)),
+        Permutation((0, 1, 2)),
+        "Permutation(mapping=(1, 0, 2))",
+    ),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+class TestRecordSemantics:
+    def test_literal_repr(self, make):
+        _, record, _, text = make()
+        assert repr(record) == text
+
+    def test_equal_to_a_fresh_equal_instance(self, make):
+        a, b = make()[1], make()[1]
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_hash_is_that_of_the_field_tuple(self, make):
+        names, record, _, _ = make()
+        assert hash(record) == hash(tuple(getattr(record, f) for f in names))
+
+    def test_unequal_to_a_different_instance(self, make):
+        _, record, other, _ = make()
+        assert record != other and not record == other
+        assert record != repr(record)
+
+    def test_assignment_and_deletion_raise(self, make):
+        names, record, _, _ = make()
+        name = names[0]
+        value = getattr(record, name)
+        for target in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, target, value)
+            with pytest.raises(AttributeError):
+                delattr(record, target)
+        assert getattr(record, name) is value
+
+    def test_pickle_and_copy_round_trip(self, make):
+        record = make()[1]
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(clone) is type(record)
+            assert clone == record and hash(clone) == hash(record)
+            assert repr(clone) == repr(record)
+
+
+class TestDegreeSequenceCache:
+    def test_keeps_its_cached_order_and_verdict(self):
+        s = parse_sequence("2^2,1^2")
+        _, report = is_unigraph(s)
+        assert {"n", "_unigraph"} <= vars(s).keys()
+        assert s.n == 4
+        assert is_unigraph(s)[1] is report
+
+    def test_compares_by_runs_only(self):
+        s = parse_sequence("2^2,1^2")
+        is_unigraph(s)
+        fresh = DegreeSequence(s.runs)
+        assert "_unigraph" not in vars(fresh)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh) == "DegreeSequence(runs=((2, 2), (1, 2)))"
+
+    def test_pickle_carries_the_cache(self):
+        s = parse_sequence("2^2,1^2")
+        _, report = is_unigraph(s)
+        clone = pickle.loads(pickle.dumps(s))
+        assert vars(clone).keys() == vars(s).keys()
+        assert is_unigraph(clone)[1] == report
