@@ -17,17 +17,21 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        get = attrgetter(*cls._fields)
-        # the field tuple; attrgetter of one name returns the bare value
-        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+        if "__eq__" in cls.__dict__:  # a class that compares otherwise
+            return
+        get = attrgetter(*cls._fields)  # of one name: the bare value
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
+        # closures over the getter, so a call looks nothing up on the class
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._key(self))
+        cls.__eq__ = __eq__
+        if len(cls._fields) > 1:
+            cls.__hash__ = lambda self: hash(get(self))
+        else:
+            cls.__hash__ = lambda self: hash((get(self),))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

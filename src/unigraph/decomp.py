@@ -10,11 +10,11 @@ indecomposable component.
 A decomposition is stored run-length, as the kernel strips it: a maximal
 run of m consecutive dominant (K1) or isolated (S1) single-vertex
 components is one entry (K1, m) or (S1, m), and every multi-vertex head is
-an entry of count 1. The compact form is a :class:`Decomposition` too, with
-each run turned into one block of count 1. Every consumer works per run, so
-a complete graph on a million vertices decomposes into one entry; the
-per-strip component list is expanded only when asked for, and refused above
-REALIZE_MAX strips.
+an entry of count 1; recognition and the parameters read the kernel's
+records alone. The compact form is a :class:`Decomposition` too, with each
+run turned into one block of count 1. A complete graph on a million
+vertices decomposes into one entry; the per-strip component list is
+expanded only when asked for, and refused above REALIZE_MAX strips.
 
 The kernel's strip loop proves graphicality on its own prefix sums, so
 :func:`decompose` and :func:`find_split_point` (the cut of the first strip)
@@ -28,7 +28,6 @@ from functools import cached_property
 from . import _kernel
 from ._record import Record
 from .degseq import (
-    EMPTY,
     REALIZE_MAX,
     DegreeSequence,
     PairedDegreeSequence,
@@ -42,13 +41,14 @@ K1 = PairedDegreeSequence(DegreeSequence(((0, 1),)), DegreeSequence(()))
 S1 = PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, 1),)))
 
 
-def tail_joins_clique(prev: PairedDegreeSequence | None) -> bool:
-    """Side a single-vertex tail joins, given the component before it.
+def tail_joins_clique(prev: str | None) -> bool:
+    """Side a single-vertex tail joins, given the kind of the kernel record
+    before it, or None.
 
     The tail has no partition of its own: it joins the clique side exactly
     when nothing or a K1 precedes it, and the stable side otherwise.
     """
-    return prev is None or prev == K1
+    return prev is None or prev == "k1"
 
 
 def per_strip(runs) -> list:
@@ -68,10 +68,11 @@ class Decomposition(Record):
     """Components as (component, count) runs, outermost (G_k) first, and
     the indecomposable tail (G_0) as a plain sequence.
 
-    The canonical decomposition keeps a run of m single vertices as one
-    entry of count m. The compact form (:func:`compact`) turns each run
-    into one block of count 1, and its tail is EMPTY when the single-vertex
-    G_0 was absorbed into a block."""
+    A run of m single vertices is one entry of count m; the compact form
+    (:func:`compact`) has one block of count 1 per run, and an EMPTY tail
+    when the single-vertex G_0 was absorbed. Built by :func:`decompose`, it
+    keeps the kernel's records, and ``runs`` and ``tail`` are built from
+    them on first read and then kept, as ``DegreeSequence.n`` is."""
 
     _fields = ("runs", "tail")
 
@@ -82,14 +83,56 @@ class Decomposition(Record):
         object.__setattr__(self, "tail", tail)
 
     @cached_property
+    def _records(self) -> list:
+        """The kernel's records, tail last; read off the fields only when
+        the public constructor made this."""
+        records: list = []
+        for c, m in self.runs:
+            if c.order == 1:
+                records.append(("k1" if c.p else "s1", m))
+            else:
+                records += [("head", c.kpart.runs, c.spart.runs, c.p, c.q)] * m
+        records.append(("tail", self.tail.runs, self.tail.n))
+        return records
+
+    @cached_property
+    def runs(self) -> tuple[tuple[PairedDegreeSequence, int], ...]:
+        # the kernel's runs are well formed and come with their orders
+        seq, paired = DegreeSequence._trusted, PairedDegreeSequence._trusted
+        single = {"k1": K1, "s1": S1}
+        return tuple(
+            (paired(seq(r[1], r[3]), seq(r[2], r[4])), 1) if r[0] == "head"
+            else (single[r[0]], r[1])
+            for r in self._records[:-1]
+        )
+
+    @cached_property
+    def tail(self) -> DegreeSequence:
+        _, truns, n = self._records[-1]
+        return DegreeSequence._trusted(truns, n)
+
+    @cached_property
     def components(self) -> tuple[PairedDegreeSequence, ...]:
         """One entry per strip; a run of m single vertices expands to m.
         Raises TooLarge above REALIZE_MAX strips."""
         return tuple(per_strip(self.runs))
 
     @cached_property
+    def _sides(self) -> tuple[int, int]:
+        """Clique and stable vertices of the components, tail excluded."""
+        clique = stable = 0
+        for rec in self._records[:-1]:  # the tail's record is last
+            if rec[0] == "head":
+                clique, stable = clique + rec[3], stable + rec[4]
+            elif rec[0] == "k1":
+                clique += rec[1]
+            else:
+                stable += rec[1]
+        return clique, stable
+
+    @cached_property
     def n(self) -> int:
-        return sum(c.order * m for c, m in self.runs) + self.tail.n
+        return sum(self._sides) + self._records[-1][2]
 
 
 def _strip(s: DegreeSequence) -> list:
@@ -115,35 +158,26 @@ def find_split_point(s: DegreeSequence) -> tuple[int, int] | None:
 
 
 def decompose(s: DegreeSequence) -> Decomposition:
-    """Full canonical decomposition of a graphical sequence. The kernel's
-    runs are well formed by construction and come with their orders, so
-    they are neither checked nor summed again, and the heads built on them
-    skip the paired constructor's type check."""
-    trusted, paired = DegreeSequence._trusted, PairedDegreeSequence._trusted
-    runs: list[tuple[PairedDegreeSequence, int]] = []
-    tail = EMPTY
-    for rec in _strip(s):
-        kind = rec[0]
-        if kind == "k1":
-            runs.append((K1, rec[1]))
-        elif kind == "s1":
-            runs.append((S1, rec[1]))
-        elif kind == "head":
-            _, kruns, sruns, p, q = rec
-            head = paired(trusted(kruns, p), trusted(sruns, q))
-            runs.append((head, 1))
-        else:
-            tail = trusted(rec[1], rec[2])
-    return Decomposition(tuple(runs), tail)
+    """Full canonical decomposition of a graphical sequence, kept as the
+    kernel's records until ``runs`` or ``tail`` is read."""
+    return _on_records(_strip(s))
 
 
-def _block(c: PairedDegreeSequence, m: int) -> PairedDegreeSequence:
-    """A run of m copies of c as one compact entry."""
-    if c.order > 1:
-        return c
-    if c == K1:
-        return PairedDegreeSequence(DegreeSequence(((m - 1, m),)), DegreeSequence(()))
-    return PairedDegreeSequence(DegreeSequence(()), DegreeSequence(((0, m),)))
+def _on_records(records: list) -> Decomposition:
+    d = object.__new__(Decomposition)
+    object.__setattr__(d, "_records", records)
+    return d
+
+
+def _block(rec) -> tuple:
+    """A record of the compact form: a run of m > 1 K1 or S1 as the head
+    of one complete or edgeless block, any other record as it is."""
+    kind, m = rec[0], rec[1]
+    if kind == "head" or m == 1:
+        return rec
+    if kind == "k1":
+        return ("head", ((m - 1, m),), (), m, 0)
+    return ("head", (), ((0, m),), 0, m)
 
 
 def compact(d: Decomposition) -> Decomposition:
@@ -157,14 +191,13 @@ def compact(d: Decomposition) -> Decomposition:
     """
     if not isinstance(d, Decomposition):
         raise FormatError(f"expected a Decomposition, got {type(d).__name__}")
-    runs = list(d.runs)
-    tail = d.tail
-    if tail.n == 1:
-        prev = runs[-1][0] if runs else None
-        single = K1 if tail_joins_clique(prev) else S1
+    *records, tail = d._records
+    if tail[2] == 1:
+        prev = records[-1][0] if records else None
+        single = "k1" if tail_joins_clique(prev) else "s1"
         if single == prev:
-            runs[-1] = (single, runs[-1][1] + 1)
+            records[-1] = (single, records[-1][1] + 1)
         else:
-            runs.append((single, 1))
-        tail = EMPTY
-    return Decomposition(tuple((_block(c, m), 1) for c, m in runs), tail)
+            records.append((single, 1))
+        tail = ("tail", (), 0)
+    return _on_records([_block(rec) for rec in records] + [tail])

@@ -9,8 +9,8 @@ from functools import cached_property
 from typing import Iterator
 
 from ._record import Record
-from .degseq import DegreeSequence, normalize
-from .errors import FormatError, InvalidPartition
+from .degseq import REALIZE_MAX, DegreeSequence, normalize
+from .errors import FormatError, InvalidPartition, TooLarge
 
 
 class Graph(Record):
@@ -27,8 +27,11 @@ class Graph(Record):
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        if n < 0:
-            raise FormatError(f"negative vertex count {n}")
+        """Refuses, before allocating, more than REALIZE_MAX vertices."""
+        if type(n) is not int or n < 0:
+            raise FormatError(f"vertex count {n!r} is not a non-negative integer")
+        if n > REALIZE_MAX:
+            raise TooLarge(f"graphs allow {REALIZE_MAX} vertices, got {n}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for edge in edges:
             try:
@@ -103,6 +106,8 @@ class VertexPartition(Record):
 
 def parse_edge_list(text: str) -> Graph:
     """Read the ``n m`` / ``u v`` edge-list format."""
+    if not isinstance(text, str):
+        raise FormatError(f"expected edge-list text, got {type(text).__name__}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty edge list")
@@ -124,7 +129,7 @@ def parse_graph_json(text: str) -> Graph:
 
     try:
         data = json.loads(text)
-        return Graph.from_edges(int(data["n"]), data["edges"])
+        return Graph.from_edges(data["n"], data["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad graph JSON: {exc}") from exc
 

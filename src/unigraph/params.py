@@ -6,8 +6,9 @@ Clique/independence numbers add up part sizes because every multi-vertex
 indecomposable split component is balanced. A unigraph is perfect unless its
 tail is a 5-cycle, which pins the chromatic number. Fixing numbers sum over
 compact components and distinguishing numbers take their maximum.
-:func:`unigraph_params` is the one path to all six: it reads the compact
-types straight off the report, one per run, and builds no compact form.
+:func:`unigraph_params` is the one path to all six: it reads the part sizes
+off the kernel's records and the compact types straight off the report, one
+per run, and builds no component object and no compact form.
 
 The per-component values are read off the catalog records of
 :mod:`unigraph.unitype`. Their distinguishing numbers are derived as below
@@ -24,6 +25,8 @@ force sweep (all parameter tuples up to order 9) in the test suite:
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from ._record import Record
 from .decomp import Decomposition, compact
@@ -97,20 +100,19 @@ def _check_verdict(d, r) -> None:
 
 
 def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int]:
-    """(omega, alpha, beta, chi) from the canonical decomposition."""
+    """(omega, alpha, beta, chi): the sides of the components, read off the
+    kernel's records, plus the tail's own numbers."""
     _check_verdict(d, r)
     if not r.is_unigraph:
         raise NotUnigraph("exact parameters require a unigraph sequence")
-    if d.n == 0:
-        return 0, 0, 0, 0
-    omega = sum(c.p * m for c, m in d.runs)
-    alpha = sum(c.q * m for c, m in d.runs)
-    tail_type = r.runs[-1][0] if d.tail.n else None
-    if tail_type is not None:
+    omega, alpha = d._sides
+    chi = omega
+    if d.tail.n:
+        tail_type = r.runs[-1][0]
         t_omega, t_alpha = _omega_alpha(tail_type)
         omega += t_omega
         alpha += t_alpha
-    chi = omega + (1 if tail_type is not None and tail_type.base is Base.C5 else 0)
+        chi = omega + (tail_type.base is Base.C5)
     return omega, alpha, d.n - alpha, chi
 
 
@@ -161,10 +163,13 @@ def unigraph_params(s) -> ParamSet:
     if not r.is_unigraph:
         raise NotUnigraph(f"{brief(s)} is not a unigraph")
     omega, alpha, beta, chi = core_params(d, r)
-    # the compact types straight from the report, one catalog lookup each
+    # the compact types straight from the report; the matcher hands back
+    # one object per shape, so each distinct object is looked up once
+    types = _compact_types(d, r)
+    uses = Counter(map(id, types))
     fix, dist = 0, 1
-    for t in _compact_types(d, r):
+    for t in {id(t): t for t in types}.values():
         f = CATALOG[t.base]
-        fix += f.fix(*t.params)
+        fix += uses[id(t)] * f.fix(*t.params)
         dist = max(dist, f.dist(*t.params))
     return ParamSet(omega=omega, alpha=alpha, beta=beta, chi=chi, fix=fix, dist=dist)

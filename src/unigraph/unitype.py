@@ -569,6 +569,13 @@ def type_to_sequence(t: TypedComponent):
     return DegreeSequence(runs)
 
 
+# the types of the kernel's single-vertex records, which skip the matcher
+_SINGLE = {
+    "k1": TypedComponent(Variant.ORIGINAL, Base.K1, (), 1),
+    "s1": TypedComponent(Variant.ORIGINAL, Base.S1, (), 1),
+}
+
+
 @lru_cache(maxsize=1 << 14)
 def match_head(kruns, sruns) -> TypedComponent | None:
     """:func:`match_split_runs`, cached on the run tuples: heads of one
@@ -576,18 +583,15 @@ def match_head(kruns, sruns) -> TypedComponent | None:
     return match_split_runs(kruns, sruns)
 
 
-def _tail_type(d: Decomposition) -> TypedComponent | None:
-    """Type of the indecomposable tail; a single vertex takes the side
-    :func:`tail_joins_clique` puts it on. The kernel has proved the tail
-    graphical, so only the split test runs."""
-    tail = d.tail
-    if tail.n == 1:
-        prev = d.runs[-1][0] if d.runs else None
-        base = Base.K1 if tail_joins_clique(prev) else Base.S1
-        return TypedComponent(Variant.ORIGINAL, base, (), 1)
-    found = split_runs(tail.runs)
+def _tail_type(truns, n: int, prev: str | None) -> TypedComponent | None:
+    """Type of the indecomposable tail, after a record of kind ``prev``; a
+    single vertex takes the side :func:`tail_joins_clique` puts it on. The
+    kernel has proved the tail graphical, so only the split test runs."""
+    if n == 1:
+        return _SINGLE["k1" if tail_joins_clique(prev) else "s1"]
+    found = split_runs(truns)
     if found is None:
-        return match_nonsplit_runs(tail.runs)
+        return match_nonsplit_runs(truns)
     return match_head(found[1], found[2])
 
 
@@ -595,8 +599,8 @@ def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
     """Decompose and classify; the sequence is a unigraph exactly when every
     indecomposable component lies in the catalog.
 
-    Each run of the decomposition is matched once, and the report keeps one
-    entry per run; ``failure_index`` is still a strip index.
+    Each run is matched once, off the kernel's records, and the report
+    keeps one entry per run; ``failure_index`` is still a strip index.
 
     The sequence is immutable, so its (decomposition, report) is kept on the
     sequence object, as its cached ``n`` is: a second call on the same
@@ -617,17 +621,21 @@ def _classify(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
     runs: list[tuple[TypedComponent, int]] = []
     failure: int | None = None
     strips = 0
-    for comp, m in d.runs:
-        t = match_head(comp.kpart.runs, comp.spart.runs)
+    prev = None
+    for rec in d._records:
+        kind = rec[0]
+        if kind == "head":
+            t, m = match_head(rec[1], rec[2]), 1
+        elif kind == "tail":
+            if not rec[2]:
+                break
+            t, m = _tail_type(rec[1], rec[2], prev), 1
+        else:
+            t, m = _SINGLE[kind], rec[1]
         if t is None:
             failure = strips
             break
         runs.append((t, m))
         strips += m
-    if failure is None and d.tail.n > 0:
-        t = _tail_type(d)
-        if t is None:
-            failure = strips
-        else:
-            runs.append((t, 1))
+        prev = kind
     return d, UnigraphReport(failure is None, tuple(runs), failure)

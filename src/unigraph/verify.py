@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import oracle
-from .decomp import compose_all, decompose
+from .decomp import compact, compose_all, decompose
 from .degseq import DegreeSequence, realize
 from .params import compact_typed, core_params, unigraph_params
 from .unitype import is_unigraph
@@ -44,8 +44,8 @@ def verify_unigraph(max_n: int = 8) -> Iterator[dict]:
 
 def verify_roundtrip(max_n: int = 8) -> Iterator[dict]:
     for s in iter_graphical(max_n):
-        d = decompose(s)
-        back = compose_all(d.components, d.tail)
+        cd = compact(decompose(s))  # one entry per run, each of count 1
+        back = compose_all([c for c, _ in cd.runs], cd.tail)
         if back != s:
             yield {
                 "check": "roundtrip",
@@ -90,7 +90,7 @@ def verify_aut_product(max_n: int = 8) -> Iterator[dict]:
         d, r = is_unigraph(s)
         cd, _ = compact_typed(d, r)
         product = 1
-        for comp in cd.components:
+        for comp, _ in cd.runs:  # every count of the compact form is 1
             product *= oracle.automorphism_count(realize(comp.merged()))
         if cd.tail.n:
             product *= oracle.automorphism_count(realize(cd.tail))

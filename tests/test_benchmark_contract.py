@@ -1,11 +1,13 @@
 """What the benchmark in perfbench/ reads of the package.
 
 The tracer of ``perfbench/run.py --trace 1`` patches the (module, attribute)
-pairs of ``perfbench/layers.py``, and the CLI probe of the recognize
-workload compares ``--json is-unigraph`` output with one tag per strip. A
-change that renames one of those names or packs that output would break the
-benchmark silently, so these tests hold both. They read perfbench/ and do
-not edit it.
+pairs of ``perfbench/layers.py``, the CLI probe of the recognize workload
+compares ``--json is-unigraph`` output with one tag per strip, and every
+timed item goes through ``perfbench/ops.py`` and its workload's own output
+check in ``perfbench/workloads.py``. A change that renames one of those
+names, packs that output or answers an item wrongly would break or refuse
+the benchmark, so these tests hold all three on the warm-up items. They
+read perfbench/ and do not edit it.
 """
 
 import importlib
@@ -15,19 +17,22 @@ from pathlib import Path
 
 import pytest
 
+import unigraph
 from unigraph.cli import main
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def load(name):
+    """perfbench/<name>.py as a module of its own, without running run.py."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-LAYERS_MODULE = load_layers()
+LAYERS_MODULE = load("layers")
+OPS, WORKLOADS = load("ops"), load("workloads")
 TRACED = [entry[:2] for entry in LAYERS_MODULE.SPANS + LAYERS_MODULE.COUNTS]
 
 
@@ -46,3 +51,12 @@ def test_cli_probe_reads_one_tag_per_strip(capsys):
         "components": ["k1", "k1", "k1", "k1"],
         "failureIndex": None,
     }
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_warmup_items_pass_their_workload_check(name):
+    spec = WORKLOADS.WORKLOADS[name]
+    for item in spec["warmup"](unigraph, WORKLOADS.rng_for(name, "warmup")):
+        kind, payload, _ = item
+        out = OPS.call(unigraph, kind, OPS.prepare(unigraph, kind, payload))
+        assert spec["check"](unigraph, item, out) is None, kind

@@ -1,17 +1,30 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unigraph
 from unigraph import oracle
 from unigraph.decomp import (
     K1,
     S1,
+    Decomposition,
     compact,
     compose_all,
     decompose,
     find_split_point,
 )
-from unigraph.degseq import EMPTY, DegreeSequence, parse_paired, parse_sequence
+from unigraph.degseq import (
+    EMPTY,
+    DegreeSequence,
+    PairedDegreeSequence,
+    parse_paired,
+    parse_sequence,
+)
 from unigraph.errors import NotGraphical, TooLarge
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.graphcore import degree_sequence_of
@@ -240,6 +253,76 @@ class TestLargeScale:
             r.tags()
         ps = unigraph_params(s)
         assert (ps.omega, ps.alpha, ps.fix, ps.dist) == (10**7 + 2, 1, 10**7 + 1, 10**7 + 2)
+
+
+class TestKernelRecords:
+    """decompose keeps the kernel's records; the component objects are
+    built on the first read of ``runs``, and the verdict and parameters
+    never read them."""
+
+    # two K1 runs, a head, an S1 run and a C5 tail
+    SEQ = compose_all([K1, K1, parse_paired("2^2;1^2"), S1, S1], parse_sequence("2^5"))
+
+    def test_verdict_and_params_build_no_head(self, monkeypatch):
+        from unigraph.params import unigraph_params
+        from unigraph.unitype import is_unigraph
+
+        s = compose_types(generate(GenSpec(n=3200, k=200, seed=7)))
+        built = 0
+        trusted = PairedDegreeSequence._trusted.__func__
+        init = PairedDegreeSequence.__init__
+
+        def counted_trusted(cls, kpart, spart):
+            nonlocal built
+            built += 1
+            return trusted(cls, kpart, spart)
+
+        def counted_init(self, kpart, spart):
+            nonlocal built
+            built += 1
+            init(self, kpart, spart)
+
+        monkeypatch.setattr(PairedDegreeSequence, "_trusted", classmethod(counted_trusted))
+        monkeypatch.setattr(PairedDegreeSequence, "__init__", counted_init)
+        d, r = is_unigraph(s)
+        ps = unigraph_params(s)
+        assert r.is_unigraph and ps.beta == s.n - ps.alpha
+        assert built == 0
+        heads = sum(rec[0] == "head" for rec in d._records)
+        runs = d.runs
+        assert built == heads > 100
+        assert d.runs is runs and built == heads
+
+    def test_lazy_form_has_the_value_semantics_of_its_fields(self):
+        lazy = decompose(self.SEQ)
+        kinds = {rec[0] for rec in lazy._records}
+        assert kinds == {"k1", "s1", "head", "tail"}
+        assert "runs" not in vars(lazy)
+        clone = pickle.loads(pickle.dumps(lazy))
+        read = decompose(self.SEQ)
+        read.runs, read.tail
+        for x in (lazy, clone):
+            assert x == read and not x != read and hash(x) == hash(read)
+            assert repr(x) == repr(read)
+            assert hash(x) == hash((read.runs, read.tail))
+
+    def test_public_constructor_derives_the_records(self):
+        d = decompose(self.SEQ)
+        public = Decomposition(d.runs, d.tail)
+        assert public._records == d._records
+        assert (public.n, public._sides) == (d.n, d._sides) == (13, (4, 4))
+
+    def test_importing_params_matches_nothing(self):
+        code = (
+            "import unigraph.params, unigraph.unitype as u\n"
+            "print(u.match_head.cache_info().currsize)\n"
+        )
+        src = str(Path(unigraph.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "0\n"
 
 
 def random_graphical(rng, n):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from unigraph.degseq import (
     parse_sequence,
     realize,
 )
-from unigraph.errors import FormatError, InvalidPartition
+from unigraph.errors import FormatError, InvalidPartition, TooLarge
 from unigraph.graphcore import (
     Graph,
     VertexPartition,
@@ -283,6 +284,12 @@ class TestIO:
             (parse_graph_json, '{"n": -1, "edges": []}'),
             (parse_sequence, None),
             (parse_paired, None),
+            (parse_edge_list, None),
+            (parse_edge_list, 5),
+            (parse_graph_json, '{"n": 1e400, "edges": []}'),
+            (parse_graph_json, '{"n": 2.5, "edges": [[0, 1]]}'),
+            (parse_graph_json, '{"n": true, "edges": []}'),
+            (parse_graph_json, '{"n": "3", "edges": []}'),
         ],
         ids=[
             "self-loop",
@@ -291,11 +298,36 @@ class TestIO:
             "json-negative-n",
             "sequence-none",
             "paired-none",
+            "edge-list-none",
+            "edge-list-int",
+            "json-overflowing-n",
+            "json-fractional-n",
+            "json-bool-n",
+            "json-text-n",
         ],
     )
     def test_text_parsers_raise_only_format_error(self, parse, text):
         with pytest.raises(FormatError):
             parse(text)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_edge_list("10000001 0\n"),
+            lambda: parse_graph_json('{"n": 10000001, "edges": []}'),
+            lambda: Graph.from_edges(10**7 + 1, []),
+        ],
+        ids=["edge-list", "json", "from-edges"],
+    )
+    def test_vertex_count_past_realize_max_refused_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):

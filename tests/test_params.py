@@ -118,6 +118,21 @@ class TestFixingNumber:
     def test_single_vertex(self):
         assert unigraph_params(parse_sequence("0")).fix == 0
 
+    def test_repeated_head_adds_per_component(self):
+        # spq(1,2) three times over C5: the matcher hands back one type
+        # object for all three heads, and each still adds its fixing number
+        from unigraph.decomp import compose_all
+        from unigraph.degseq import parse_paired
+
+        head = parse_paired("2^2;1^2")
+        s = compose_all([head] * 3, parse_sequence("2^5"))
+        d, r = is_unigraph(s)
+        types = compact_typed(d, r)[1]
+        assert types[0] is types[1] is types[2]
+        ps = unigraph_params(s)
+        assert ps.fix == sum(map(component_fix, types)) == 3 * 1 + 2
+        assert ps.dist == max(map(component_dist, types)) == 3
+
 
 class TestComponentDist:
     def test_small_values(self):
