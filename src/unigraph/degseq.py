@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 import reprlib
-from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property
 from operator import gt, index
@@ -32,10 +31,11 @@ from .errors import FormatError, NegativeDegree, NotGraphical, TooLarge
 _TEXT_RE = re.compile(r"[\d\s,^]*")
 _RUN_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
 
-# realize refuses sequences whose graph has more vertices plus edges. Its
-# tracemalloc peak per unit of n + m is 91 bytes on 1^666666 (the worst
-# shape measured), 53 on 3^400000 and 16 on 2500^5000, so the cap allows
-# about 0.91 GB
+# realize refuses sequences whose graph has more vertices plus edges. The
+# realized graph streams its edge list in O(n) memory (a 0.4 MB tracemalloc
+# peak on 2500^5000); its adj, built on first read, peaks at 91 bytes per
+# unit of n + m on 1^666666 (the worst shape measured), 53 on 3^400000 and
+# 16 on 2500^5000, so the cap allows about 0.91 GB
 REALIZE_MAX = 10**7
 
 
@@ -449,20 +449,20 @@ def parse_paired(text: str) -> PairedDegreeSequence:
 
 
 def realize(s: DegreeSequence):
-    """Deterministic Havel-Hakimi realization.
+    """Deterministic Havel-Hakimi realization, as a :class:`Graph` that
+    holds only the runs, n and m.
 
     Vertices are numbered in non-increasing degree order, so vertex v has
     degree ``s.to_list()[v]``. Each vertex u, in id order, is joined to the
     vertices above it of largest remaining degree, as many as it still
-    needs. Ties: among vertices of equal remaining degree the highest ids
-    are taken first. The remaining degrees then stay non-increasing in id,
-    so u always has the largest remaining degree, and the vertices of one
-    remaining degree always form an id interval (a run).
+    needs; among vertices of equal remaining degree the highest ids are
+    taken first. So u's neighbours above it are at most two id intervals.
 
-    Costs: O(n) interpreted steps, with at most one bisect over the runs
-    per vertex; no step runs per edge and no neighbour list is sorted. The
-    neighbour ids are copied into the adjacency tuples by slicing and
-    concatenating tuples, O(n + m) work done in C.
+    Costs: here O(r), the checks. The graph's edge list, ``edges()`` and
+    ``to_json`` sweep the intervals again on each call, O(n) interpreted
+    steps with at most one bisect over the runs per vertex and O(r) state;
+    the names of an interval are one slice. ``adj`` is built on its first
+    read, O(n + m) ids copied by slicing tuples, and then kept.
 
     Raises TooLarge, before building anything, when n + m exceeds
     REALIZE_MAX.
@@ -475,145 +475,7 @@ def realize(s: DegreeSequence):
         raise TooLarge(f"realize supports n + m up to {REALIZE_MAX}, got {n + m}")
     if not is_graphical(s):
         raise NotGraphical(f"{brief(s)} is not graphical")
-    return graphcore.Graph(_havel_hakimi_adjacency(s.runs, n))
-
-
-def _havel_hakimi_adjacency(runs, n: int) -> tuple[tuple[int, ...], ...]:
-    """The sorted neighbour tuples of :func:`realize` on a graphical
-    sequence of order n.
-
-    The vertices still owed edges form a stack of runs, the run of the
-    current vertex u on top: ``neg_lo[i]`` is minus the first id of run i,
-    so the list increases and ``bisect`` finds the run that holds an id,
-    and ``gap[i]`` is the remaining degree of run i minus that of run
-    i - 1, which holds higher ids. Entry 0 is a degree-0 sentinel run from
-    the first vertex owed nothing. u's targets are the next ``owed`` ids
-    in id order, except in the run where that count ends, whose highest ids
-    are taken. The runs taken whole lose one degree each, which changes
-    only the gap at the bottom one; the run cut splits in two, and a run
-    whose gap falls to 0 merges with the run below.
-
-    So u's neighbours above it are two id intervals, [u + 1, first) and
-    [second, hi). Its neighbours below it are the earlier vertices whose
-    intervals hold u: one sweep keeps them, sorted, in ``active``. An
-    interval of w files w in ``events`` at its end and, unless it starts
-    at w + 1 where w is simply appended, at its start; the sweep toggles w
-    in or out there. The two intervals of w never touch, as [first,
-    second) lies between them. Every tuple is built from slices of one
-    tuple of ids, so all of them share its int objects.
-    """
-    ids = tuple(range(n))
-    # the lowest id owed nothing: a run of degree 0 ends the sequence
-    end = n - runs[-1][1] if runs and not runs[-1][0] else n
-    neg_lo, gap = [-end], [0]
-    owed = 0  # the remaining degree of the top run, so of u
-    for d, mult in reversed(runs):
-        if d:
-            end -= mult
-            neg_lo.append(-end)
-            gap.append(d - owed)
-            owed = d
-    events: list[list[int] | None] = [None] * (n + 1)
-    active: list[int] = []
-    lower: tuple[int, ...] = ()
-    adj: list[tuple[int, ...]] = []
-    for u in ids:
-        ev = events[u]
-        if ev is not None:
-            events[u] = None
-            for w in ev:
-                i = bisect_left(active, w)
-                if i < len(active) and active[i] == w:
-                    del active[i]
-                else:
-                    active.insert(i, w)
-            lower = tuple(active)
-        if not owed:
-            adj.append(lower)
-            continue
-        x = u + owed  # the last target in id order
-        hi = -neg_lo[-2]  # u's run is [u, hi)
-        if x + 1 < hi:
-            # the targets are the highest ids of u's own run: [second, hi)
-            second = hi - owed
-            if gap[-1] > 1:
-                neg_lo[-1] = -second
-                gap[-1] -= 1
-                neg_lo.append(~u)
-                gap.append(1)
-            else:
-                neg_lo[-2] = -second
-                neg_lo[-1] = ~u
-            adj.append(lower + ids[second:hi])
-            ev = events[second]
-            if ev is None:
-                events[second] = [u]
-            else:
-                ev.append(u)
-            ev = events[hi]
-            if ev is None:
-                events[hi] = [u]
-            else:
-                ev.append(u)
-            continue
-        i = len(neg_lo) - 1
-        if hi == u + 1:
-            # u was the last vertex of its run
-            neg_lo.pop()
-            owed -= gap.pop()
-            i -= 1
-            hi = -neg_lo[-2]
-        else:
-            neg_lo[i] = ~u
-        if x >= hi:
-            i = bisect_left(neg_lo, -x, 0, i)
-            hi = -neg_lo[i - 1]
-        # run i = [first, hi) is cut: u takes its ids from second on
-        first = -neg_lo[i]
-        second = hi + first - x - 1
-        owed -= 1
-        if second > first:
-            # [first, second) keeps its degree, above the taken part
-            neg_lo[i] = -second
-            neg_lo.insert(i + 1, -first)
-            gap.insert(i + 1, 1)
-            if i + 2 == len(neg_lo):
-                owed += 1
-            elif gap[i + 2] == 1:
-                del neg_lo[i + 1]
-                del gap[i + 2]
-            else:
-                gap[i + 2] -= 1
-        else:
-            first = second = hi
-        if gap[i] == 1:
-            neg_lo[i - 1] = neg_lo[i]
-            del neg_lo[i]
-            del gap[i]
-        else:
-            gap[i] -= 1
-        adj.append(lower + ids[u + 1:first] + ids[second:hi])
-        if second < hi:
-            ev = events[second]
-            if ev is None:
-                events[second] = [u]
-            else:
-                ev.append(u)
-            ev = events[hi]
-            if ev is None:
-                events[hi] = [u]
-            else:
-                ev.append(u)
-        if first > u + 1:
-            # u is active from u + 1 on: it is the highest id so far
-            active.append(u)
-            lower = tuple(active)
-            ev = events[first]
-            if ev is None:
-                events[first] = [u]
-            else:
-                ev.append(u)
-    return tuple(adj)
+    return graphcore.Graph._realized(s.runs, n, m)
 
 
 EMPTY = DegreeSequence(())

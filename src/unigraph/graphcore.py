@@ -4,9 +4,10 @@ graph-level complement / split-inverse / composition operations."""
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
-from typing import Iterator
+from itertools import count, repeat
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
 from .degseq import REALIZE_MAX, DegreeSequence, normalize
@@ -14,12 +15,37 @@ from .errors import FormatError, InvalidPartition, TooLarge
 
 
 class Graph(Record):
-    """Immutable graph on vertices 0..n-1 with sorted neighbor tuples."""
+    """Immutable graph on vertices 0..n-1 with sorted neighbor tuples.
+
+    A graph from the constructor, :meth:`from_adjacency` or
+    :meth:`from_edges` holds its ``adj``; its edge forms read each vertex's
+    neighbours above it off ``adj`` as id intervals, one interpreted step
+    per neighbour. A graph from ``degseq.realize`` holds only its degree
+    runs, ``n`` and ``m``. Each call of :meth:`edge_list_chunks`,
+    :meth:`to_edge_list`, :meth:`edges` or :meth:`to_json` sweeps its
+    Havel-Hakimi intervals again, O(n) interpreted steps with O(r) state,
+    and moves the names or ids of an interval as one slice. Its ``adj``,
+    O(n + m) ids, is built on first read and then kept.
+
+    Equality, hashing and repr read ``adj``; a pickle carries what the
+    instance holds, so a realized graph whose ``adj`` was never read
+    pickles as its runs."""
 
     _fields = ("adj",)
 
     def __init__(self, adj: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "adj", adj)
+
+    @classmethod
+    def _realized(cls, runs, n: int, m: int) -> "Graph":
+        """The Havel-Hakimi realization of the graphical degree runs
+        ``runs``, of order n and with m edges; nothing is built yet."""
+        g = object.__new__(cls)
+        fields = g.__dict__
+        fields["_runs"] = runs
+        fields["n"] = n
+        fields["m"] = m
+        return g
 
     @classmethod
     def from_adjacency(cls, adj) -> "Graph":
@@ -32,6 +58,12 @@ class Graph(Record):
             raise FormatError(f"vertex count {n!r} is not a non-negative integer")
         if n > REALIZE_MAX:
             raise TooLarge(f"graphs allow {REALIZE_MAX} vertices, got {n}")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise FormatError(
+                f"expected an iterable of edges, got {type(edges).__name__}"
+            ) from None
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for edge in edges:
             try:
@@ -46,7 +78,12 @@ class Graph(Record):
             nbrs[v].add(u)
         return cls.from_adjacency(nbrs)
 
-    @property
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        # set by __init__ on every graph but a realized one
+        return _adjacency_of(_havel_hakimi_intervals(self._runs, self.n), self.n)
+
+    @cached_property
     def n(self) -> int:
         return len(self.adj)
 
@@ -54,15 +91,21 @@ class Graph(Record):
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def _upper_neighbours(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield (u, the neighbours of u above u) for each u that has any."""
-        for u, nbrs in enumerate(self.adj):
-            i = bisect_right(nbrs, u)
-            if i < len(nbrs):
-                yield u, nbrs[i:]
+    def _upper_bounds(self) -> Iterator[Sequence[int]]:
+        """Per vertex u in id order, the bounds (first, lo, hi, lo, hi, ...)
+        of its neighbours above it: the id intervals [u + 1, first),
+        [lo, hi), ...; the realization's sweep, or read off ``adj``."""
+        runs = self.__dict__.get("_runs")
+        if runs is not None:
+            return _havel_hakimi_intervals(runs, self.n)
+        return map(_bounds_above, count(), self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, upper in self._upper_neighbours() for v in upper]
+        ids = list(range(self.n))
+        out: list[tuple[int, int]] = []
+        for u, b in enumerate(self._upper_bounds()):
+            out += zip(repeat(u), _above(ids, u, b))
+        return out
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -74,16 +117,15 @@ class Graph(Record):
         """The ``n m`` / ``u v`` edge-list text in pieces: the header line,
         then, for each vertex u in order, the lines of its edges to the
         vertices above it. Writing the pieces one by one never holds the
-        whole text."""
+        whole text; the names of an interval of ids are one slice of a
+        list of all names."""
         names = list(map(str, range(self.n)))
         yield f"{self.n} {self.m}\n"
-        for u, upper in self._upper_neighbours():
-            if len(upper) == 1:
-                yield f"{u} {names[upper[0]]}\n"
-            else:
-                # itemgetter looks the names up in C, twice as fast as map
-                upper_names = operator.itemgetter(*upper)(names)
-                yield f"{u} " + f"\n{u} ".join(upper_names) + "\n"
+        for u, b in enumerate(self._upper_bounds()):
+            upper = _above(names, u, b)
+            if upper:
+                head = names[u] + " "
+                yield head + ("\n" + head).join(upper) + "\n"
 
     def to_edge_list(self) -> str:
         return "".join(self.edge_list_chunks())
@@ -92,6 +134,170 @@ class Graph(Record):
         import json
 
         return json.dumps({"n": self.n, "edges": self.edges()})
+
+
+def _above(items: list, u: int, b: Sequence[int]) -> list:
+    """The entries of ``items`` at the ids above u that the bounds b of
+    ``Graph._upper_bounds`` name, in id order; one slice per interval."""
+    out = items[u + 1:b[0]]
+    for i in range(1, len(b), 2):
+        out += items[b[i]:b[i + 1]]
+    return out
+
+
+def _bounds_above(u: int, nbrs: tuple[int, ...]) -> list[int]:
+    """The bounds of ``Graph._upper_bounds`` for vertex u of sorted
+    neighbours nbrs: each neighbour above u extends the interval that ends
+    at it, or starts one."""
+    b = [u + 1]
+    for v in nbrs[bisect_right(nbrs, u):]:
+        if v == b[-1]:
+            b[-1] = v + 1
+        else:
+            b += (v, v + 1)
+    return b
+
+
+def _havel_hakimi_intervals(runs, n: int) -> Iterator[tuple[int, int, int]]:
+    """The deterministic Havel-Hakimi realization of graphical degree runs
+    of order n, one vertex at a time: yields, for each vertex u in id
+    order, (first, second, hi), where u's neighbours above it are the id
+    intervals [u + 1, first) and [second, hi), which never touch.
+
+    Vertices are numbered in non-increasing degree order. u is joined to
+    the vertices above it of largest remaining degree, as many as it still
+    needs; among vertices of equal remaining degree the highest ids are
+    taken first. The remaining degrees then stay non-increasing in id, so
+    u always has the largest remaining degree, and the vertices of one
+    remaining degree always form an id interval (a run).
+
+    The vertices still owed edges form a stack of runs, the run of the
+    current vertex u on top: ``neg_lo[i]`` is minus the first id of run i,
+    so the list increases and ``bisect`` finds the run that holds an id,
+    and ``gap[i]`` is the remaining degree of run i minus that of run
+    i - 1, which holds higher ids. Entry 0 is a degree-0 sentinel run from
+    the first vertex owed nothing. u's targets are the next ``owed`` ids
+    in id order, except in the run where that count ends, whose highest ids
+    are taken. The runs taken whole lose one degree each, which changes
+    only the gap at the bottom one; the run cut splits in two, and a run
+    whose gap falls to 0 merges with the run below. So the state is O(r)
+    and each vertex takes O(1) steps plus at most one bisect.
+    """
+    # the lowest id owed nothing: a run of degree 0 ends the sequence
+    end = n - runs[-1][1] if runs and not runs[-1][0] else n
+    neg_lo, gap = [-end], [0]
+    owed = 0  # the remaining degree of the top run, so of u
+    for d, mult in reversed(runs):
+        if d:
+            end -= mult
+            neg_lo.append(-end)
+            gap.append(d - owed)
+            owed = d
+    for u in range(n):
+        if not owed:
+            # u and every vertex after it are owed nothing
+            yield u + 1, u + 1, u + 1
+            continue
+        x = u + owed  # the last target in id order
+        hi = -neg_lo[-2]  # u's run is [u, hi)
+        if x + 1 < hi:
+            # the targets are the highest ids of u's own run: [second, hi)
+            second = hi - owed
+            if gap[-1] > 1:
+                neg_lo[-1] = -second
+                gap[-1] -= 1
+                neg_lo.append(~u)
+                gap.append(1)
+            else:
+                neg_lo[-2] = -second
+                neg_lo[-1] = ~u
+            yield u + 1, second, hi
+            continue
+        i = len(neg_lo) - 1
+        if hi == u + 1:
+            # u was the last vertex of its run
+            neg_lo.pop()
+            owed -= gap.pop()
+            i -= 1
+            hi = -neg_lo[-2]
+        else:
+            neg_lo[i] = ~u
+        if x >= hi:
+            i = bisect_left(neg_lo, -x, 0, i)
+            hi = -neg_lo[i - 1]
+        # run i = [first, hi) is cut: u takes its ids from second on
+        first = -neg_lo[i]
+        second = hi + first - x - 1
+        owed -= 1
+        if second > first:
+            # [first, second) keeps its degree, above the taken part
+            neg_lo[i] = -second
+            neg_lo.insert(i + 1, -first)
+            gap.insert(i + 1, 1)
+            if i + 2 == len(neg_lo):
+                owed += 1
+            elif gap[i + 2] == 1:
+                del neg_lo[i + 1]
+                del gap[i + 2]
+            else:
+                gap[i + 2] -= 1
+        else:
+            first = second = hi
+        if gap[i] == 1:
+            neg_lo[i - 1] = neg_lo[i]
+            del neg_lo[i]
+            del gap[i]
+        else:
+            gap[i] -= 1
+        yield first, second, hi
+
+
+def _adjacency_of(
+    intervals: Iterable[tuple[int, int, int]], n: int
+) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbour tuples of the graph on n vertices in which
+    vertex u, for the u-th (first, second, hi) of ``intervals``, has the
+    neighbours above it [u + 1, first) and [second, hi), two intervals that
+    never touch.
+
+    u's neighbours below it are the earlier vertices whose intervals hold
+    u: one sweep keeps them, sorted, in ``active``. An interval of w files
+    w in ``events`` at its end and, unless it starts at w + 1 where w is
+    simply appended, at its start; the sweep toggles w in or out there.
+    Every tuple is built from slices of one tuple of ids, and ``active``
+    holds ids from it too, so all of them share its int objects.
+    """
+    ids = tuple(range(n))
+    events: list[list[int] | None] = [None] * (n + 1)
+    active: list[int] = []
+    lower: tuple[int, ...] = ()
+    adj: list[tuple[int, ...]] = []
+    for u, (first, second, hi) in zip(ids, intervals):
+        ev = events[u]
+        if ev is not None:
+            events[u] = None
+            for w in ev:
+                i = bisect_left(active, w)
+                if i < len(active) and active[i] == w:
+                    del active[i]
+                else:
+                    active.insert(i, w)
+            lower = tuple(active)
+        adj.append(lower + ids[u + 1:first] + ids[second:hi])
+        if first > u + 1:
+            # u is active from u + 1 on: it is the highest id so far
+            active.append(u)
+            lower = tuple(active)
+            toggles = (first, second, hi) if second < hi else (first,)
+        else:
+            toggles = (second, hi) if second < hi else ()
+        for at in toggles:
+            ev = events[at]
+            if ev is None:
+                events[at] = [u]
+            else:
+                ev.append(u)
+    return tuple(adj)
 
 
 class VertexPartition(Record):

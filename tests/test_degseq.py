@@ -421,6 +421,23 @@ class TestRealize:
         assert lines_run(realize, large) <= 2.5 * lines_run(realize, small)
 
 
+@pytest.mark.parametrize(
+    "read", [lambda g: g.to_edge_list(), lambda g: g.adj], ids=["edge-list", "adj"]
+)
+@pytest.mark.parametrize(
+    "small, large",
+    [("199^200", "399^400"), ("199^100,100^100", "399^200,200^200")],
+    ids=["complete", "two-runs"],
+)
+def test_realized_forms_grow_with_n_not_with_m(read, small, large):
+    # the Havel-Hakimi sweep takes O(1) lines per vertex, the lower-neighbour
+    # pass O(1) per interval end, and the ids and names move in slices
+    def run(s):
+        read(realize(s))
+
+    assert lines_run(run, large) <= 2.5 * lines_run(run, small)
+
+
 def lines_run(fn, text):
     """Python line events while fn runs on the parsed text, in every frame
     it opens."""

@@ -1,10 +1,12 @@
 import json
+import pickle
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
-from unigraph import oracle
+from unigraph import graphcore, oracle
 from unigraph.degseq import (
     compose_seq,
     normalize,
@@ -290,6 +292,8 @@ class TestIO:
             (parse_graph_json, '{"n": 2.5, "edges": [[0, 1]]}'),
             (parse_graph_json, '{"n": true, "edges": []}'),
             (parse_graph_json, '{"n": "3", "edges": []}'),
+            (partial(Graph.from_edges, 3), None),
+            (partial(Graph.from_edges, 3), 5),
         ],
         ids=[
             "self-loop",
@@ -304,6 +308,8 @@ class TestIO:
             "json-fractional-n",
             "json-bool-n",
             "json-text-n",
+            "from-edges-none",
+            "from-edges-int",
         ],
     )
     def test_text_parsers_raise_only_format_error(self, parse, text):
@@ -332,3 +338,64 @@ class TestIO:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 0)])
+
+
+def rule_havel_hakimi(s):
+    """The neighbour tuples of the rule ``realize`` documents, one vertex
+    at a time: u joins the vertices above it of largest remaining degree,
+    the highest ids first among equal ones."""
+    rem = s.to_list()
+    nbrs = [set() for _ in rem]
+    for u in range(len(rem)):
+        by_rank = sorted(range(u + 1, len(rem)), key=lambda v: (-rem[v], -v))
+        for v in by_rank[: rem[u]]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            rem[v] -= 1
+    return tuple(tuple(sorted(a)) for a in nbrs)
+
+
+class TestRealizedGraph:
+    def test_edge_forms_never_build_the_adjacency(self, monkeypatch):
+        calls = []
+        lower_pass = graphcore._adjacency_of
+
+        def counted(*args):
+            calls.append(args)
+            return lower_pass(*args)
+
+        monkeypatch.setattr(graphcore, "_adjacency_of", counted)
+        g = realize(parse_sequence("4^2,3^2,2^3"))
+        g.to_edge_list()
+        g.edges()
+        g.to_json()
+        assert calls == [] and "adj" not in vars(g)
+        adj = g.adj
+        assert len(calls) == 1
+        assert g.adj is adj
+        assert g == Graph(adj) and hash(g) == hash(Graph(adj)) and repr(g)
+        assert len(calls) == 1
+
+    def test_equals_the_rule_adjacency_n_le_9(self):
+        from unigraph.verify import iter_graphical
+
+        for s in iter_graphical(9):
+            ref = Graph(rule_havel_hakimi(s))
+            g = realize(s)
+            assert g.to_edge_list() == per_edge_edge_list(ref)
+            assert g.to_json() == per_edge_json(ref)
+            unread = pickle.loads(pickle.dumps(realize(s)))
+            assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
+            assert unread == ref and pickle.loads(pickle.dumps(g)) == ref
+
+    def test_streamed_edge_list_memory(self):
+        # 6.25 M edges, 59.7 MB of text; the names list alone is 0.3 MB
+        g = realize(parse_sequence("2500^5000"))
+        tracemalloc.start()
+        try:
+            for _ in g.edge_list_chunks():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6

@@ -28,6 +28,7 @@ from unigraph import (
     determine_split,
     is_unigraph,
     parse_sequence,
+    realize,
 )
 from unigraph.oracle import Permutation
 
@@ -117,6 +118,13 @@ RECORDS = {
         Graph.from_edges(3, [(0, 1), (1, 2)]),
         Graph.from_edges(3, [(0, 1)]),
         "Graph(adj=((1,), (0, 2), (1,)))",
+    ),
+    # built from its runs, its adjacency read on first use
+    "realized Graph": lambda: (
+        ("adj",),
+        realize(parse_sequence("2,1^2")),
+        realize(parse_sequence("1^2,0")),
+        "Graph(adj=((1, 2), (0,), (0,)))",
     ),
     "VertexPartition": lambda: (
         ("kset", "sset"),
