@@ -36,15 +36,15 @@ _EXPORTS = {
     "degseq": "DegreeSequence PairedDegreeSequence complement_paired complement_seq"
     " compose_seq inverse_paired is_graphical normalize parse_paired"
     " parse_sequence realize",
-    "decomp": "Decomposition compact compose_all decompose find_split_point",
+    "decomp": "Decomposition compact compose_all decompose",
     "gen": "GenSpec compose_types generate",
     "graphcore": "Graph VertexPartition complement_graph compose_graphs"
     " degree_sequence_of inverse_graph",
     "params": "ParamSet compact_typed component_dist component_fix"
     " component_omega_alpha core_params unigraph_params",
-    "split": "SplitClass SplitKind determine_split smax_partition",
-    "unitype": "Base TypedComponent UnigraphReport Variant apply_variant"
-    " is_unigraph match_nonsplit_type match_split_type type_to_sequence",
+    "split": "SplitClass SplitKind determine_split",
+    "unitype": "Base TypedComponent UnigraphReport Variant is_unigraph"
+    " match_nonsplit_type match_split_type type_to_sequence",
 }
 _SUBMODULE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 

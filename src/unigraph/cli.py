@@ -140,7 +140,8 @@ def cmd_params(args) -> int:
 def cmd_realize(args) -> int:
     g = realize(_input_sequence(args))
     if args.json:
-        print(g.to_json())
+        sys.stdout.writelines(g.json_chunks())
+        sys.stdout.write("\n")
     else:
         sys.stdout.writelines(g.edge_list_chunks())
     return 0

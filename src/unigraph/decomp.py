@@ -17,8 +17,10 @@ vertices decomposes into one entry; the per-strip component list is
 expanded only when asked for, and refused above REALIZE_MAX strips.
 
 The kernel's strip loop proves graphicality on its own prefix sums, so
-:func:`decompose` and :func:`find_split_point` (the cut of the first strip)
-run Erdos-Gallai once and raise NotGraphical on a sequence no graph has.
+:func:`decompose` runs Erdos-Gallai once and raises NotGraphical on a
+sequence no graph has. A sequence is indecomposable exactly when its
+decomposition has no runs, and the (p, q) cut of its first strip is the
+orders of the first run's component.
 """
 
 from __future__ import annotations
@@ -135,32 +137,14 @@ class Decomposition(Record):
         return sum(self._sides) + self._records[-1][2]
 
 
-def _strip(s: DegreeSequence) -> list:
-    """The kernel's decomposition records of a graphical sequence."""
+def decompose(s: DegreeSequence) -> Decomposition:
+    """Full canonical decomposition of a graphical sequence, kept as the
+    kernel's records until ``runs`` or ``tail`` is read."""
     check_sequence(s)
     records = _kernel.decompose_runs(s.runs)
     if records is None:
         raise NotGraphical(f"{brief(s)} is not graphical")
-    return records
-
-
-def find_split_point(s: DegreeSequence) -> tuple[int, int] | None:
-    """Lexicographically smallest (p, q) cut of a graphical sequence, or
-    None if it is indecomposable; the cut of its first strip."""
-    rec = _strip(s)[0]
-    if rec[0] == "k1":
-        return 1, 0
-    if rec[0] == "s1":
-        return 0, 1
-    if rec[0] == "head":
-        return rec[3], rec[4]
-    return None
-
-
-def decompose(s: DegreeSequence) -> Decomposition:
-    """Full canonical decomposition of a graphical sequence, kept as the
-    kernel's records until ``runs`` or ``tail`` is read."""
-    return _on_records(_strip(s))
+    return _on_records(records)
 
 
 def _on_records(records: list) -> Decomposition:

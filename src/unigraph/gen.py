@@ -66,7 +66,7 @@ ALL_BASES = frozenset(f.base for f in FAMILIES)
 
 
 class GenSpec(Record):
-    _fields = ("n", "k", "seed", "allowed", "distinct_singletons")
+    _fields = ("n", "k", "seed", "allowed")
 
     def __init__(
         self,
@@ -74,7 +74,6 @@ class GenSpec(Record):
         k: int,
         seed: int = 0,
         allowed: frozenset[Base] | None = None,
-        distinct_singletons: bool = False,
     ) -> None:
         for name, value in (("n", n), ("k", k)):
             try:
@@ -96,7 +95,6 @@ class GenSpec(Record):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "allowed", allowed)
-        object.__setattr__(self, "distinct_singletons", distinct_singletons)
 
     def allowed_bases(self) -> frozenset[Base]:
         return ALL_BASES if self.allowed is None else self.allowed
@@ -359,8 +357,6 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
         raise ParamOutOfRange(f"unusable seed {spec.seed!r}") from None
     for _ in range(256):
         sizes = _sample_sizes(rng, spec.n, spec.k)
-        if spec.distinct_singletons and spec.k > 1 and sizes[-1] == 1 and sizes[-2] == 1:
-            continue
         try:
             comps = [
                 _sample_component(rng, s, split_only=True, allowed=allowed)
@@ -381,24 +377,11 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
                 )
             except Infeasible:
                 continue
-        out = comps + [tail]
-        if spec.distinct_singletons:
-            out = _break_singleton_runs(out)
-        return out
+        return comps + [tail]
     raise Infeasible(
         f"no feasible draw for n={spec.n}, k={spec.k} with types "
         f"{sorted(b.value for b in allowed)}"
     )
-
-
-def _break_singleton_runs(comps: list[TypedComponent]) -> list[TypedComponent]:
-    k1 = TypedComponent(Variant.ORIGINAL, Base.K1, (), 1)
-    s1 = TypedComponent(Variant.ORIGINAL, Base.S1, (), 1)
-    out = list(comps)
-    for i in range(1, len(out)):
-        if out[i].order == 1 and out[i - 1].order == 1 and out[i].base == out[i - 1].base:
-            out[i] = s1 if out[i].base is Base.K1 else k1
-    return out
 
 
 def compose_types(comps: list[TypedComponent]) -> DegreeSequence:

@@ -22,7 +22,7 @@ class Graph(Record):
     neighbours above it off ``adj`` as id intervals, one interpreted step
     per neighbour. A graph from ``degseq.realize`` holds only its degree
     runs, ``n`` and ``m``. Each call of :meth:`edge_list_chunks`,
-    :meth:`to_edge_list`, :meth:`edges` or :meth:`to_json` sweeps its
+    :meth:`json_chunks`, :meth:`edges` or their joins sweeps its
     Havel-Hakimi intervals again, O(n) interpreted steps with O(r) state,
     and moves the names or ids of an interval as one slice. Its ``adj``,
     O(n + m) ids, is built on first read and then kept.
@@ -130,10 +130,24 @@ class Graph(Record):
     def to_edge_list(self) -> str:
         return "".join(self.edge_list_chunks())
 
-    def to_json(self) -> str:
-        import json
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps({"n": n, "edges": edges()})`` in pieces, as
+        :meth:`edge_list_chunks` writes the edge-list text: the opening,
+        then the ``[u, v]`` edges of each vertex u to the vertices above
+        it, then the closing brackets."""
+        names = list(map(str, range(self.n)))
+        yield f'{{"n": {self.n}, "edges": ['
+        sep = ""
+        for u, b in enumerate(self._upper_bounds()):
+            upper = _above(names, u, b)
+            if upper:
+                head = "[" + names[u] + ", "
+                yield sep + head + ("], " + head).join(upper) + "]"
+                sep = ", "
+        yield "]}"
 
-        return json.dumps({"n": self.n, "edges": self.edges()})
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
 
 def _above(items: list, u: int, b: Sequence[int]) -> list:
@@ -308,36 +322,6 @@ class VertexPartition(Record):
     def __init__(self, kset: frozenset[int], sset: frozenset[int]) -> None:
         object.__setattr__(self, "kset", kset)
         object.__setattr__(self, "sset", sset)
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Read the ``n m`` / ``u v`` edge-list format."""
-    if not isinstance(text, str):
-        raise FormatError(f"expected edge-list text, got {type(text).__name__}")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty edge list")
-    try:
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    except ValueError as exc:
-        raise FormatError(f"bad edge list: {exc}") from exc
-    if len(edges) != m:
-        raise FormatError(f"expected {m} edges, found {len(edges)}")
-    try:
-        return Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise FormatError(f"bad edge list: {exc}") from exc
-
-
-def parse_graph_json(text: str) -> Graph:
-    import json
-
-    try:
-        data = json.loads(text)
-        return Graph.from_edges(data["n"], data["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad graph JSON: {exc}") from exc
 
 
 def _check_graph(g) -> None:

@@ -48,10 +48,6 @@ class Permutation(Record):
     def __call__(self, v: int) -> int:
         return self.mapping[v]
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.mapping))
-
 
 def masks_of(g: Graph) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in nbrs) for nbrs in g.adj)

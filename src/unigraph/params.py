@@ -32,15 +32,13 @@ from ._record import Record
 from .decomp import Decomposition, compact
 from .degseq import brief
 from .errors import FormatError, NotUnigraph
-from .unitype import (  # the star-block helpers are read by the tests here
+from .unitype import (
     CATALOG,
     SIDE_SWAPPING,
     Base,
     TypedComponent,
     UnigraphReport,
     Variant,
-    _dist_star_block,
-    _min_colors_for_pairs,
     family_of,
     is_unigraph,
 )

@@ -22,13 +22,12 @@ from operator import mul
 
 from ._record import Record
 from .degseq import DegreeSequence, PairedDegreeSequence, brief, is_graphical
-from .errors import FormatError, NotGraphical
+from .errors import NotGraphical
 
 
 class SplitKind(enum.Enum):
     BALANCED = "balanced"
     KMAX = "k-max"
-    SMAX = "s-max"
     NOT_SPLIT = "not-split"
 
 
@@ -40,14 +39,10 @@ class SplitClass(Record):
         object.__setattr__(self, "paired", paired)
 
 
-def durfee_index(s: DegreeSequence) -> int:
-    """Largest i with d_i >= i - 1 (1-indexed); 0 for the empty sequence."""
-    return _durfee(s.runs)[0]
-
-
 def _durfee(runs) -> tuple[int, int]:
-    """(m, d_1 + ... + d_m) for the Durfee index m; reads only the runs up
-    to m."""
+    """(m, d_1 + ... + d_m) for the Durfee index m, the largest i with
+    d_i >= i - 1 (1-indexed; 0 for no degrees); reads only the runs up to
+    m."""
     m = top = pos = 0
     for d, mult in runs:
         if d < pos:  # the run's first vertex has index pos + 1
@@ -100,21 +95,3 @@ def determine_split(s: DegreeSequence) -> SplitClass:
     kind, kruns, sruns = found
     return SplitClass(kind, PairedDegreeSequence.from_runs(kruns, sruns))
 
-
-def smax_partition(sc: SplitClass) -> SplitClass:
-    """Shift the swing vertex of a K-max partition to the stable side."""
-    if (
-        not isinstance(sc, SplitClass)
-        or sc.kind is not SplitKind.KMAX
-        or sc.paired is None
-    ):
-        raise FormatError("S-max shift applies to K-max classes only")
-    ps = sc.paired
-    kruns, swing = _take_top(ps.kpart.runs, ps.p - 1)
-    merged = list(ps.spart.runs)
-    d = swing[0][0]
-    if merged and merged[0][0] == d:
-        merged[0] = (d, merged[0][1] + 1)
-    else:
-        merged.insert(0, (d, 1))
-    return SplitClass(SplitKind.SMAX, PairedDegreeSequence.from_runs(kruns, merged))

@@ -35,7 +35,6 @@ from .degseq import (
     check_paired,
     check_sequence,
     complement_runs,
-    complement_seq,
     inverse_runs,
     runs_order,
 )
@@ -140,20 +139,6 @@ def split_variant(v: Variant, kruns, sruns, p: int, q: int):
     if v is Variant.INVERSE or v is Variant.INVERSE_COMPLEMENT:
         kruns, sruns = inverse_runs(kruns, sruns, p, q)
     return kruns, sruns
-
-
-def apply_variant(x, v: Variant):
-    """Variant transform on a plain or paired sequence; identity-preserving
-    for ORIGINAL. Inverse variants require paired input."""
-    if v is Variant.ORIGINAL:
-        return x
-    if isinstance(x, PairedDegreeSequence):
-        return PairedDegreeSequence.from_runs(
-            *split_variant(v, x.kpart.runs, x.spart.runs, x.p, x.q)
-        )
-    if v is not Variant.COMPLEMENT:
-        raise VariantUndefined("split inverse is undefined for non-split input")
-    return complement_seq(x)
 
 
 def _min_colors_for_pairs(m: int) -> int:

@@ -213,6 +213,26 @@ class TestComposeRealizeSplit:
         # the header, then one write per vertex with a neighbour above it
         assert len(writes) == 1 + sum(a[-1] > u for u, a in enumerate(g.adj) if a)
 
+    def test_realize_streams_the_json_document(self, monkeypatch):
+        text = "250^100,200^100,150^100"
+        writes = []
+
+        class Sink:
+            def write(self, chunk):
+                writes.append(chunk)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["--json", "realize", "-d", text]) == 0
+        g = realize(parse_sequence(text))
+        assert "".join(writes) == json.dumps({"n": g.n, "edges": g.edges()}) + "\n"
+        # the opening, one write per vertex with a neighbour above it, the
+        # closing brackets and the newline
+        assert len(writes) == 3 + sum(a[-1] > u for u, a in enumerate(g.adj) if a)
+
     def test_realize_too_large_json_error(self, capsys):
         code, out, err = run_cli(capsys, "--json", "realize", "-d", "1^100000000")
         assert code == 1
@@ -326,7 +346,7 @@ class TestVerify:
         # the package imports its submodules on first use, and no record
         # class needs dataclasses
         after_import, after_realize = self._loaded_after(["realize", "-d", "2^3"])
-        assert after_import == ["_kernel", "_kernel._pykernel", "errors"]
+        assert after_import == ["_kernel", "errors"]
         assert "graphcore" in after_realize
         assert not {"unitype", "gen", "params", "decomp", "split"} & set(after_realize)
         _, after_is_unigraph = self._loaded_after(["--json", "is-unigraph", "-d", "3^4"])

@@ -16,7 +16,6 @@ from unigraph.decomp import (
     compact,
     compose_all,
     decompose,
-    find_split_point,
 )
 from unigraph.degseq import (
     EMPTY,
@@ -30,31 +29,38 @@ from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.graphcore import degree_sequence_of
 
 
+def first_cut(s):
+    """The (p, q) cut of the first strip of s, or None when s is
+    indecomposable: the orders of the first run's component."""
+    runs = decompose(s).runs
+    return (runs[0][0].p, runs[0][0].q) if runs else None
+
+
 class TestFindSplitPoint:
     def test_threshold_dominant_first(self):
-        assert find_split_point(parse_sequence("4^2,2^3")) == (1, 0)
+        assert first_cut(parse_sequence("4^2,2^3")) == (1, 0)
 
     def test_c5_indecomposable(self):
-        assert find_split_point(parse_sequence("2^5")) is None
+        assert first_cut(parse_sequence("2^5")) is None
 
     def test_tree_over_c3(self):
-        assert find_split_point(parse_sequence("6,5,4^3,1^3")) == (2, 3)
+        assert first_cut(parse_sequence("6,5,4^3,1^3")) == (2, 3)
 
     def test_not_graphical_raises(self):
         # a dominant vertex heads 3,3,3,1, but no graph has these degrees
         with pytest.raises(NotGraphical):
-            find_split_point(parse_sequence("3,3,3,1"))
+            first_cut(parse_sequence("3,3,3,1"))
 
     def test_isolated_before_dominant(self):
         # lexicographic rule: p=0 cuts precede p=1 cuts
-        assert find_split_point(parse_sequence("2^3,0")) == (0, 1)
+        assert first_cut(parse_sequence("2^3,0")) == (0, 1)
 
     def test_prop54_specializations(self):
         # trailing zero degree -> (0,1); full degree -> (1,0)
         rng = random.Random(1)
         for _ in range(200):
             s = random_graphical(rng, rng.randint(2, 9))
-            cut = find_split_point(s)
+            cut = first_cut(s)
             degs = s.to_list()
             if degs[-1] == 0:
                 assert cut == (0, 1)
@@ -105,9 +111,9 @@ class TestDecompose:
         for s in iter_graphical(8):
             d = decompose(s)
             for c in d.components:
-                assert find_split_point(c.merged()) is None, (s, c)
+                assert decompose(c.merged()).runs == (), (s, c)
             if d.tail.n:
-                assert find_split_point(d.tail) is None
+                assert decompose(d.tail).runs == ()
 
 
 class TestComposeAll:
@@ -161,7 +167,7 @@ class TestCanonicity:
         rng = random.Random(4)
         for _ in range(300):
             s = random_graphical(rng, rng.randint(0, 11))
-            assert find_split_point(s) == reference.split_point_naive(s.runs)
+            assert first_cut(s) == reference.split_point_naive(s.runs)
 
 
 class TestCompact:

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unigraph import oracle
-from unigraph.decomp import compact, compose_all, decompose, find_split_point
+from unigraph.decomp import compact, compose_all, decompose
 from unigraph.degseq import (
     BRIEF_CHARS,
     EMPTY,
@@ -47,7 +47,7 @@ from unigraph.graphcore import (
     inverse_graph,
 )
 from unigraph.params import unigraph_params
-from unigraph.split import determine_split, smax_partition
+from unigraph.split import determine_split
 from unigraph.unitype import is_unigraph, match_nonsplit_type, match_split_type
 
 # the path 0-1-2, split with clique {1} and stable set {0, 2}
@@ -738,7 +738,6 @@ class TestTextFormat:
         [
             lambda: is_graphical([1, 1]),
             lambda: decompose([1, 1]),
-            lambda: find_split_point("3,3"),
             lambda: determine_split([1, 1]),
             lambda: is_unigraph("3,3"),
             lambda: unigraph_params([1, 1]),
@@ -757,10 +756,9 @@ class TestTextFormat:
             lambda: compose_all(5, EMPTY),
         ],
         ids=[
-            "is_graphical-list", "decompose-list", "find_split_point-text",
-            "determine_split-list", "is_unigraph-text", "unigraph_params-list",
-            "realize-list", "zero-multiplicity", "increasing-runs", "self-loop",
-            "edge-out-of-range", "edge-triple", "edge-not-int",
+            "is_graphical-list", "decompose-list", "determine_split-list",
+            "is_unigraph-text", "unigraph_params-list", "realize-list",
+            "zero-multiplicity", "increasing-runs", "self-loop", "edge-out-of-range", "edge-triple", "edge-not-int",
             "validate-stable-degree", "compact-list", "complement_seq-list",
             "compose_all-int", "compose_all-none", "compose_all-not-iterable",
         ],
@@ -783,8 +781,6 @@ class TestTextFormat:
             lambda: PairedDegreeSequence("a", "b").validate(),
             lambda: PairedDegreeSequence("a", "b").to_text(),
             lambda: PairedDegreeSequence("a", "b").order,
-            lambda: smax_partition(determine_split(parse_sequence("2^5"))),
-            lambda: smax_partition("x"),
             lambda: inverse_graph(PATH3, None),
             lambda: inverse_graph(None, None),
             lambda: compose_graphs(PATH3, None, PATH3),
@@ -795,8 +791,7 @@ class TestTextFormat:
             "match_split_type-text", "match_nonsplit_type-text",
             "degree_sequence_of-text", "complement_graph-text",
             "merged-text-parts", "validate-text-parts", "to_text-text-parts",
-            "order-text-parts", "smax_partition-not-kmax",
-            "smax_partition-text", "inverse_graph-no-partition",
+            "order-text-parts", "inverse_graph-no-partition",
             "inverse_graph-no-graph", "compose_graphs-no-partition",
             "compose_graphs-no-tail",
         ],
@@ -807,7 +802,7 @@ class TestTextFormat:
 
     @pytest.mark.parametrize(
         "call",
-        [decompose, find_split_point, determine_split, is_unigraph, unigraph_params],
+        [decompose, determine_split, is_unigraph, unigraph_params],
     )
     def test_error_message_is_bounded(self, call):
         # 10^4 runs, one odd degree sum: the full text has about 50 000 characters

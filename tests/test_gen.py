@@ -100,15 +100,6 @@ class TestSoundness:
         d, r = is_unigraph(seq)
         assert r.is_unigraph and len(d.components) + 1 == 3
 
-    def test_distinct_singletons_flag(self):
-        for seed in range(40):
-            comps = generate(
-                GenSpec(n=12, k=6, seed=seed, distinct_singletons=True)
-            )
-            for a, b in zip(comps, comps[1:]):
-                if a.order == 1 and b.order == 1:
-                    assert a.base != b.base
-
 
 class TestEnumeration:
     @pytest.mark.parametrize("split_only", [True, False])
@@ -160,8 +151,8 @@ class TestEnumeration:
 
 def _golden_grid():
     """Seeded specs whose tags are pinned by a digest below: small and
-    mid-size n with k up to 60, type filters, distinct singletons, and two
-    many-component draws."""
+    mid-size n with k up to 60, type filters, and two many-component
+    draws."""
     specs = []
     for n in (1, 4, 5, 6, 9, 13, 24, 25, 40, 77, 150, 400, 1000, 3000):
         for k in (1, 2, 3, 4, 7, 12, 25, 60):
@@ -173,7 +164,6 @@ def _golden_grid():
     big = frozenset({Base.K1, Base.S1, Base.S2, Base.S3, Base.S4, Base.U2})
     for seed in range(10):
         specs.append(GenSpec(60, 6, seed, allowed=few))
-        specs.append(GenSpec(30, 12, seed, distinct_singletons=True))
         specs.append(GenSpec(300, 4, seed, allowed=big))
     specs.append(GenSpec(10**4, 109, 1))
     specs.append(GenSpec(10**5, 367, 2))
@@ -222,8 +212,8 @@ class TestGolden:
                  "complement:spq(p=1,q=3)"],
             ),
             (
-                GenSpec(12, 6, 3, distinct_singletons=True),
-                ["s1", "k1", "s1", "k1", "spq(p=1,q=2)", "mk2(m=2)"],
+                GenSpec(12, 6, 3),
+                ["s1", "s1", "k1", "k1", "spq(p=1,q=2)", "mk2(m=2)"],
             ),
             (GenSpec(100, 2, 5), ["s2(9,2,1,36)", "inverse:s2(2,2,1,1)"]),
             (GenSpec(9, 9, 0), ["s1", "k1"] + ["s1"] * 7),
@@ -237,8 +227,8 @@ class TestGolden:
         specs = _golden_grid()
         for spec in specs:
             h.update(("|".join(c.tag() for c in generate(spec)) + "\n").encode())
-        assert len(specs) == 263
-        assert h.hexdigest() == "181b6513808bd7bb9c1fc328befb855c19634a11"
+        assert len(specs) == 253
+        assert h.hexdigest() == "c8ae8b579085f4cfe72470055cf666b68367b4d4"
 
     def test_compose_counts_match_binomials(self):
         for n in range(1, 81):

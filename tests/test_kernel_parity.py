@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 
 from unigraph import _kernel
-from unigraph._kernel import _pykernel, reference
+from unigraph._kernel import reference
 from unigraph.decomp import decompose
 from unigraph.degseq import is_graphical, normalize, runs_order
 from unigraph.gen import GenSpec, compose_types, generate
@@ -49,7 +49,7 @@ def nonincreasing_sequences(nmax):
         yield from combinations_with_replacement(range(n - 1, -1, -1), n)
 
 
-@pytest.mark.parametrize("kernel", [_pykernel], ids=[_kernel.IMPL])
+@pytest.mark.parametrize("kernel", [_kernel], ids=[_kernel.IMPL])
 class TestAgainstReference:
     def test_eg_on_graphical_and_near_graphical(self, kernel):
         rng = random.Random(1)
@@ -155,8 +155,8 @@ def test_huge_multiplicity():
     # K_n for n = 2^33 strips its n-1 dominant vertices as one run
     n = 2**33
     runs = ((n - 1, n),)
-    assert _pykernel.decompose_runs(runs)[0] == ("k1", n - 1)
-    assert _pykernel.eg_graphical(runs)
+    assert _kernel.decompose_runs(runs)[0] == ("k1", n - 1)
+    assert _kernel.eg_graphical(runs)
 
 
 def test_public_functions_call_through_kernel_module(monkeypatch):
@@ -211,8 +211,8 @@ def test_run_loops_stop_at_durfee_prefix(monkeypatch, fn):
         calls += 1
         return bisect_right(*args)
 
-    monkeypatch.setattr(_pykernel, "bisect_right", counted)
-    assert getattr(_pykernel, fn)(runs)
+    monkeypatch.setattr(_kernel, "bisect_right", counted)
+    assert getattr(_kernel, fn)(runs)
     assert 0 < calls <= bound
 
 
@@ -227,8 +227,8 @@ def test_each_head_costs_one_bisect(monkeypatch):
         calls += 1
         return bisect_right(*args)
 
-    monkeypatch.setattr(_pykernel, "bisect_right", counted)
-    records = _pykernel.decompose_runs(s.runs)
+    monkeypatch.setattr(_kernel, "bisect_right", counted)
+    records = _kernel.decompose_runs(s.runs)
     heads = sum(rec[0] == "head" for rec in records)
     assert heads > 200
     assert calls <= durfee_runs(s.runs) + 2 + heads

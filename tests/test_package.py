@@ -1,7 +1,12 @@
 """The package surface: its public names, and the value semantics of its
 records (repr, equality, hashing, immutability, pickling and copying)."""
 
+import argparse
+import contextlib
 import copy
+import inspect
+import io
+import json
 import os
 import pickle
 import subprocess
@@ -30,15 +35,85 @@ from unigraph import (
     parse_sequence,
     realize,
 )
+from unigraph.cli import build_parser, main
+from unigraph.errors import UnigraphError
 from unigraph.oracle import Permutation
 
 SRC = str(Path(unigraph.__file__).resolve().parents[1])
 
 
+# unigraph.__all__, grouped by why each name is public; exporting or
+# dropping a name shows up here
+PUBLIC = [
+    # library and CLI: the calls a library path or CLI subcommand makes,
+    # their records and the errors they raise
+    "FormatError", "Infeasible", "InvalidPartition", "NegativeDegree",
+    "NotGraphical", "NotUnigraph", "ParamOutOfRange", "TooLarge",
+    "UnigraphError", "VariantUndefined",
+    "DegreeSequence", "PairedDegreeSequence", "is_graphical", "normalize",
+    "parse_paired", "parse_sequence", "realize",
+    "Decomposition", "compact", "compose_all", "decompose",
+    "GenSpec", "compose_types", "generate",
+    "Graph",
+    "ParamSet", "compact_typed", "core_params", "unigraph_params",
+    "SplitClass", "SplitKind", "determine_split",
+    "Base", "TypedComponent", "UnigraphReport", "Variant", "is_unigraph",
+    # read by perfbench (tests/test_benchmark_contract.py pins them)
+    "KERNEL_IMPL", "compose_seq", "match_nonsplit_type", "match_split_type",
+    "type_to_sequence",
+    # paper operations: the sequence algebra, the per-component parameters
+    # and the graph-level operations the tests use as its reference
+    "complement_paired", "complement_seq", "inverse_paired",
+    "component_dist", "component_fix", "component_omega_alpha",
+    "VertexPartition", "complement_graph", "compose_graphs",
+    "degree_sequence_of", "inverse_graph",
+]
+
+# each public callable accepts these or raises a UnigraphError
+HOSTILE_VALUES = [None, "x", 1.5, [], [[1]], object(), -1, (("a", 1),)]
+# the enums raise ValueError on an unknown value, by the enum contract
+ENUMS = {"Base", "Variant", "SplitKind"}
+# CLI texts that no subcommand accepts as they are meant
+HOSTILE_TEXTS = ["", "x", "1.5", "3,3,3", "2^0", "9" * 5000, "1;1", "\x1c1"]
+
+
+def _required_positional(fn) -> int:
+    """The number of positional parameters ``fn`` requires; 1 for a callable
+    whose signature is not introspectable (the exception classes)."""
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except ValueError:
+        return 1
+    return sum(
+        p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        for p in params
+    )
+
+
+def _subcommands() -> list[str]:
+    """The CLI's subcommand names, read off its parser."""
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sorted(action.choices)
+
+
+def _cli_argv(command: str, text: str) -> list[str]:
+    """A ``command`` call that takes ``text`` where it reads its input."""
+    if command == "compose":
+        return ["compose", "--", text]
+    if command == "generate":
+        return ["generate", "--n", "5", "--k", "1", "--types", text]
+    if command == "verify":
+        return ["verify", text]
+    return [command, "-d", text]
+
+
 class TestPublicNames:
     def test_all_names_resolve_and_none_is_a_module(self):
         names = unigraph.__all__
-        assert len(names) == len(set(names)) == 56
+        assert sorted(names) == sorted(PUBLIC)
+        assert len(names) == len(set(names)) == 53
         for name in names:
             assert not isinstance(getattr(unigraph, name), types.ModuleType), name
 
@@ -60,6 +135,43 @@ class TestPublicNames:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             unigraph.no_such_name
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize(
+        "name", [n for n in PUBLIC if callable(getattr(unigraph, n)) and n not in ENUMS]
+    )
+    def test_public_callable_raises_only_unigraph_errors(self, name):
+        # each required argument gets the hostile value; success is allowed
+        fn = getattr(unigraph, name)
+        arity = _required_positional(fn)
+        for value in HOSTILE_VALUES:
+            try:
+                fn(*[value] * arity)
+            except UnigraphError:
+                pass
+
+    @pytest.mark.parametrize("name", sorted(ENUMS))
+    def test_enum_lookup_raises_value_error(self, name):
+        for value in HOSTILE_VALUES:
+            with pytest.raises(ValueError):
+                getattr(unigraph, name)(value)
+
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_cli_subcommand_exits_with_a_documented_code(self, command):
+        # 0 or 1 from main, 2 from argparse; one JSON document in --json mode
+        for mode in ([], ["--json"]):
+            for text in HOSTILE_TEXTS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        code = main(mode + _cli_argv(command, text))
+                    except SystemExit as exc:
+                        code = exc.code
+                        assert code == 2, (mode, text)
+                assert code in (0, 1, 2), (mode, text)
+                if mode and code != 2:
+                    json.loads(out.getvalue())
 
 
 def _paired(k: str, s: str) -> PairedDegreeSequence:
@@ -107,11 +219,10 @@ RECORDS = {
         "params=(1, 2), order=4), 1),), failure_index=None)",
     ),
     "GenSpec": lambda: (
-        ("n", "k", "seed", "allowed", "distinct_singletons"),
+        ("n", "k", "seed", "allowed"),
         GenSpec(10, 2, seed=3, allowed=[Base.K1]),
         GenSpec(10, 2, seed=4, allowed=[Base.K1]),
-        "GenSpec(n=10, k=2, seed=3, allowed=frozenset({<Base.K1: 'k1'>}), "
-        "distinct_singletons=False)",
+        "GenSpec(n=10, k=2, seed=3, allowed=frozenset({<Base.K1: 'k1'>}))",
     ),
     "Graph": lambda: (
         ("adj",),

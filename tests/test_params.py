@@ -9,8 +9,6 @@ from unigraph.degseq import complement_seq, parse_sequence, realize
 from unigraph.errors import FormatError, NotUnigraph, ParamOutOfRange
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.params import (
-    _dist_star_block,
-    _min_colors_for_pairs,
     compact_typed,
     component_dist,
     component_fix,
@@ -22,6 +20,8 @@ from unigraph.unitype import (
     Base,
     TypedComponent,
     Variant,
+    _dist_star_block,
+    _min_colors_for_pairs,
     is_unigraph,
     match_split_type,
 )

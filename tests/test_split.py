@@ -3,10 +3,13 @@ import pytest
 from unigraph import oracle
 from unigraph.degseq import parse_sequence
 from unigraph.errors import NotGraphical
-from unigraph.split import SplitKind, determine_split, durfee_index, smax_partition
+from unigraph.split import SplitKind, _durfee, determine_split
 
 
 class TestDetermineSplit:
+    def test_kinds_are_the_three_verdicts(self):
+        assert [k.value for k in SplitKind] == ["balanced", "k-max", "not-split"]
+
     def test_fig1_tree_balanced(self):
         sc = determine_split(parse_sequence("3,2,1^3"))
         assert sc.kind is SplitKind.BALANCED
@@ -33,10 +36,11 @@ class TestDetermineSplit:
             determine_split(parse_sequence("3,3,3,1"))
 
     def test_durfee_examples(self):
-        assert durfee_index(parse_sequence("3,2,1^3")) == 2
-        assert durfee_index(parse_sequence("4^5")) == 5
-        assert durfee_index(parse_sequence("0^3")) == 1
-        assert durfee_index(parse_sequence("-")) == 0
+        # (largest i with d_i >= i - 1, d_1 + ... + d_i)
+        assert _durfee(parse_sequence("3,2,1^3").runs) == (2, 5)
+        assert _durfee(parse_sequence("4^5").runs) == (5, 20)
+        assert _durfee(parse_sequence("0^3").runs) == (1, 0)
+        assert _durfee(parse_sequence("-").runs) == (0, 0)
 
 
 class TestAgainstOracle:
@@ -82,7 +86,8 @@ class TestAgainstOracle:
             assert (sc.paired.p, sc.paired.q) == (omega, alpha)
 
     def test_kmax_partition_sizes(self, atlas8):
-        # K-max: |K| = omega and |S| = alpha - 1, with an S-max twin
+        # K-max: |K| = omega and |S| = alpha - 1, and a clique vertex of
+        # degree omega - 1, which can move to the stable side
         from unigraph.verify import iter_graphical
 
         for s in iter_graphical(7):
@@ -94,18 +99,4 @@ class TestAgainstOracle:
             g = atlas8.graph_of(atlas8.atlas_by_sequence(s.n)[s.runs][0])
             omega, alpha, _, _ = oracle.brute_params(g)
             assert (sc.paired.p, sc.paired.q) == (omega, alpha - 1)
-            smax = smax_partition(sc)
-            assert smax.kind is SplitKind.SMAX
-            assert (smax.paired.p, smax.paired.q) == (omega - 1, alpha)
-            assert smax.paired.merged() == s
-
-
-class TestSmax:
-    def test_complete_graph(self):
-        sc = determine_split(parse_sequence("3^4"))
-        smax = smax_partition(sc)
-        assert smax.paired.to_text() == "3^3;3"
-
-    def test_only_defined_for_kmax(self):
-        with pytest.raises(ValueError):
-            smax_partition(determine_split(parse_sequence("3,2,1^3")))
+            assert sc.paired.kpart.runs[-1][0] == omega - 1

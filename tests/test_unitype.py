@@ -5,6 +5,7 @@ from unigraph.decomp import K1, compose_all
 from unigraph.degseq import (
     DegreeSequence,
     complement_paired,
+    complement_seq,
     inverse_paired,
     parse_paired,
     parse_sequence,
@@ -16,7 +17,6 @@ from unigraph.unitype import (
     Base,
     TypedComponent,
     Variant,
-    apply_variant,
     emit_runs,
     is_unigraph,
     match_nonsplit_runs,
@@ -31,22 +31,33 @@ def T(variant, base, params, order):
     return TypedComponent(variant, base, params, order)
 
 
+def variant_of(x, v):
+    """Variant v of a plain or paired sequence by the paper's sequence
+    operations; the inverse complement complements first."""
+    if v in (Variant.COMPLEMENT, Variant.INVERSE_COMPLEMENT):
+        x = complement_seq(x) if isinstance(x, DegreeSequence) else complement_paired(x)
+    if v in (Variant.INVERSE, Variant.INVERSE_COMPLEMENT):
+        x = inverse_paired(x)
+    return x
+
+
 class TestApplyVariant:
     def test_c5_self_complementary(self):
         s = parse_sequence("2^5")
-        assert apply_variant(s, Variant.COMPLEMENT) == s
+        assert complement_seq(s) == s
 
     def test_inverse_s22(self):
         ps = parse_paired("3^2;1^4")
-        assert apply_variant(ps, Variant.INVERSE).to_text() == "4^4;2^2"
+        assert inverse_paired(ps).to_text() == "4^4;2^2"
 
     def test_original_identity(self):
-        s = parse_sequence("3,2,1^3")
-        assert apply_variant(s, Variant.ORIGINAL) is s
+        runs = parse_sequence("2^5").runs
+        f = unitype.CATALOG[Base.C5]
+        assert f.transform(Variant.ORIGINAL, runs, (5,)) is runs
 
     def test_inverse_of_plain_sequence_undefined(self):
         with pytest.raises(VariantUndefined):
-            apply_variant(parse_sequence("2^5"), Variant.INVERSE)
+            emit_runs(T(Variant.INVERSE, Base.C5, (), 5))
 
     def test_inverse_complement_commutes(self):
         ps = parse_paired("3,2;1^3")
@@ -220,24 +231,24 @@ class TestCatalogRoundTrip:
                 if t.base in (Base.C5, Base.MK2, Base.U2, Base.U3):
                     if variant in (Variant.INVERSE, Variant.INVERSE_COMPLEMENT):
                         continue
-                    vseq = apply_variant(seq, variant)
+                    vseq = variant_of(seq, variant)
                     got = match_nonsplit_type(vseq)
                     assert got is not None, (t, variant)
                     back = type_to_sequence(got)
                     assert back == vseq, (t, variant, got)
                 else:
-                    vseq = apply_variant(seq, variant)
+                    vseq = variant_of(seq, variant)
                     got = match_split_type(vseq)
                     assert got is not None, (t, variant)
                     assert type_to_sequence(got) == vseq, (t, variant, got)
 
     def test_catalog_instances_are_indecomposable_unigraphs(self, atlas8):
-        from unigraph.decomp import find_split_point
+        from unigraph.decomp import decompose
 
         for t in all_catalog_types(8):
             seq = type_to_sequence(t)
             merged = seq if isinstance(seq, DegreeSequence) else seq.merged()
-            assert find_split_point(merged) is None, t
+            assert decompose(merged).runs == (), t
             assert oracle.count_isomorphism_classes(merged) == 1, t
 
     def test_match_inverts_emit_parameter_sweep_to_5(self):
@@ -276,7 +287,7 @@ class TestCatalogRoundTrip:
                     Variant.INVERSE_COMPLEMENT,
                 ):
                     continue
-                vseq = apply_variant(seq, variant)
+                vseq = variant_of(seq, variant)
                 got = (
                     match_nonsplit_type(vseq)
                     if nonsplit
@@ -449,7 +460,7 @@ class TestRunLevelParity:
                 for v in variants:
                     vt = TypedComponent(v, t.base, t.params, t.order)
                     vseq = type_to_sequence(vt)
-                    assert vseq == apply_variant(base, v), vt
+                    assert vseq == variant_of(base, v), vt
                     got = match(vseq)
                     assert got in pool, vt
                     assert type_to_sequence(got) == vseq, vt
