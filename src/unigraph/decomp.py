@@ -25,7 +25,9 @@ orders of the first run's component.
 
 from __future__ import annotations
 
+import reprlib
 from functools import cached_property
+from operator import index
 
 from . import _kernel
 from ._record import Record
@@ -34,6 +36,7 @@ from .degseq import (
     DegreeSequence,
     PairedDegreeSequence,
     brief,
+    check_paired,
     check_sequence,
 )
 from .degseq import compose_all  # noqa: F401  (the inverse of decompose)
@@ -74,13 +77,32 @@ class Decomposition(Record):
     (:func:`compact`) has one block of count 1 per run, and an EMPTY tail
     when the single-vertex G_0 was absorbed. Built by :func:`decompose`, it
     keeps the kernel's records, and ``runs`` and ``tail`` are built from
-    them on first read and then kept, as ``DegreeSequence.n`` is."""
+    them on first read and then kept, as ``DegreeSequence.n`` is.
+
+    The constructor raises FormatError unless ``tail`` is a sequence and
+    ``runs`` holds (component, count) pairs of paired sequences and
+    positive counts, where a count above 1 belongs to a single vertex and
+    a single vertex is K1 or S1."""
 
     _fields = ("runs", "tail")
 
     def __init__(
         self, runs: tuple[tuple[PairedDegreeSequence, int], ...], tail: DegreeSequence
     ) -> None:
+        check_sequence(tail)
+        try:
+            runs = tuple([(c, index(m)) for c, m in runs])
+        except (TypeError, ValueError):
+            what = reprlib.repr(runs)
+            raise FormatError(f"not (component, count) runs: {what}") from None
+        for c, m in runs:
+            check_paired(c)
+            if m < 1 or c.order < 1:
+                raise FormatError(f"empty component or count in {brief(c)}^{m}")
+            if c.order == 1 and c != K1 and c != S1:
+                raise FormatError(f"a single vertex is K1 or S1, not {brief(c)}")
+            if m > 1 and c.order > 1:
+                raise FormatError(f"a run of {m} repeats a component of {c.order}")
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "tail", tail)
 

@@ -182,8 +182,8 @@ class PairedDegreeSequence(Record):
             raise NotGraphical(f"merged sequence of {brief(self)} not graphical")
 
     def merged(self) -> DegreeSequence:
-        pair = (self.kpart.runs, self.spart.runs)
-        return DegreeSequence(compose_runs((pair,), ()))
+        head = (self.kpart.runs, self.spart.runs, self.p, self.q, 0)
+        return compose_runs([head], (), 0)
 
     def to_text(self) -> str:
         return f"{self.kpart.to_text()};{self.spart.to_text()}"
@@ -323,32 +323,69 @@ def compose_seq(head: PairedDegreeSequence, tail: DegreeSequence) -> DegreeSeque
     return compose_all((head,), tail)
 
 
-def compose_runs(pairs, tail) -> tuple[tuple[int, int], ...]:
-    """Runs of pairs[0] o pairs[1] o ... o tail in one pass; the inverse of
-    decompose. ``pairs`` holds (clique runs, stable runs), outermost first,
-    and ``tail`` the runs of the innermost part.
+# transforms a head of compose_runs takes before it is composed: the
+# complement, then the split inverse
+COMPLEMENTED, INVERTED = 1, 2
+
+
+def compose_runs(heads, tail, tail_n: int) -> DegreeSequence:
+    """Sequence of heads[0] o heads[1] o ... o tail in one pass; the inverse
+    of decompose. ``heads`` is a sequence of (clique runs, stable runs, p,
+    q, transforms), outermost first: the runs of a split component, the
+    orders p and q of its two sides, and the sum of COMPLEMENTED and
+    INVERTED to apply to it first. ``tail`` holds the runs of the innermost
+    part, of order ``tail_n``. The runs must be well formed and the orders
+    theirs; nothing is checked.
 
     The clique side of component i gains the order of everything below it
     plus the clique sizes above it, its stable side gains the clique sizes
-    above it, and the tail gains every clique size. The shifted blocks are
-    accumulated by degree and sorted once, so the result is their sorted
-    union whatever the blocks hold.
+    above it, and the tail gains every clique size. A transform maps each
+    side's degrees onto the other side (:func:`complement_runs`,
+    :func:`inverse_runs`), so a transformed head is shifted straight from
+    its own runs. The shifted blocks are accumulated by degree and sorted
+    once, so the result is their sorted union whatever the blocks hold.
     """
-    pairs = tuple(pairs)
-    sizes = [(runs_order(k), runs_order(s)) for k, s in pairs]
-    below = runs_order(tail) + sum(p + q for p, q in sizes)
+    n = below = tail_n + sum(h[2] + h[3] for h in heads)
     above = 0
     acc: defaultdict[int, int] = defaultdict(int)
-    for (kruns, sruns), (p, q) in zip(pairs, sizes):
+    for kruns, sruns, p, q, transforms in heads:
         below -= p + q
-        for d, m in kruns:
-            acc[d + below + above] += m
-        for d, m in sruns:
-            acc[d + above] += m
-        above += p
+        if not transforms:
+            shift = below + above
+            for d, m in kruns:
+                acc[d + shift] += m
+            for d, m in sruns:
+                acc[d + above] += m
+            above += p
+        elif transforms == COMPLEMENTED:
+            # d -> p + q - 1 - d, and the stable side becomes the clique
+            top = p + q - 1 + above
+            for d, m in sruns:
+                acc[top + below - d] += m
+            for d, m in kruns:
+                acc[top - d] += m
+            above += q
+        elif transforms == INVERTED:
+            # stable d -> d + q - 1 on the clique, clique d -> d - p + 1
+            shift = q - 1 + below + above
+            for d, m in sruns:
+                acc[d + shift] += m
+            shift = above - p + 1
+            for d, m in kruns:
+                acc[d + shift] += m
+            above += q
+        else:
+            # both: clique d -> 2p + q - 2 - d, stable d -> p - d
+            top = 2 * p + q - 2 + below + above
+            for d, m in kruns:
+                acc[top - d] += m
+            top = p + above
+            for d, m in sruns:
+                acc[top - d] += m
+            above += p
     for d, m in tail:
         acc[d + above] += m
-    return tuple(sorted(acc.items(), reverse=True))
+    return DegreeSequence._trusted(tuple(sorted(acc.items(), reverse=True)), n)
 
 
 def compose_all(
@@ -362,11 +399,11 @@ def compose_all(
     except TypeError:
         what = type(components).__name__
         raise FormatError(f"expected an iterable of components, got {what}") from None
-    pairs = []
+    heads = []
     for c in components:
         check_paired(c)
-        pairs.append((c.kpart.runs, c.spart.runs))
-    return DegreeSequence(compose_runs(pairs, tail.runs))
+        heads.append((c.kpart.runs, c.spart.runs, c.p, c.q, 0))
+    return compose_runs(heads, tail.runs, tail.n)
 
 
 def _check_text(text) -> None:

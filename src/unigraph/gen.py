@@ -14,26 +14,37 @@ family's candidates of an order off the catalog table
 (:data:`unigraph.unitype.CATALOG`), emits every variant's runs unchecked
 and keeps, of the variants with equal runs, the one the matcher tries
 first; it caches the result per order. The structured sampler instead
-reads its candidates off fixed tables in O(1) steps and tags them by a
-closed rule: a drawn (variant, base, params) is already canonical, except
-that spq(1, q) is self-inverse and the complement of spq(p, 2) equals its
-inverse (see :func:`_spq_variant`). So drawing a large component emits and
-matches no runs.
+draws from candidate lists it never builds: their lengths come from small
+lazy tables (the order's small divisors, keyed by a gcd) and from the
+order's residues, and only the drawn entry of each list is formed (see
+:func:`_drawn_candidates`). It tags a draw by a closed rule: a drawn
+(variant, base, params) is already canonical, except that spq(1, q) is
+self-inverse and the complement of spq(p, 2) equals its inverse (see
+:func:`_spq_variant`). So drawing a large component emits and matches no
+runs.
 
 The composition is drawn by first picking j, the number of multi-vertex
 parts, with weight w_j = C(k, j) * C(F - 2j - 1, j - 1), where F = n - k
 counts the vertices beyond one per part (w_0 = 1 exactly when F = 0, and
-w_j = 0 for j > F // 3). The weights come from the exact recurrence
+w_j = 0 for j > F // 3). The weights obey the exact recurrence
 
     w_1 = k,  w_{j+1} = w_j (k-j)(F-3j)(F-3j-1)(F-3j-2) / ((j+1) j (F-2j-1)(F-2j-2)),
 
 whose division is exact, so they equal the binomial products integer for
 integer and a seed draws the same components as it would from the closed
-form. One pass keeps the total and every ceil(sqrt(k))-th weight; after the
-pick, only the block of weights that holds it is recomputed, so O(sqrt(k))
-big integers are alive at once. Components are emitted and composed as run
-tuples, never as sequence objects, so a draw costs O(k) small steps plus
-the big-integer weights.
+form. The total and every ceil(sqrt(k))-th weight, with the sum before it,
+are computed once per call: the ratios between two such checkpoints are
+multiplied out by binary splitting, so each checkpoint costs two divisions
+of one big integer instead of one per weight (:func:`_weight_marks`).
+After the pick, only the block of weights that holds it is recomputed, so
+O(sqrt(k)) big integers are alive at once.
+
+Every component :func:`generate` returns is marked as drawn from the
+catalog, and :func:`compose_types` trusts that mark: it reads the runs and
+side orders of such a component off its catalog record and checks only
+the components it did not draw. Components are composed as run tuples in
+one pass (:func:`~unigraph.degseq.compose_runs`), never as sequence
+objects, so a draw costs O(k) small steps plus the big-integer weights.
 """
 
 from __future__ import annotations
@@ -42,10 +53,10 @@ import operator
 import random
 from bisect import bisect_right
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from ._record import Record
-from .degseq import DegreeSequence, compose_runs
+from .degseq import COMPLEMENTED, INVERTED, DegreeSequence, compose_runs
 from .errors import Infeasible, ParamOutOfRange
 from .unitype import (
     CATALOG,
@@ -53,6 +64,7 @@ from .unitype import (
     SPLIT_FAMILIES,
     SPLIT_VARIANTS,
     Base,
+    Family,
     TypedComponent,
     Variant,
     emit_runs,
@@ -133,7 +145,7 @@ def components_of_order(order: int, split_only: bool) -> tuple[TypedComponent, .
             if v in f.variants:
                 key = f.transform(v, runs, orders)
                 if key not in first:
-                    first[key] = TypedComponent(v, f.base, prm, order)
+                    first[key] = TypedComponent._trusted(v, f.base, prm, order)
     return tuple(sorted(first.values(), key=TypedComponent.tag))
 
 
@@ -152,18 +164,63 @@ def _weights(k: int, extra: int, j: int = 1, w: int | None = None):
         j += 1
 
 
+def _ratio_split(k: int, extra: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the ratios a_j / b_j = w_{j+1} / w_j for j in [lo, hi)
+    (lo < hi, each b_j > 0): P and Q are the products of the a_j and b_j,
+    and T / Q is the sum over i in [lo, hi) of the products of the ratios
+    from lo to i, so that w_lo * T / Q = w_{lo+1} + ... + w_hi. Halves are
+    joined by binary splitting (Haible-Papanikolaou); short ranges are
+    folded left to right, which the halves would only slow down."""
+    if hi - lo > 16:
+        mid = (lo + hi) // 2
+        p1, q1, t1 = _ratio_split(k, extra, lo, mid)
+        p2, q2, t2 = _ratio_split(k, extra, mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p = q = 1
+    t = 0
+    for j in range(lo, hi):
+        f3 = extra - 3 * j
+        a = (k - j) * f3 * (f3 - 1) * (f3 - 2)
+        b = (j + 1) * j * (extra - 2 * j - 1) * (extra - 2 * j - 2)
+        t = t * b + p * a
+        p *= a
+        q *= b
+    return p, q, t
+
+
 def _weight_marks(n: int, k: int) -> tuple[int, list[tuple[int, int, int]]]:
     """(total, marks) of the weights w_0..w_k: the marks are (sum of the
     weights before w_j, j, w_j) for every ceil(sqrt(k))-th positive weight,
-    so only O(sqrt(k)) big integers are held at once."""
+    so only O(sqrt(k)) big integers are held at once.
+
+    The weights between two marks are never formed one by one: the block's
+    ratios are multiplied out by :func:`_ratio_split`, and the next mark and
+    the block's sum each take one division of the current mark. The reduced
+    Q / g divides w_j, since w_j * (P / g) / (Q / g) is the integer next mark,
+    so the divisions go by Q / g and by what is left of g."""
     extra = n - k
+    top = min(k, extra // 3)
     step = isqrt(k - 1) + 1
     total = 1 if extra == 0 else 0
     marks = []
-    for i, w in enumerate(_weights(k, extra)):
-        if i % step == 0:
-            marks.append((total, i + 1, w))
-        total += w
+    w = k
+    for j in range(1, top + 1, step):
+        marks.append((total, j, w))
+        end = j + step
+        if end > top:  # the last block: its sum, and no next mark
+            total += w
+            if top > j:
+                _, q, t = _ratio_split(k, extra, j, top)
+                g = gcd(t, q)
+                total += w * (t // g) // (q // g)
+            break
+        p, q, t = _ratio_split(k, extra, j, end)
+        g = gcd(p, q)
+        u = w // (q // g)
+        rest = t - p  # w * rest / q = w_{j+1} + ... + w_{end-1}
+        h = gcd(rest, g)
+        total += w + u * (rest // h) // (g // h)
+        w = u * (p // g)
     return total, marks
 
 
@@ -183,11 +240,9 @@ def _part_count(n: int, k: int, marks, pick: int) -> int:
     return j
 
 
-def _sample_sizes(rng: random.Random, n: int, k: int) -> list[int]:
-    """Uniform ordered composition of n into k parts from {1, 4, 5, ...}."""
-    total, marks = _weight_marks(n, k)
-    if total == 0:
-        raise Infeasible(_infeasible_reason(n, k))
+def _sample_sizes(rng: random.Random, n: int, k: int, total: int, marks) -> list[int]:
+    """Uniform ordered composition of n into k parts from {1, 4, 5, ...},
+    by the weights (total > 0, marks) of :func:`_weight_marks`."""
     j = _part_count(n, k, marks, rng.randrange(total))
     sizes = [1] * k
     if j:
@@ -216,9 +271,8 @@ def _infeasible_reason(n: int, k: int) -> str:
     )
 
 
-# The structured sampler's candidate lists, read off fixed tables so that
-# a draw costs O(1) table steps plus one divisor scan. Each list holds the
-# same entries in the same order at every order >= 25:
+# The structured sampler's candidate lists. Each list holds the same
+# entries in the same order at every order >= 25:
 # - spq(p, q) for each divisor q < order of the order in [2, 63];
 # - S2 as two star blocks (p1, q1, 1, q2): a first block of q1 stars with
 #   p1 leaves each uses q1*(p1+1) <= 36 vertices, and the rest must be even
@@ -226,19 +280,28 @@ def _infeasible_reason(n: int, k: int) -> str:
 # - S3 (p, q1, q2) with q2 blocks of p+2 vertices plus its centre: the rest
 #   order-1-q2*(p+2) is a multiple of p+1 exactly when q2 = order-1 mod p+1;
 # - S4 (p, q) needs p+2 to divide the order (its q+2 is order/(p+2)).
+# Below _TABLE_FROM, :func:`_candidates` scans for them. From it on, every
+# divisor in [2, 63] is below the order, every S3 q2 <= 5 leaves a rest of
+# at least 2(p+1) and every S4 divisor d <= 13 has 3d <= order, so the
+# spq and S4 lists are fixed by gcd(order, _SMALL_LCM) and the S3 list by
+# the order's residues mod 2..10: a draw reads the lists' lengths off
+# small tables and builds only the entries it picks.
 _SMALL_DIVISORS = tuple(range(2, 64))
+_SMALL_LCM = lcm(*_SMALL_DIVISORS)
+_TABLE_FROM = 76
 _S2_FIRST_BLOCKS = tuple(
     (p1, q1, q1 * (p1 + 1)) for p1 in range(2, 12) for q1 in range(1, 4)
 )
 _S2_BLOCKS_BY_PARITY = tuple(
     tuple(b for b in _S2_FIRST_BLOCKS if b[2] % 2 == parity) for parity in (0, 1)
 )
+_LARGE_SPLIT_BASES = (Base.SPQ, Base.S2, Base.S3, Base.S4)
 
 
 def _candidates(order: int):
     """(spq params, S2 first blocks, S3 params, S4 params) of the structured
-    sampler at an order of at least 25; an S2 block (p1, q1, used) stands
-    for the parameters (p1, q1, 1, (order - used) // 2)."""
+    sampler at an order of at least 25, by scanning; an S2 block (p1, q1,
+    used) stands for the parameters (p1, q1, 1, (order - used) // 2)."""
     divisors = [q for q in _SMALL_DIVISORS if not order % q]
     spq = [(order // q - 1, q) for q in divisors if q < order]
     s2 = _S2_BLOCKS_BY_PARITY[order % 2]
@@ -252,6 +315,53 @@ def _candidates(order: int):
     ]
     s4 = [(d - 2, order // d - 2) for d in divisors if 3 <= d <= 13 and 3 * d <= order]
     return spq, s2, s3, s4
+
+
+@lru_cache(maxsize=512)
+def _divisor_table(g: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divisors in [2, 63] of an order whose gcd with _SMALL_LCM is g
+    (the spq list's q), and those in [3, 13] (the S4 list's p + 2)."""
+    spq = tuple(q for q in _SMALL_DIVISORS if not g % q)
+    return spq, tuple(d for d in spq if 3 <= d <= 13)
+
+
+def _s3_count(order: int) -> int:
+    """The length of the S3 list at an order of at least _TABLE_FROM: per
+    p, the q2 in [1, 5] congruent to order - 1 mod p + 1."""
+    return sum((5 - ((order - 1) % m or m)) // m + 1 for m in range(2, 11))
+
+
+def _s3_entry(order: int, i: int) -> tuple[int, int, int]:
+    """Entry i of the S3 list at an order of at least _TABLE_FROM, ordered
+    by p, then q2."""
+    for m in range(2, 11):  # m = p + 1
+        q2 = (order - 1) % m or m
+        count = (5 - q2) // m + 1
+        if i < count:
+            q2 += i * m
+            return m - 1, (order - 1 - q2 * (m + 1)) // m, q2
+        i -= count
+    raise IndexError(i)
+
+
+def _drawn_candidates(rng: random.Random, order: int) -> list:
+    """(base, entry) for each non-empty candidate list of the order, the
+    entry drawn uniformly from its list; an S2 entry is its first block."""
+    if order < _TABLE_FROM:
+        lists = zip(_LARGE_SPLIT_BASES, _candidates(order))
+        return [(base, rng.choice(c)) for base, c in lists if c]
+    spq, s4 = _divisor_table(gcd(order, _SMALL_LCM))
+    drawn = []
+    if spq:
+        q = rng.choice(spq)
+        drawn.append((Base.SPQ, (order // q - 1, q)))
+    # the S2 and S3 lists are never empty here
+    drawn.append((Base.S2, rng.choice(_S2_BLOCKS_BY_PARITY[order % 2])))
+    drawn.append((Base.S3, _s3_entry(order, rng.randrange(_s3_count(order)))))
+    if s4:
+        d = rng.choice(s4)
+        drawn.append((Base.S4, (d - 2, order // d - 2)))
+    return drawn
 
 
 def _spq_variant(v: Variant, p: int, q: int) -> Variant:
@@ -284,8 +394,9 @@ def _spq_variant(v: Variant, p: int, q: int) -> Variant:
 
 def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComponent:
     """Structured sampler for orders beyond the enumeration cap: a base and
-    its parameters from :func:`_candidates`, then a variant, returned in the
-    canonical tag the recognizer assigns without emitting or matching runs.
+    its parameters from :func:`_drawn_candidates`, then a variant, returned
+    in the canonical tag the recognizer assigns without emitting or matching
+    runs.
 
     A drawn (variant, base, params) is already canonical except for the spq
     cases of :func:`_spq_variant`: for every other entry of the candidate
@@ -293,23 +404,21 @@ def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComp
     tests check this against :func:`_canonical` for every candidate and
     variant at orders 25-200 and for seeded draws up to order 10^5.
     """
-    lists = zip((Base.SPQ, Base.S2, Base.S3, Base.S4), _candidates(order))
-    options = [(base, c[rng.randrange(len(c))]) for base, c in lists if c]
+    options = _drawn_candidates(rng, order)
     if not split_only:
         if order % 2 == 0:
             options.append((Base.MK2, (order // 2,)))
             options.append((Base.U3, ((order - 4) // 2,)))
         m = rng.randrange(1, (order - 3) // 2 + 1)
         options.append((Base.U2, (m, order - 1 - 2 * m)))
-    base, prm = options[rng.randrange(len(options))]
+    base, prm = rng.choice(options)
     if base is Base.S2:
         p1, q1, used = prm
         prm = (p1, q1, 1, (order - used) // 2)
-    variants = CATALOG[base].variants
-    variant = variants[rng.randrange(len(variants))]
+    variant = rng.choice(CATALOG[base].variants)
     if base is Base.SPQ:
         variant = _spq_variant(variant, *prm)
-    return TypedComponent(variant, base, prm, order)
+    return TypedComponent._trusted(variant, base, prm, order)
 
 
 @lru_cache(maxsize=256)
@@ -335,7 +444,7 @@ def _sample_component(
                 f"no allowed component type has order {order}"
                 f" ({'split head' if split_only else 'tail'})"
             )
-        return pool[rng.randrange(len(pool))]
+        return rng.choice(pool)
     for _ in range(64):
         t = _sample_large(rng, order, split_only)
         if t.base in allowed:
@@ -345,7 +454,8 @@ def _sample_component(
 
 def generate(spec: GenSpec) -> list[TypedComponent]:
     """Draw k typed components with orders summing to n, head-first;
-    deterministic for a fixed seed."""
+    deterministic for a fixed seed. Each is marked as drawn from the
+    catalog, so :func:`compose_types` does not check it again."""
     if not isinstance(spec, GenSpec):
         raise ParamOutOfRange(f"generate takes a GenSpec, got {spec!r}")
     if spec.k < 1 or spec.n < spec.k:
@@ -355,8 +465,12 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
         rng = random.Random(spec.seed)
     except TypeError:
         raise ParamOutOfRange(f"unusable seed {spec.seed!r}") from None
+    # the weights draw no random numbers, so no retry computes them again
+    total, marks = _weight_marks(spec.n, spec.k)
+    if total == 0:
+        raise Infeasible(_infeasible_reason(spec.n, spec.k))
     for _ in range(256):
-        sizes = _sample_sizes(rng, spec.n, spec.k)
+        sizes = _sample_sizes(rng, spec.n, spec.k, total, marks)
         try:
             comps = [
                 _sample_component(rng, s, split_only=True, allowed=allowed)
@@ -369,7 +483,7 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
             # a single-vertex tail is typed by context, not sampled: it joins
             # the clique side after nothing or a K1 (tail_joins_clique)
             base = Base.K1 if not comps or comps[-1].base is Base.K1 else Base.S1
-            tail = TypedComponent(Variant.ORIGINAL, base, (), 1)
+            tail = TypedComponent._trusted(Variant.ORIGINAL, base, (), 1)
         else:
             try:
                 tail = _sample_component(
@@ -386,9 +500,10 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
 
 def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
     """Sequence of the composition of typed components (tail last), built
-    from their catalog runs in one pass. Any iterable is read once into a
-    list. Each type is checked once against its catalog record, whose runs
-    and side orders then need no check."""
+    from their catalog runs and side orders in one pass. Any iterable is
+    read once into a list. A component :func:`generate` drew is read off
+    its catalog record as it is; any other is first checked against it
+    (:func:`~unigraph.unitype.family_of`)."""
     try:
         comps = list(comps)
     except TypeError:
@@ -396,11 +511,34 @@ def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
         raise ParamOutOfRange(f"expected an iterable of components, got {what}") from None
     if not comps:
         raise ParamOutOfRange("compose_types needs at least one component")
-    families = [family_of(t) for t in comps]
-    for f, t in zip(families, comps[:-1]):
+    *inner, last = comps
+    heads = []
+    for t in inner:
+        f = _record(t)
         if not f.split:
             raise ParamOutOfRange(f"a non-split {t} can only be the tail")
-    *heads, tail = [f.emit(t.variant, t.params) for f, t in zip(families, comps)]
-    if families[-1].split:
-        tail = compose_runs((tail,), ())
-    return DegreeSequence(compose_runs(heads, tail))
+        prm = t.params
+        heads.append((*f.runs(*prm), *f.orders(*prm), _TRANSFORMS[t.variant]))
+    f, prm = _record(last), last.params
+    if not f.split:
+        return compose_runs(heads, f.emit(last.variant, prm), last.order)
+    # a split tail is one more head, over nothing
+    heads.append((*f.runs(*prm), *f.orders(*prm), _TRANSFORMS[last.variant]))
+    return compose_runs(heads, (), 0)
+
+
+# the transforms of compose_runs that give each variant of a split base
+_TRANSFORMS = {
+    Variant.ORIGINAL: 0,
+    Variant.COMPLEMENT: COMPLEMENTED,
+    Variant.INVERSE: INVERTED,
+    Variant.INVERSE_COMPLEMENT: COMPLEMENTED + INVERTED,
+}
+
+
+def _record(t: TypedComponent) -> Family:
+    """The catalog record of t: looked up for a component :func:`generate`
+    drew, checked by :func:`~unigraph.unitype.family_of` for any other."""
+    if type(t) is TypedComponent and t._drawn:
+        return CATALOG[t.base]
+    return family_of(t)

@@ -4,6 +4,7 @@ graph-level complement / split-inverse / composition operations."""
 from __future__ import annotations
 
 import operator
+import reprlib
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import count, repeat
@@ -27,6 +28,11 @@ class Graph(Record):
     and moves the names or ids of an interval as one slice. Its ``adj``,
     O(n + m) ids, is built on first read and then kept.
 
+    The constructor takes, for each vertex 0..n-1 in turn, its neighbours
+    in increasing order, and raises FormatError unless they are ids of
+    other vertices and list each edge at both of its ends; the graphs this
+    package builds skip that check.
+
     Equality, hashing and repr read ``adj``; a pickle carries what the
     instance holds, so a realized graph whose ``adj`` was never read
     pickles as its runs."""
@@ -34,7 +40,15 @@ class Graph(Record):
     _fields = ("adj",)
 
     def __init__(self, adj: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", _checked_adjacency(adj))
+
+    @classmethod
+    def _built(cls, adj) -> "Graph":
+        """The graph on the neighbour collections of a simple graph this
+        package built: each is sorted, and nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "adj", tuple([tuple(sorted(nbrs)) for nbrs in adj]))
+        return g
 
     @classmethod
     def _realized(cls, runs, n: int, m: int) -> "Graph":
@@ -49,7 +63,13 @@ class Graph(Record):
 
     @classmethod
     def from_adjacency(cls, adj) -> "Graph":
-        return cls(tuple(tuple(sorted(nbrs)) for nbrs in adj))
+        """The graph whose vertex u has the neighbours adj[u], in any
+        order; raises FormatError as the constructor does."""
+        try:
+            rows = [sorted(nbrs) for nbrs in adj]
+        except TypeError:
+            raise FormatError(f"not rows of vertex ids: {reprlib.repr(adj)}") from None
+        return cls(rows)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -76,7 +96,7 @@ class Graph(Record):
                 raise FormatError(f"edge ({u},{v}) out of range")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls.from_adjacency(nbrs)
+        return cls._built(nbrs)
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -148,6 +168,32 @@ class Graph(Record):
 
     def to_json(self) -> str:
         return "".join(self.json_chunks())
+
+
+def _checked_adjacency(adj) -> tuple[tuple[int, ...], ...]:
+    """``adj`` as neighbour tuples; FormatError unless row u lists, in
+    increasing order, ids of vertices other than u, and each edge is listed
+    at both of its ends."""
+    try:
+        rows = tuple([tuple(map(operator.index, nbrs)) for nbrs in adj])
+    except TypeError:
+        raise FormatError(f"not rows of vertex ids: {reprlib.repr(adj)}") from None
+    n = len(rows)
+    for u, row in enumerate(rows):
+        prev = -1
+        for v in row:
+            if not prev < v < n or v == u:
+                raise FormatError(
+                    f"vertex {u} lists {v}: neighbours must be the ids of other"
+                    " vertices, in increasing order"
+                )
+            prev = v
+    for u, row in enumerate(rows):
+        for v in row:
+            i = bisect_left(rows[v], u)
+            if i == len(rows[v]) or rows[v][i] != u:
+                raise FormatError(f"edge ({u},{v}) is listed at {u} only")
+    return rows
 
 
 def _above(items: list, u: int, b: Sequence[int]) -> list:
@@ -367,15 +413,13 @@ def compose_graphs(head: Graph, part: VertexPartition, tail: Graph) -> Graph:
         for w in range(tail.n):
             adj[u].append(w + off)
             adj[w + off].append(u)
-    return Graph.from_adjacency(adj)
+    return Graph._built(adj)
 
 
 def complement_graph(g: Graph) -> Graph:
     _check_graph(g)
     allv = set(range(g.n))
-    return Graph.from_adjacency(
-        [allv - set(g.adj[v]) - {v} for v in range(g.n)]
-    )
+    return Graph._built([allv - set(g.adj[v]) - {v} for v in range(g.n)])
 
 
 def inverse_graph(g: Graph, part: VertexPartition) -> tuple[Graph, VertexPartition]:
@@ -390,4 +434,4 @@ def inverse_graph(g: Graph, part: VertexPartition) -> tuple[Graph, VertexPartiti
         adj[u] -= part.kset
     for u in part.sset:
         adj[u] |= part.sset - {u}
-    return Graph.from_adjacency(adj), VertexPartition(part.sset, part.kset)
+    return Graph._built(adj), VertexPartition(part.sset, part.kset)

@@ -55,9 +55,7 @@ def masks_of(g: Graph) -> tuple[int, ...]:
 
 def graph_of(masks: tuple[int, ...]) -> Graph:
     n = len(masks)
-    return Graph.from_adjacency(
-        [[v for v in range(n) if masks[u] >> v & 1] for u in range(n)]
-    )
+    return Graph._built([[v for v in range(n) if masks[u] >> v & 1] for u in range(n)])
 
 
 def _guard(n: int, limit: int, what: str) -> None:

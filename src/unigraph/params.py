@@ -90,19 +90,24 @@ def component_omega_alpha(t: TypedComponent) -> tuple[int, int]:
 
 
 def _check_verdict(d, r) -> None:
-    """Raise FormatError unless (d, r) has the shape is_unigraph returns."""
+    """Raise FormatError unless (d, r) has the shape is_unigraph returns,
+    and NotUnigraph unless r is a unigraph verdict."""
     if not isinstance(d, Decomposition):
         raise FormatError(f"expected a Decomposition, got {type(d).__name__}")
     if not isinstance(r, UnigraphReport):
         raise FormatError(f"expected a UnigraphReport, got {type(r).__name__}")
+    if not r.is_unigraph:
+        raise NotUnigraph("the report is not a unigraph verdict")
+    # a unigraph verdict types each run of d, and its tail unless empty
+    records = d._records
+    if len(r.runs) != len(records) - 1 + (records[-1][2] > 0):
+        raise FormatError("the report is not the verdict of this decomposition")
 
 
 def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int]:
     """(omega, alpha, beta, chi): the sides of the components, read off the
     kernel's records, plus the tail's own numbers."""
     _check_verdict(d, r)
-    if not r.is_unigraph:
-        raise NotUnigraph("exact parameters require a unigraph sequence")
     omega, alpha = d._sides
     chi = omega
     if d.tail.n:
@@ -133,8 +138,6 @@ def compact_typed(
     last, read from the report's runs: a run of m > 1 single vertices
     types as its block, and every other entry keeps its type."""
     _check_verdict(d, r)
-    if not r.is_unigraph:
-        raise NotUnigraph("compact typing requires a unigraph sequence")
     return compact(d), _compact_types(d, r)
 
 

@@ -26,6 +26,7 @@ import enum
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 from math import comb, isqrt
+from operator import mul
 
 from ._record import Record
 from .decomp import Decomposition, decompose, per_strip, tail_joins_clique
@@ -66,6 +67,7 @@ class Base(enum.Enum):
 
 class TypedComponent(Record):
     _fields = ("variant", "base", "params", "order")
+    _drawn = False  # set on the instance by _trusted
 
     def __init__(
         self, variant: Variant, base: Base, params: tuple[int, ...], order: int
@@ -74,6 +76,28 @@ class TypedComponent(Record):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "order", order)
+
+    @classmethod
+    def _trusted(
+        cls, variant: Variant, base: Base, params: tuple[int, ...], order: int
+    ) -> TypedComponent:
+        """A component drawn from the catalog by :mod:`unigraph.gen`, whose
+        fields :func:`family_of` accepts by construction. It is marked as
+        drawn in ``__dict__``, so that composing it skips that check; the
+        mark is a flag rather than the catalog record, whose lambdas do not
+        pickle. The fields are set as ``__init__`` sets them: reading
+        ``__dict__`` would build a dict per component."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "variant", variant)
+        object.__setattr__(t, "base", base)
+        object.__setattr__(t, "params", params)
+        object.__setattr__(t, "order", order)
+        object.__setattr__(t, "_drawn", True)
+        return t
+
+    def __reduce__(self):
+        # a pickle or a copy carries the four fields and comes back unmarked
+        return type(self), (self.variant, self.base, self.params, self.order)
 
     def tag(self) -> str:
         body = CATALOG[self.base].tag(self.params)
@@ -239,7 +263,7 @@ class Family(Record):
     def check(self, params) -> None:
         if not (
             isinstance(params, tuple)
-            and all(isinstance(x, int) for x in params)
+            and all(type(x) is int for x in params)
             and (self.names is None or len(params) == len(self.names))
             and self.valid(*params)
         ):
@@ -291,10 +315,17 @@ def _s2_tuples(order: int):
     return out
 
 
+def _s2_orders(*prm):
+    """(centers, leaves) of S2 parameters."""
+    qs = prm[1::2]
+    return sum(qs), sum(map(mul, prm[::2], qs))
+
+
 def _s2_runs(*prm):
-    pairs, centers = _pairs(prm), sum(prm[1::2])
-    kruns = tuple((p + centers - 1, q) for p, q in pairs)
-    return kruns, ((1, sum(p * q for p, q in pairs)),)
+    ps, qs = prm[::2], prm[1::2]
+    # a centre of block i is adjacent to its p_i leaves and the other centres
+    shift = sum(qs) - 1
+    return tuple(zip(map(shift.__add__, ps), qs)), ((1, sum(map(mul, ps, qs))),)
 
 
 def _s2_guess(runs):
@@ -399,7 +430,7 @@ SPLIT_FAMILIES = (
             and all(a > b for a, b in zip(prm[::2], prm[2::2]))
         ),
         runs=_s2_runs,
-        orders=lambda *prm: (sum(prm[1::2]), sum(p * q for p, q in _pairs(prm))),
+        orders=_s2_orders,
         guess=_s2_guess, candidates=_s2_tuples,
         fix=lambda *prm: _stars_fix(*_pairs(prm)),
         dist=lambda *prm: _stars_dist(*_pairs(prm)),
@@ -532,7 +563,7 @@ def family_of(t: TypedComponent) -> Family:
     f = CATALOG[t.base]
     f.check(t.params)
     order = sum(f.orders(*t.params))
-    if t.order != order:
+    if type(t.order) is not int or t.order != order:
         raise ParamOutOfRange(f"{f.tag(t.params)} has order {order}, not {t.order!r}")
     if t.variant not in f.variants:
         raise VariantUndefined("non-split bases only admit the complement")

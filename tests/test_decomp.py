@@ -24,7 +24,7 @@ from unigraph.degseq import (
     parse_paired,
     parse_sequence,
 )
-from unigraph.errors import NotGraphical, TooLarge
+from unigraph.errors import FormatError, NotGraphical, TooLarge
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.graphcore import degree_sequence_of
 
@@ -317,6 +317,28 @@ class TestKernelRecords:
         public = Decomposition(d.runs, d.tail)
         assert public._records == d._records
         assert (public.n, public._sides) == (d.n, d._sides) == (13, (4, 4))
+
+    @pytest.mark.parametrize(
+        "runs,tail",
+        [
+            (None, None),
+            ((), None),
+            (None, DegreeSequence(())),
+            (((None, 1),), DegreeSequence(())),
+            (((K1,),), DegreeSequence(())),
+            (((K1, 0),), DegreeSequence(())),
+            (((K1, 1.5),), DegreeSequence(())),
+            (((PairedDegreeSequence.from_runs((), ()), 1),), DegreeSequence(())),
+            (((PairedDegreeSequence.from_runs(((5, 1),), ()), 1),), DegreeSequence(())),
+            (((parse_paired("2^2;1^2"), 2),), DegreeSequence(())),
+        ],
+    )
+    def test_public_constructor_refuses_malformed_fields(self, runs, tail):
+        # no sequence tail, not (component, count) pairs, an empty
+        # component or count, a single vertex neither K1 nor S1, a
+        # multi-vertex component repeated
+        with pytest.raises(FormatError):
+            Decomposition(runs, tail)
 
     def test_importing_params_matches_nothing(self):
         code = (

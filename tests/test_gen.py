@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -14,7 +16,6 @@ from unigraph.errors import Infeasible, ParamOutOfRange, UnigraphError
 from unigraph.gen import (
     GenSpec,
     _canonical,
-    _candidates,
     _part_count,
     _sample_large,
     _weight_marks,
@@ -235,6 +236,20 @@ class TestGolden:
             for k in range(1, n + 1):
                 assert _compose_counts(n, k) == _comb_weights(n, k), (n, k)
 
+    def test_weights_are_computed_once_per_call(self, monkeypatch):
+        # the weights draw nothing, so no retry recomputes them, not even
+        # the 256 retries of a type filter nothing satisfies
+        calls = []
+        real = gen._weight_marks
+        monkeypatch.setattr(
+            gen, "_weight_marks", lambda n, k: calls.append((n, k)) or real(n, k)
+        )
+        generate(GenSpec(40, 5, 123))
+        assert calls == [(40, 5)]
+        with pytest.raises(Infeasible):
+            generate(GenSpec(100, 10, allowed=frozenset({Base.COMPLETE_BLOCK})))
+        assert calls == [(40, 5), (100, 10)]
+
     def test_checkpointed_pick_matches_full_scan(self):
         rng = random.Random(3)
         for n in range(1, 81):
@@ -289,9 +304,39 @@ def _scanned_candidates(order):
     return spq, s2, s3, s4
 
 
-def _arithmetic_candidates(order):
-    spq, s2, s3, s4 = _candidates(order)
-    return spq, [(p1, q1, 1, (order - used) // 2) for p1, q1, used in s2], s3, s4
+class _Pick:
+    """Stands in for random.Random in :func:`gen._drawn_candidates`: draws
+    entry i of every list (the last entry of a shorter one) and records
+    each list's length."""
+
+    def __init__(self, i):
+        self.i = i
+        self.lengths = []
+
+    def randrange(self, n):
+        self.lengths.append(n)
+        return min(self.i, n - 1)
+
+    def choice(self, seq):
+        return seq[self.randrange(len(seq))]
+
+
+def _drawn_lists(order):
+    """Every non-empty list the sampler draws from at this order: its
+    length, and the entry drawn at each index, an S2 block as its
+    parameters."""
+    first = _Pick(0)
+    drawn = gen._drawn_candidates(first, order)
+    lengths = dict(zip((base for base, _ in drawn), first.lengths))
+    lists = {base: [] for base in lengths}
+    for i in range(max(first.lengths)):
+        for base, entry in gen._drawn_candidates(_Pick(i), order):
+            if i < lengths[base]:
+                if base is Base.S2:
+                    p1, q1, used = entry
+                    entry = (p1, q1, 1, (order - used) // 2)
+                lists[base].append(entry)
+    return lengths, lists
 
 
 def _reference_sample(rng, order, split_only):
@@ -320,8 +365,14 @@ class TestStructuredSampler:
     returns canonical tags without emitting or matching runs."""
 
     def test_candidate_lists_match_scans(self):
+        # the scanned lists below gen._TABLE_FROM and the tables from it on
+        # give each list's length and every entry the plain scans give
+        bases = (Base.SPQ, Base.S2, Base.S3, Base.S4)
         for order in range(25, 20001):
-            assert _arithmetic_candidates(order) == _scanned_candidates(order), order
+            scanned = {b: c for b, c in zip(bases, _scanned_candidates(order)) if c}
+            lengths, lists = _drawn_lists(order)
+            assert lengths == {b: len(c) for b, c in scanned.items()}, order
+            assert lists == scanned, order
 
     @pytest.mark.parametrize("split_only", [True, False])
     def test_draws_match_reference_sampler(self, split_only):
@@ -375,6 +426,43 @@ class TestStructuredSampler:
                 monkeypatch.setattr(module, name, counted)
         generate(spec)
         assert calls == []
+
+
+class TestTrustedComposition:
+    """generate marks its components as drawn from the catalog, and
+    compose_types reads such a component off its record unchecked."""
+
+    @staticmethod
+    def _plain(t):
+        return TypedComponent(t.variant, t.base, t.params, t.order)
+
+    def test_marked_and_rebuilt_components_compose_alike(self):
+        for spec in _golden_grid():
+            comps = generate(spec)
+            assert all("_drawn" in vars(t) for t in comps), spec
+            plain = [self._plain(t) for t in comps]
+            assert not any("_drawn" in vars(t) for t in plain)
+            assert compose_types(comps) == compose_types(plain), spec
+
+    def test_mark_changes_no_value_semantics(self):
+        for spec in (GenSpec(40, 5, 123), GenSpec(300, 4, 1), GenSpec(24, 6, 2)):
+            for t in generate(spec):
+                plain = self._plain(t)
+                assert t == plain and hash(t) == hash(plain), t
+                assert repr(t) == repr(plain) and str(t) == str(plain), t
+                assert pickle.dumps(t) == pickle.dumps(plain), t
+                for back in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
+                    assert back == t and "_drawn" not in vars(back), t
+
+    def test_only_unmarked_components_are_checked(self, monkeypatch):
+        comps = generate(GenSpec(10**4, 150, 3))
+        calls = []
+        real = unitype.family_of
+        monkeypatch.setattr(gen, "family_of", lambda t: calls.append(t) or real(t))
+        compose_types(comps)
+        assert calls == []
+        compose_types([self._plain(t) for t in comps])
+        assert calls == comps
 
 
 def _k1():
@@ -436,6 +524,24 @@ class TestEntryPointErrors:
             (
                 lambda: type_to_sequence(
                     TypedComponent(Variant.ORIGINAL, Base.SPQ, (1, 2), 99)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: compose_types(
+                    [TypedComponent(Variant.ORIGINAL, Base.SPQ, (True, 2), 4)]
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: type_to_sequence(
+                    TypedComponent(Variant.ORIGINAL, Base.SPQ, (1, 2), 4.0)
+                ),
+                ParamOutOfRange,
+            ),
+            (
+                lambda: compose_types(
+                    [TypedComponent(Variant.ORIGINAL, Base.SPQ, (1, 2), 4.0)]
                 ),
                 ParamOutOfRange,
             ),

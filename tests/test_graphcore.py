@@ -322,6 +322,26 @@ class TestIO:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 0)])
 
+    @pytest.mark.parametrize(
+        "adj",
+        [None, 5, [[1], None], ((5,),), ((0,),), ((1,), ()), ((1, 1), (0,)),
+         ((2, 1), (0,), (0,)), ((1,), (0,), (-1,)), ((1,), (0.0,)), ((2,), (), ())],
+    )
+    def test_constructor_refuses_malformed_adjacency(self, adj):
+        # not rows, an id out of range, a self-loop, an edge listed at one
+        # end, a repeated or unsorted neighbour, a fractional id
+        with pytest.raises(FormatError):
+            Graph(adj)
+        if adj != ((2, 1), (0,), (0,)):  # from_adjacency sorts the rows
+            with pytest.raises(FormatError):
+                Graph.from_adjacency(adj)
+
+    def test_constructor_takes_rows_of_ids(self):
+        g = Graph([[1, 2], (0,), iter([0])])
+        assert g.adj == ((1, 2), (0,), (0,))
+        assert g == Graph.from_edges(3, [(0, 1), (0, 2)])
+        assert Graph.from_adjacency([{2, 1}, [0], (0,)]) == g
+
 
 def rule_havel_hakimi(s):
     """The neighbour tuples of the rule ``realize`` documents, one vertex

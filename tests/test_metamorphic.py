@@ -69,16 +69,17 @@ def generated_unigraphs():
 large_sequences = st.one_of(random_runs(), zz_runs(), generated_unigraphs())
 
 
-def run_pairs(d):
-    """(clique runs, stable runs) per decomposition run, a run of m > 1
-    single vertices as the complete or edgeless block it composes to."""
+def run_heads(d):
+    """(clique runs, stable runs, p, q, no transform) per decomposition run,
+    a run of m > 1 single vertices as the complete or edgeless block it
+    composes to."""
     for c, m in d.runs:
         if m == 1:
-            yield c.kpart.runs, c.spart.runs
+            yield c.kpart.runs, c.spart.runs, c.p, c.q, 0
         elif c == K1:
-            yield ((m - 1, m),), ()
+            yield ((m - 1, m),), (), m, 0, 0
         else:
-            yield (), ((0, m),)
+            yield (), ((0, m),), 0, m, 0
 
 
 @given(large_sequences)
@@ -98,7 +99,7 @@ def test_compose_inverts_decompose(s):
     if not is_graphical(s):
         return
     d = decompose(s)
-    assert compose_runs(list(run_pairs(d)), d.tail.runs) == s.runs
+    assert compose_runs(list(run_heads(d)), d.tail.runs, d.tail.n) == s
     if s.n <= 2000:
         assert compose_all(d.components, d.tail) == s
 

@@ -137,7 +137,83 @@ class TestPublicNames:
             unigraph.no_such_name
 
 
+def _paired_text(k: str, s: str) -> PairedDegreeSequence:
+    return PairedDegreeSequence(parse_sequence(k), parse_sequence(s))
+
+
+# record fields, well typed but malformed, for the second step of the
+# sweep: a public record built from them, or from HOSTILE_VALUES, must be
+# refused with a UnigraphError or be taken by every method and export
+HOSTILE_ADJ = [
+    ((5,),), ((1,), ()), ((0,),), ((1, 1), (0,)), ((2, 1), (0,), (0,)),
+    ((1,), (0,), (-1,)), [[1], [0.5]], ["a"], ((True,), (False,)), [{1}, {0}],
+]
+HOSTILE_RUNS = [
+    ((None, 1),), ((_paired_text("0", "-"),),), ((_paired_text("0", "-"), 0),),
+    ((_paired_text("0", "-"), -2),), ((_paired_text("0", "-"), 1.5),),
+    ((_paired_text("5", "-"), 1),), ((_paired_text("-", "-"), 1),),
+    ((_paired_text("2^2", "1^2"), 2),), [(_paired_text("-", "0"), True)],
+    ((_paired_text("9", "9^3"), 1),),
+]
+HOSTILE_TAILS = [parse_sequence("3,1^3"), parse_sequence("-"), parse_sequence("9")]
+
+
+def _graph_uses(g):
+    """Every method and export that takes a graph, on g."""
+    part = VertexPartition(frozenset(), frozenset(range(g.n)))
+    calls = [
+        g.edges, g.to_edge_list, g.to_json, lambda: g.m,
+        lambda: [g.degree(v) for v in range(g.n)],
+        lambda: [g.has_edge(0, v) for v in range(g.n)],
+        lambda: unigraph.degree_sequence_of(g), lambda: unigraph.complement_graph(g),
+        lambda: unigraph.compose_graphs(g, part, g),
+        lambda: unigraph.inverse_graph(g, part),
+    ]
+    return calls
+
+
+def _decomposition_uses(d):
+    """Every method and export that takes a decomposition, on d, with the
+    verdicts of two other sequences where a report goes with it."""
+    calls = [lambda: d.runs, lambda: d.tail, lambda: d.components, lambda: d.n]
+    calls.append(lambda: unigraph.compact(d))
+    for text in ("2^2,1^2", "-", "3,1^3,0"):
+        r = is_unigraph(parse_sequence(text))[1]
+        calls.append(lambda r=r: unigraph.core_params(d, r))
+        calls.append(lambda r=r: unigraph.compact_typed(d, r))
+    return calls
+
+
+def _built(make, *fields):
+    """make(*fields), or None when it raises a UnigraphError."""
+    try:
+        return make(*fields)
+    except UnigraphError:
+        return None
+
+
 class TestHostileInputs:
+    @pytest.mark.parametrize("adj", HOSTILE_VALUES + HOSTILE_ADJ)
+    def test_graph_from_hostile_fields(self, adj):
+        # step two: a record from hostile fields, then everything it goes to
+        for make in (Graph, Graph.from_adjacency):
+            g = _built(make, adj)
+            for call in _graph_uses(g) if g is not None else ():
+                try:
+                    call()
+                except UnigraphError:
+                    pass
+
+    @pytest.mark.parametrize("runs", HOSTILE_VALUES + HOSTILE_RUNS)
+    def test_decomposition_from_hostile_fields(self, runs):
+        for tail in HOSTILE_VALUES + HOSTILE_TAILS:
+            d = _built(unigraph.Decomposition, runs, tail)
+            for call in _decomposition_uses(d) if d is not None else ():
+                try:
+                    call()
+                except UnigraphError:
+                    pass
+
     @pytest.mark.parametrize(
         "name", [n for n in PUBLIC if callable(getattr(unigraph, n)) and n not in ENUMS]
     )
