@@ -75,6 +75,7 @@ from .unitype import (
 
 _ENUM_LIMIT = 24
 ALL_BASES = frozenset(f.base for f in FAMILIES)
+SPLIT_BASES = frozenset(f.base for f in SPLIT_FAMILIES)
 
 
 class GenSpec(Record):
@@ -455,7 +456,9 @@ def _sample_component(
 def generate(spec: GenSpec) -> list[TypedComponent]:
     """Draw k typed components with orders summing to n, head-first;
     deterministic for a fixed seed. Each is marked as drawn from the
-    catalog, so :func:`compose_types` does not check it again."""
+    catalog, so :func:`compose_types` does not check it again. A type
+    filter that allows nothing a draw needs is refused before the first
+    draw."""
     if not isinstance(spec, GenSpec):
         raise ParamOutOfRange(f"generate takes a GenSpec, got {spec!r}")
     if spec.k < 1 or spec.n < spec.k:
@@ -469,6 +472,10 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
     total, marks = _weight_marks(spec.n, spec.k)
     if total == 0:
         raise Infeasible(_infeasible_reason(spec.n, spec.k))
+    # every head is a drawn split type, and a tail above one vertex a drawn
+    # type; without one allowed, no retry can succeed
+    if spec.n > 1 and not allowed & (SPLIT_BASES if spec.k > 1 else ALL_BASES):
+        raise _no_draw(spec, allowed)
     for _ in range(256):
         sizes = _sample_sizes(rng, spec.n, spec.k, total, marks)
         try:
@@ -492,7 +499,11 @@ def generate(spec: GenSpec) -> list[TypedComponent]:
             except Infeasible:
                 continue
         return comps + [tail]
-    raise Infeasible(
+    raise _no_draw(spec, allowed)
+
+
+def _no_draw(spec: GenSpec, allowed: frozenset[Base]) -> Infeasible:
+    return Infeasible(
         f"no feasible draw for n={spec.n}, k={spec.k} with types "
         f"{sorted(b.value for b in allowed)}"
     )

@@ -127,11 +127,22 @@ class Graph(Record):
             out += zip(repeat(u), _above(ids, u, b))
         return out
 
+    def _vertex(self, v) -> int:
+        """``v`` as a vertex id; FormatError unless it is an integer in
+        range(n), as :meth:`from_edges` requires of an endpoint."""
+        try:
+            u = operator.index(v)
+        except TypeError:
+            raise FormatError(f"vertex {v!r} is not an integer id") from None
+        if not 0 <= u < self.n:
+            raise FormatError(f"vertex {u} out of range for {self.n} vertices")
+        return u
+
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self._vertex(v) in self.adj[self._vertex(u)]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.adj[self._vertex(v)])
 
     def edge_list_chunks(self) -> Iterator[str]:
         """The ``n m`` / ``u v`` edge-list text in pieces: the header line,
@@ -389,13 +400,14 @@ def check_partition(g: Graph, part: VertexPartition) -> None:
         raise FormatError(f"expected a VertexPartition, got {type(part).__name__}")
     if part.kset & part.sset or (part.kset | part.sset) != set(range(g.n)):
         raise InvalidPartition("partition does not cover the vertex set")
+    adj = g.adj  # the sides cover range(n), so every id is one of g's
     for u in part.kset:
         for v in part.kset:
-            if u < v and not g.has_edge(u, v):
+            if u < v and v not in adj[u]:
                 raise InvalidPartition(f"clique side misses edge ({u},{v})")
     for u in part.sset:
         for v in part.sset:
-            if u < v and g.has_edge(u, v):
+            if u < v and v in adj[u]:
                 raise InvalidPartition(f"stable side contains edge ({u},{v})")
 
 

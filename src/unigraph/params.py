@@ -11,7 +11,10 @@ off the kernel's records and the compact types straight off the report, one
 per run, and builds no component object and no compact form.
 
 The per-component values are read off the catalog records of
-:mod:`unigraph.unitype`. Their distinguishing numbers are derived as below
+:mod:`unigraph.unitype`. The matcher hands back one type object per head
+shape, and :func:`unigraph_params` keeps a type's fixing and
+distinguishing numbers on it the first time it reads them, so each shape
+is priced once. Their distinguishing numbers are derived as below
 and gated, with the fixing, clique and independence numbers, by a brute
 force sweep (all parameter tuples up to order 9) in the test suite:
 
@@ -25,8 +28,6 @@ force sweep (all parameter tuples up to order 9) in the test suite:
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from ._record import Record
 from .decomp import Decomposition, compact
@@ -141,17 +142,33 @@ def compact_typed(
     return compact(d), _compact_types(d, r)
 
 
-def _compact_types(d: Decomposition, r: UnigraphReport) -> tuple[TypedComponent, ...]:
-    """The types of :func:`compact_typed`, without building the compact
-    decomposition they describe."""
+def _compact_runs(d: Decomposition, r: UnigraphReport) -> list:
+    """The report's (type, count) runs, with a single-vertex tail absorbed
+    as :func:`~unigraph.decomp.compact` absorbs it; a run of m > 1 single
+    vertices is one compact block."""
     runs = list(r.runs)
     if d.tail.n == 1 and len(runs) > 1 and runs[-2][0] == runs[-1][0]:
         # compact absorbs a single-vertex tail into a run of its own type
         runs[-2:] = [(runs[-1][0], runs[-2][1] + 1)]
+    return runs
+
+
+def _compact_types(d: Decomposition, r: UnigraphReport) -> tuple[TypedComponent, ...]:
+    """The types of :func:`compact_typed`, without building the compact
+    decomposition they describe."""
     return tuple(
         t if m == 1 else TypedComponent(Variant.ORIGINAL, _BLOCK[t.base], (m,), m)
-        for t, m in runs
+        for t, m in _compact_runs(d, r)
     )
+
+
+def _price(t: TypedComponent) -> None:
+    """Keep the fixing and distinguishing numbers of a matched type on it
+    (see ``TypedComponent._fix``): the matcher hands back one object per
+    head shape, so a recurring shape is priced once."""
+    f = CATALOG[t.base]
+    object.__setattr__(t, "_fix", f.fix(*t.params))
+    object.__setattr__(t, "_dist", f.dist(*t.params))
 
 
 def unigraph_params(s) -> ParamSet:
@@ -159,18 +176,23 @@ def unigraph_params(s) -> ParamSet:
 
     The decomposition and types come from :func:`is_unigraph`, which keeps
     them on the sequence object: after ``is_unigraph(s)`` this reuses that
-    verdict and neither decomposes nor matches again."""
+    verdict and neither decomposes nor matches again. A matched type's
+    fixing and distinguishing numbers are kept on it the first time they
+    are read, so a head whose shape recurred costs two additions."""
     d, r = is_unigraph(s)
     if not r.is_unigraph:
         raise NotUnigraph(f"{brief(s)} is not a unigraph")
     omega, alpha, beta, chi = core_params(d, r)
-    # the compact types straight from the report; the matcher hands back
-    # one object per shape, so each distinct object is looked up once
-    types = _compact_types(d, r)
-    uses = Counter(map(id, types))
     fix, dist = 0, 1
-    for t in {id(t): t for t in types}.values():
-        f = CATALOG[t.base]
-        fix += uses[id(t)] * f.fix(*t.params)
-        dist = max(dist, f.dist(*t.params))
+    for t, m in _compact_runs(d, r):
+        if m > 1:
+            # a compact block of m interchangeable vertices
+            fix += m - 1
+            dist = max(dist, m)
+            continue
+        if getattr(t, "_fix", None) is None:  # the first read of this type
+            _price(t)
+        fix += t._fix
+        if t._dist > dist:
+            dist = t._dist
     return ParamSet(omega=omega, alpha=alpha, beta=beta, chi=chi, fix=fix, dist=dist)

@@ -5,16 +5,19 @@ split graphs), one of ten parametric base families; the compact
 decomposition adds two blocks, a run of m dominant or of m isolated
 vertices. Each of the twelve is described once, by its :class:`Family`
 record in ``CATALOG``: parameter names and bounds, unchecked runs, the
-closed-form orders of its sides, the shape that reads the parameters back
-off the runs, its candidates of a given order, and its clique,
-independence, fixing and distinguishing numbers. The matchers, the emitter,
-the tag, the enumeration of small orders in :mod:`unigraph.gen` and the
-per-component parameters in :mod:`unigraph.params` are loops over, or
-lookups in, that table.
+closed-form orders of its sides, how a matcher reads the parameters back
+(off the runs of a non-split base, off a head's greatest clique degree and
+orders for most split ones), its candidates of a given order, and its
+clique, independence, fixing and distinguishing numbers. The matchers, the
+emitter, the tag, the enumeration of small orders in :mod:`unigraph.gen`
+and the per-component parameters in :mod:`unigraph.params` are loops over,
+or lookups in, that table.
 
 The matchers try the variants and families in a fixed order, so the tag
 assigned to a sequence is deterministic; the emitters are their exact
-inverses.
+inverses. The split matcher keeps that order but gates it: each variant's
+run counts and least stable degree, read off the head's end runs, fit at
+most one family, and a variant that fits none is skipped untransformed.
 
 Tag strings are part of the CLI contract, e.g. ``k1``, ``complement:mk2(m=2)``,
 ``inverse:spq(p=2,q=2)``, ``s2(2,1,1,1)``, ``s3(p=1,q1=2,q2=1)``.
@@ -23,10 +26,11 @@ Tag strings are part of the CLI contract, e.g. ``k1``, ``complement:mk2(m=2)``,
 from __future__ import annotations
 
 import enum
+import reprlib
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 from math import comb, isqrt
-from operator import mul
+from operator import index, mul
 
 from ._record import Record
 from .decomp import Decomposition, decompose, per_strip, tail_joins_clique
@@ -39,7 +43,7 @@ from .degseq import (
     inverse_runs,
     runs_order,
 )
-from .errors import ParamOutOfRange, VariantUndefined
+from .errors import FormatError, ParamOutOfRange, UnigraphError, VariantUndefined
 from .split import split_runs
 
 
@@ -68,6 +72,11 @@ class Base(enum.Enum):
 class TypedComponent(Record):
     _fields = ("variant", "base", "params", "order")
     _drawn = False  # set on the instance by _trusted
+    # The fixing and distinguishing numbers, which unigraph.params keeps on
+    # a matched type the first time it reads them; unset until then. They
+    # are slots, not ``__dict__`` entries, so that equality, hashing, repr
+    # and pickling never see them, and they cost no dict of their own.
+    __slots__ = ("_fix", "_dist", "__dict__")
 
     def __init__(
         self, variant: Variant, base: Base, params: tuple[int, ...], order: int
@@ -117,6 +126,12 @@ class UnigraphReport(Record):
     own. ``component_types`` and ``tags()`` list one type per strip, and
     raise TooLarge above REALIZE_MAX strips; ``failure_index`` is the strip
     index of the first component that did not match.
+
+    The constructor raises FormatError unless the verdict is a bool,
+    ``runs`` holds (type, count) pairs of catalog types and positive
+    counts, where a count above 1 belongs to a single vertex, and the
+    failure index is None for a unigraph and a strip index otherwise;
+    :func:`is_unigraph` skips that check.
     """
 
     _fields = ("is_unigraph", "runs", "failure_index")
@@ -127,9 +142,38 @@ class UnigraphReport(Record):
         runs: tuple[tuple[TypedComponent, int], ...],
         failure_index: int | None,
     ) -> None:
+        if type(is_unigraph) is not bool:
+            raise FormatError(f"the verdict must be a bool, got {is_unigraph!r}")
+        try:
+            runs = tuple([(t, index(m)) for t, m in runs])
+        except (TypeError, ValueError):
+            raise FormatError(f"not (type, count) runs: {reprlib.repr(runs)}") from None
+        for t, m in runs:
+            try:
+                family_of(t)
+            except UnigraphError as exc:
+                raise FormatError(f"not a catalog type: {exc}") from None
+            if m < 1 or m > 1 and t.order > 1:
+                what = f"a run of {m} {t.tag()}"
+                raise FormatError(f"{what}: only single vertices repeat")
+        strip = type(failure_index) is int and failure_index >= 0
+        if not (failure_index is None if is_unigraph else strip):
+            what = f"verdict {is_unigraph} with failure index {failure_index!r}"
+            raise FormatError(what)
         object.__setattr__(self, "is_unigraph", is_unigraph)
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "failure_index", failure_index)
+
+    @classmethod
+    def _trusted(
+        cls, is_unigraph: bool, runs, failure_index: int | None
+    ) -> UnigraphReport:
+        """The verdict :func:`is_unigraph` proved, built unchecked."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "is_unigraph", is_unigraph)
+        object.__setattr__(r, "runs", runs)
+        object.__setattr__(r, "failure_index", failure_index)
+        return r
 
     @cached_property
     def component_types(self) -> tuple[TypedComponent, ...]:
@@ -216,7 +260,7 @@ class Family(Record):
 
     _fields = (
         "base", "names", "bounds", "valid", "runs", "orders", "guess",
-        "candidates", "fix", "dist", "omega_alpha", "split",
+        "candidates", "fix", "dist", "omega_alpha", "split", "decode",
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -231,9 +275,10 @@ class Family(Record):
         runs: Callable,
         # (clique, stable) orders of a split base; (order,) of a non-split one
         orders: Callable[..., tuple[int, ...]],
-        # the parameters a run tuple of this base must have, if any; shape()
-        # confirms them by emitting
-        guess: Callable,
+        # the parameters a run tuple of this non-split base must have, if
+        # any; shape() confirms them by emitting. None for the split bases
+        # and the blocks
+        guess: Callable | None,
         candidates: Callable[[int], list],  # every parameter tuple of an order
         fix: Callable[..., int],
         dist: Callable[..., int],
@@ -241,6 +286,11 @@ class Family(Record):
         # whose sides are extremal, so that they are its orders
         omega_alpha: Callable[..., tuple[int, int]] | None = None,
         split: bool = True,
+        # the parameters a split head of this base must have, if any, given
+        # its greatest clique degree and its clique and stable orders; the
+        # matcher confirms them by emitting. None for S2, which _s2_params
+        # reads off all of its clique runs, and for the one-sided bases
+        decode: Callable[[int, int, int], tuple[int, ...] | None] | None = None,
     ) -> None:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "names", names)
@@ -254,6 +304,7 @@ class Family(Record):
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "omega_alpha", omega_alpha)
         object.__setattr__(self, "split", split)
+        object.__setattr__(self, "decode", decode)
 
     @property
     def variants(self) -> tuple[Variant, ...]:
@@ -328,39 +379,46 @@ def _s2_runs(*prm):
     return tuple(zip(map(shift.__add__, ps), qs)), ((1, sum(map(mul, ps, qs))),)
 
 
-def _s2_guess(runs):
-    ka, kb = runs
-    if len(ka) >= 2 and len(kb) == 1:
-        centers = runs_order(ka)
-        return tuple(x for d, q in ka for x in (d - centers + 1, q))
+def _s2_params(clique, k: int, s: int):
+    """The S2 parameters of a head with the clique runs ``clique`` over k
+    vertices and s stable vertices of degree 1, or None: a centre of degree
+    d has d - k + 1 leaves. The runs of S2(prm) are the head's exactly when
+    every centre has a leaf and the leaves number s; well-formed runs make
+    the p_i decrease."""
+    prm = tuple([x for d, m in clique for x in (d - k + 1, m)])
+    if prm[-2] >= 1 and sum(map(mul, prm[::2], prm[1::2])) == s:
+        return prm
     return None
 
 
-def _spq_guess(runs):
-    ka, kb = runs
-    if len(ka) == len(kb) == 1:
-        return kb[0][1] // ka[0][1], ka[0][1]
-    return None
+# The decoders of the split bases whose parameters follow from a head's
+# greatest clique degree ``top`` and its clique and stable orders k and s;
+# each returns None when the three numbers disagree.
 
 
-def _s3_guess(runs):
-    ka, kb = runs
-    if len(ka) == 1 and len(kb) == 2:
-        (d, r), (q1, _) = ka[0], kb[0]
-        return d - r, q1, r - q1
-    return None
+def _spq_decode(top: int, k: int, s: int):
+    """spq(p, q): top = p + q - 1, k = q and s = p*q."""
+    p = top - k + 1
+    return (p, k) if p * k == s else None
 
 
-def _s4_guess(runs):
-    ka, kb = runs
-    if len(ka) == 2 and len(kb) == 1:
-        d, r = ka[1]
-        return d - r - 1, r - 2
-    return None
+def _s3_decode(top: int, k: int, s: int):
+    """S3(p, q1, q2): top = p + q1 + q2, k = q1 + q2 and
+    s = 1 + p*q1 + (p + 1)*q2, which fix all three."""
+    p = top - k
+    q2 = s - 1 - p * k
+    return p, k - q2, q2
 
 
-# The catalog, one record per base, each tuple in the order the matchers try
-# its families.
+def _s4_decode(top: int, k: int, s: int):
+    """S4(p, q): k = q + 3, s = (p + 1)(q + 2) - 1 and top = s + q + 1."""
+    if top != s + k - 2:
+        return None
+    return (s + 1) // (k - 1) - 1, k - 3
+
+
+# The catalog, one record per base. The non-split matcher tries its families
+# in tuple order; the split matcher tries the one whose signature fits.
 NON_SPLIT_FAMILIES = (
     Family(
         Base.C5, (), "no parameters", lambda: True,
@@ -400,13 +458,13 @@ NON_SPLIT_FAMILIES = (
 SPLIT_FAMILIES = (
     Family(
         Base.K1, (), "no parameters", lambda: True,
-        runs=lambda: (((0, 1),), ()), orders=lambda: (1, 0), guess=lambda runs: (),
+        runs=lambda: (((0, 1),), ()), orders=lambda: (1, 0), guess=None,
         candidates=lambda n: [()] if n == 1 else [],
         omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
     ),
     Family(
         Base.S1, (), "no parameters", lambda: True,
-        runs=lambda: ((), ((0, 1),)), orders=lambda: (0, 1), guess=lambda runs: (),
+        runs=lambda: ((), ((0, 1),)), orders=lambda: (0, 1), guess=None,
         candidates=lambda n: [()] if n == 1 else [],
         omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
     ),
@@ -414,7 +472,8 @@ SPLIT_FAMILIES = (
     Family(
         Base.SPQ, ("p", "q"), "p >= 1, q >= 2", lambda p, q: p >= 1 and q >= 2,
         runs=lambda p, q: (((p + q - 1, q),), ((1, p * q),)),
-        orders=lambda p, q: (q, p * q), guess=_spq_guess,
+        orders=lambda p, q: (q, p * q), guess=None,
+        decode=_spq_decode,
         candidates=lambda n: [
             (n // q - 1, q) for q in range(2, n // 2 + 1) if n % q == 0
         ],
@@ -431,7 +490,7 @@ SPLIT_FAMILIES = (
         ),
         runs=_s2_runs,
         orders=_s2_orders,
-        guess=_s2_guess, candidates=_s2_tuples,
+        guess=None, candidates=_s2_tuples,
         fix=lambda *prm: _stars_fix(*_pairs(prm)),
         dist=lambda *prm: _stars_dist(*_pairs(prm)),
     ),
@@ -442,7 +501,7 @@ SPLIT_FAMILIES = (
             ((p + q1 + q2, q1 + q2),), ((q1, 1), (1, p * q1 + (p + 1) * q2))
         ),
         orders=lambda p, q1, q2: (q1 + q2, 1 + p * q1 + (p + 1) * q2),
-        guess=_s3_guess,
+        guess=None, decode=_s3_decode,
         # q2 blocks of p+2 vertices and the center leave a multiple of p+1
         candidates=lambda n: [
             (p, rest // (p + 1), q2)
@@ -460,7 +519,7 @@ SPLIT_FAMILIES = (
             ((2, q * p + 2 * p + q + 1),),
         ),
         orders=lambda p, q: (q + 3, q * p + 2 * p + q + 1),
-        guess=_s4_guess,
+        guess=None, decode=_s4_decode,
         # the order is (p + 2)(q + 2)
         candidates=lambda n: [
             (p, n // (p + 2) - 2) for p in range(1, n // 3 - 1) if n % (p + 2) == 0
@@ -474,13 +533,13 @@ BLOCKS = (
     Family(
         Base.COMPLETE_BLOCK, ("m",), "m >= 1", lambda m: m >= 1,
         runs=lambda m: (((m - 1, m),), ()), orders=lambda m: (m, 0),
-        guess=lambda runs: None, candidates=lambda n: [],
+        guess=None, candidates=lambda n: [],
         omega_alpha=lambda m: (m, 1), fix=lambda m: m - 1, dist=lambda m: m,
     ),
     Family(
         Base.EMPTY_BLOCK, ("m",), "m >= 1", lambda m: m >= 1,
         runs=lambda m: ((), ((0, m),)), orders=lambda m: (0, m),
-        guess=lambda runs: None, candidates=lambda n: [],
+        guess=None, candidates=lambda n: [],
         omega_alpha=lambda m: (1, m), fix=lambda m: m - 1, dist=lambda m: m,
     ),
 )
@@ -508,32 +567,60 @@ def match_nonsplit_runs(runs) -> TypedComponent | None:
     return t
 
 
-def _split_counts_fit(a: int, b: int) -> bool:
-    """Whether a clique runs over b stable runs fit a split family: K1
-    (1, 0), S1 (0, 1), spq (1, 1), S2 (>= 2, 1), S3 (1, 2) or S4 (2, 1)."""
-    return b == 1 or (a, b) in ((1, 0), (1, 2))
+# The one split family a two-sided head can be under a variant, by the
+# variant's signature: its clique run count (3 standing for any more),
+# stable run count and least stable degree. spq is (1, 1, 1), S2 (>= 2, 1,
+# 1), S3 (1, 2, 1) and S4 (2, 1, 2); K1 and S1 are one-sided.
+_S2 = CATALOG[Base.S2]
+_SIGNATURES = {
+    (1, 1, 1): CATALOG[Base.SPQ], (2, 1, 1): _S2, (3, 1, 1): _S2,
+    (2, 1, 2): CATALOG[Base.S4], (1, 2, 1): CATALOG[Base.S3],
+}
 
 
 def match_split_runs(kruns, sruns) -> TypedComponent | None:
     """Recognize the clique and stable runs of an indecomposable split
     component against the six split families under original, inverse,
-    complement and inverse-complement, in that order.
+    complement and inverse-complement, in that order; the runs are tuples,
+    as ``DegreeSequence.runs`` holds them.
 
-    Complement and split inverse each map a run to one run and swap the
-    two sides, so a variant is transformed only when its swapped run
-    counts fit a family; a head that fits none costs no transform."""
+    A one-sided head is K1 or S1 as it stands. Complement (d -> p + q - 1 -
+    d) and split inverse (p - 1 off each clique degree, q - 1 onto each
+    stable one) map runs to runs and swap the sides, so each variant's
+    signature (``_SIGNATURES``), greatest clique degree and orders come off
+    the end runs without a transform. A variant whose signature fits no
+    family is skipped. A decoding family reads its parameters off those
+    numbers and confirms them by emitting; S2 reads them off the
+    transformed clique runs. No two families share a signature, so the
+    first variant that matches gives the tag that trying every family in
+    that order would."""
+    if not (kruns and sruns):
+        t = _SINGLE["k1" if kruns else "s1"]
+        return t if CATALOG[t.base].runs() == (kruns, sruns) else None
     a, b = len(kruns), len(sruns)
-    straight, swapped = _split_counts_fit(a, b), _split_counts_fit(b, a)
-    if not (straight or swapped):
-        return None
     p, q = runs_order(kruns), runs_order(sruns)
-    for variant in SPLIT_VARIANTS:
-        if not (swapped if variant in SIDE_SWAPPING else straight):
+    kmax, kmin, smax, smin = kruns[0][0], kruns[-1][0], sruns[0][0], sruns[-1][0]
+    n1 = p + q - 1
+    # variant, its clique and stable run counts, least stable degree,
+    # greatest clique degree, clique order and stable order
+    views = (
+        (Variant.ORIGINAL, a, b, smin, kmax, p, q),
+        (Variant.INVERSE, b, a, kmin - p + 1, smax + q - 1, q, p),
+        (Variant.COMPLEMENT, b, a, n1 - kmax, n1 - smin, q, p),
+        (Variant.INVERSE_COMPLEMENT, a, b, p - smax, n1 + p - 1 - kmin, p, q),
+    )
+    for v, ka, sb, low, top, k, s in views:
+        f = _SIGNATURES.get((min(ka, 3), sb, low))
+        if f is None:
             continue
-        runs = split_variant(variant, kruns, sruns, p, q)
-        t = _first_shape(SPLIT_FAMILIES, variant, runs)
-        if t is not None:
-            return t
+        if f is _S2:
+            prm = _s2_params(split_variant(v, kruns, sruns, p, q)[0], k, s)
+        else:
+            prm = f.decode(top, k, s)
+            if prm is None or not f.valid(*prm) or f.emit(v, prm) != (kruns, sruns):
+                continue
+        if prm is not None:
+            return TypedComponent(v, f.base, prm, p + q)
     return None
 
 
@@ -654,4 +741,4 @@ def _classify(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
         runs.append((t, m))
         strips += m
         prev = kind
-    return d, UnigraphReport(failure is None, tuple(runs), failure)
+    return d, UnigraphReport._trusted(failure is None, tuple(runs), failure)

@@ -55,6 +55,31 @@ class TestFeasibility:
         with pytest.raises(Infeasible, match="at least 1"):
             generate(GenSpec(n=5, k=0))
 
+    def test_undrawable_types_are_refused_before_any_retry(self, monkeypatch):
+        # generate draws no block, and every head is split
+        tries, weights = [], []
+        sizes, marks = gen._sample_sizes, gen._weight_marks
+        monkeypatch.setattr(gen, "_sample_sizes", lambda *a: tries.append(a) or sizes(*a))
+        monkeypatch.setattr(gen, "_weight_marks", lambda *a: weights.append(a) or marks(*a))
+        for spec in (
+            GenSpec(10**6, 10**4, 1, allowed=frozenset({Base.COMPLETE_BLOCK})),
+            GenSpec(100, 10, allowed=frozenset({Base.C5, Base.U2})),
+            GenSpec(5, 1, allowed=frozenset()),
+        ):
+            with pytest.raises(Infeasible, match="no feasible draw"):
+                generate(spec)
+        assert tries == []
+        # K1 passes the check, but a head or tail above one vertex never
+        # draws it: every retry runs, over weights computed once
+        weights.clear()
+        with pytest.raises(Infeasible, match="no feasible draw"):
+            generate(GenSpec(100, 10, allowed=frozenset({Base.K1})))
+        assert len(tries) == 256 and weights == [(100, 10)]
+        # a single vertex is typed by context, and a lone tail may be non-split
+        assert [c.tag() for c in generate(GenSpec(1, 1, allowed=frozenset()))] == ["k1"]
+        only_c5 = GenSpec(5, 1, allowed=frozenset({Base.C5}))
+        assert [c.tag() for c in generate(only_c5)] == ["c5"]
+
 
 class TestDeterminism:
     def test_same_seed_same_draw(self):

@@ -12,6 +12,7 @@ import pickle
 import subprocess
 import sys
 import types
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ from unigraph import (
     realize,
 )
 from unigraph.cli import build_parser, main
-from unigraph.errors import UnigraphError
+from unigraph.errors import FormatError, UnigraphError
 from unigraph.oracle import Permutation
 
 SRC = str(Path(unigraph.__file__).resolve().parents[1])
@@ -156,6 +157,20 @@ HOSTILE_RUNS = [
     ((_paired_text("9", "9^3"), 1),),
 ]
 HOSTILE_TAILS = [parse_sequence("3,1^3"), parse_sequence("-"), parse_sequence("9")]
+_SPQ = TypedComponent(Variant.ORIGINAL, Base.SPQ, (1, 2), 4)
+_K1 = TypedComponent(Variant.ORIGINAL, Base.K1, (), 1)
+HOSTILE_REPORT_RUNS = [
+    ((None, 1),), ((_SPQ,),), ((_SPQ, 0),), ((_SPQ, -2),), ((_SPQ, 1.5),),
+    ((_SPQ, 2),), ((TypedComponent(Variant.ORIGINAL, Base.SPQ, (0, 2), 2), 1),),
+    ((TypedComponent(None, None, None, None), 1),),
+    ((TypedComponent(Variant.INVERSE, Base.C5, (), 5), 1),),
+    [(_K1, True)], ((_K1, 3), (_SPQ, 1)), (),
+]
+# (verdict, failure index) pairs for the report's other two fields
+HOSTILE_VERDICTS = [
+    (True, None), (False, 0), (False, 4), (True, 0), (False, None), (None, None),
+    (1, None), (False, -1), (False, 1.5), (False, True),
+]
 
 
 def _graph_uses(g):
@@ -181,6 +196,17 @@ def _decomposition_uses(d):
         r = is_unigraph(parse_sequence(text))[1]
         calls.append(lambda r=r: unigraph.core_params(d, r))
         calls.append(lambda r=r: unigraph.compact_typed(d, r))
+    return calls
+
+
+def _report_uses(r):
+    """Every method and export that takes a report, on r, with the
+    decompositions of a few sequences where one goes with it."""
+    calls = [lambda: r.component_types, r.tags]
+    for text in ("2^2,1^2", "-", "3,1^3,0", "2^8"):
+        d = decompose(parse_sequence(text))
+        calls.append(lambda d=d: unigraph.core_params(d, r))
+        calls.append(lambda d=d: unigraph.compact_typed(d, r))
     return calls
 
 
@@ -213,6 +239,37 @@ class TestHostileInputs:
                     call()
                 except UnigraphError:
                     pass
+
+    @pytest.mark.parametrize("runs", HOSTILE_VALUES + HOSTILE_REPORT_RUNS)
+    def test_report_from_hostile_fields(self, runs):
+        for verdict, failure in HOSTILE_VERDICTS:
+            r = _built(unigraph.UnigraphReport, verdict, runs, failure)
+            for call in _report_uses(r) if r is not None else ():
+                try:
+                    call()
+                except UnigraphError:
+                    pass
+
+    def test_report_constructor_refuses_malformed_fields(self):
+        d, r = is_unigraph(parse_sequence("2^2,1^2"))
+        with pytest.raises(FormatError):
+            unigraph.core_params(d, unigraph.UnigraphReport(True, None, None))
+        for fields in [(1, r.runs, None), (True, r.runs, 0), (False, r.runs, None)]:
+            with pytest.raises(FormatError):
+                unigraph.UnigraphReport(*fields)
+        assert unigraph.UnigraphReport(True, list(r.runs), None) == r
+
+    @pytest.mark.parametrize("text", ["0^2", "1^2"])
+    def test_vertex_ids_outside_the_graph_raise_format_error(self, text):
+        # a graph built from its edges and one realized from its runs
+        edges = [(0, 1)] if text == "1^2" else []
+        for g in (Graph.from_edges(2, edges), realize(parse_sequence(text))):
+            for v in HOSTILE_VALUES + [2, 5, 7]:
+                for call in (g.degree, partial(g.has_edge, 0), lambda v: g.has_edge(v, 0)):
+                    with pytest.raises(FormatError):
+                        call(v)
+            assert g.degree(1) == len(edges)
+            assert g.has_edge(0, 1) == g.has_edge(True, 0) == bool(edges)
 
     @pytest.mark.parametrize(
         "name", [n for n in PUBLIC if callable(getattr(unigraph, n)) and n not in ENUMS]

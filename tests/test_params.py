@@ -134,6 +134,73 @@ class TestFixingNumber:
         assert ps.dist == max(map(component_dist, types)) == 3
 
 
+def _recurring_shapes():
+    """spq(1,2) and s2(2,1,1,1) heads, twice each, over an spq(2,2) tail:
+    every type comes from the cached split matcher."""
+    from unigraph.decomp import compose_all
+    from unigraph.degseq import parse_paired
+
+    p4, tree = parse_paired("2^2;1^2"), parse_paired("3,2;1^3")
+    return compose_all([p4, tree, p4, tree], parse_sequence("3^2,1^4"))
+
+
+class TestPricedShapes:
+    """unigraph_params keeps a matched type's fixing and distinguishing
+    numbers on it, so a recurring shape is priced once."""
+
+    def test_a_second_call_calls_no_catalog_price(self, monkeypatch):
+        from unigraph import unitype
+
+        calls = []
+
+        class Counted:
+            """A catalog record whose fix and dist calls are counted."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def fix(self, *prm):
+                calls.append("fix")
+                return self.f.fix(*prm)
+
+            def dist(self, *prm):
+                calls.append("dist")
+                return self.f.dist(*prm)
+
+        for base, f in list(unitype.CATALOG.items()):
+            monkeypatch.setitem(unitype.CATALOG, base, Counted(f))
+        unitype.match_head.cache_clear()
+        s = _recurring_shapes()
+        _, r = is_unigraph(s)
+        assert calls == [] and not any(hasattr(t, "_fix") for t, _ in r.runs)
+        first = unigraph_params(s)
+        # three distinct types, each priced once
+        assert sorted(calls) == ["dist"] * 3 + ["fix"] * 3
+        calls.clear()
+        # a fresh sequence is decomposed and matched again, to the same types
+        again = unigraph_params(type(s)(s.runs))
+        assert again == first and calls == []
+        assert (first.fix, first.dist) == (2 * 1 + 2 * 1 + 2, 2)
+
+    def test_prices_leave_equality_hash_repr_and_pickle(self):
+        import copy
+        import pickle
+
+        s = _recurring_shapes()
+        unigraph_params(s)
+        for t, _ in is_unigraph(s)[1].runs:
+            assert (t._fix, t._dist) == (component_fix(t), component_dist(t))
+            fresh = T(t.variant, t.base, t.params, t.order)
+            assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+            assert vars(t) == vars(fresh)
+            for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
+                assert clone == t and hash(clone) == hash(t) and repr(clone) == repr(t)
+                assert not hasattr(clone, "_fix")
+
+
 class TestComponentDist:
     def test_small_values(self):
         assert component_dist(T(Variant.ORIGINAL, Base.C5, (), 5)) == 3

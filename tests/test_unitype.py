@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from unigraph import oracle, unitype
@@ -7,13 +9,17 @@ from unigraph.degseq import (
     complement_paired,
     complement_seq,
     inverse_paired,
+    is_graphical,
     parse_paired,
     parse_sequence,
     realize,
+    runs_order,
 )
 from unigraph.errors import ParamOutOfRange, VariantUndefined
 from unigraph.unitype import (
     NON_SPLIT_BASES,
+    SPLIT_FAMILIES,
+    SPLIT_VARIANTS,
     Base,
     TypedComponent,
     Variant,
@@ -23,6 +29,7 @@ from unigraph.unitype import (
     match_nonsplit_type,
     match_split_runs,
     match_split_type,
+    split_variant,
     type_to_sequence,
 )
 
@@ -131,6 +138,105 @@ class TestMatchSplit:
         assert match_split_runs(((3, 2),), ((1, 4),)).tag() == "spq(p=2,q=2)"
         assert match_split_runs(((4, 4),), ((2, 2),)).tag() == "inverse:spq(p=2,q=2)"
         assert calls == ["inverse_runs"]
+
+
+def _trial_order_params(base, runs):
+    """The parameters the trial-order matcher read off the runs of a
+    variant, to be confirmed by emitting them."""
+    ka, kb = runs
+    if base in (Base.K1, Base.S1):
+        return ()
+    if base is Base.SPQ and len(ka) == len(kb) == 1:
+        return kb[0][1] // ka[0][1], ka[0][1]
+    if base is Base.S2 and len(ka) >= 2 and len(kb) == 1:
+        k = sum(m for _, m in ka)
+        return tuple(x for d, q in ka for x in (d - k + 1, q))
+    if base is Base.S3 and len(ka) == 1 and len(kb) == 2:
+        (d, r), (q1, _) = ka[0], kb[0]
+        return d - r, q1, r - q1
+    if base is Base.S4 and len(ka) == 2 and len(kb) == 1:
+        d, r = ka[1]
+        return d - r - 1, r - 2
+    return None
+
+
+def reference_split_match(kruns, sruns):
+    """The trial-order split matcher: every split family under every
+    variant, in the matcher's order, each transformed and confirmed by
+    emitting its parameters."""
+    p, q = runs_order(kruns), runs_order(sruns)
+    for v in SPLIT_VARIANTS:
+        runs = split_variant(v, kruns, sruns, p, q)
+        for f in SPLIT_FAMILIES:
+            prm = _trial_order_params(f.base, runs)
+            if prm is not None and f.valid(*prm) and f.runs(*prm) == runs:
+                return TypedComponent(v, f.base, prm, p + q)
+    return None
+
+
+def _side(degrees):
+    return tuple(sorted(Counter(degrees).items(), reverse=True))
+
+
+def near_misses(kruns, sruns):
+    """The graphical heads one unit of degree away: one vertex of a run
+    gains a unit that one vertex of another run, on either side, loses."""
+    sides = [[d for d, m in runs for _ in range(m)] for runs in (kruns, sruns)]
+    # (side, position of the first vertex) of each run
+    cells = [
+        (side, sum(m for _, m in runs[:i]))
+        for side, runs in enumerate((kruns, sruns))
+        for i in range(len(runs))
+    ]
+    out = set()
+    for a, i in cells:
+        for b, j in cells:
+            if (a, i) == (b, j) or sides[b][j] == 0:
+                continue
+            moved = [list(sides[0]), list(sides[1])]
+            moved[a][i] += 1
+            moved[b][j] -= 1
+            if is_graphical(DegreeSequence(_side(moved[0] + moved[1]))):
+                out.add((_side(moved[0]), _side(moved[1])))
+    return out
+
+
+class TestGatedSplitMatcher:
+    """The split matcher reads each variant's signature off the end runs
+    and tries only the family it fits; it must tag as the trial order
+    does."""
+
+    def test_agrees_with_trial_order_on_catalog_types_and_near_misses(self):
+        heads = {
+            f.emit(v, prm)
+            for order in range(2, 25)
+            for f in SPLIT_FAMILIES
+            for prm in f.candidates(order)
+            for v in f.variants
+        }
+        assert len(heads) == 6217
+        misses = set().union(*(near_misses(*h) for h in heads)) - heads
+        assert len(misses) > len(heads)
+        for head in heads:
+            t = match_split_runs(*head)
+            assert t is not None and t == reference_split_match(*head), head
+        for head in misses:
+            assert match_split_runs(*head) == reference_split_match(*head), head
+
+    def test_a_pool_miss_transforms_at_most_once(self, monkeypatch):
+        from unigraph.gen import components_of_order
+
+        pool = [t for order in range(1, 25) for t in components_of_order(order, True)]
+        heads = [emit_runs(t) for t in pool]
+        calls = []
+        real = unitype.split_variant
+        monkeypatch.setattr(
+            unitype, "split_variant", lambda *args: calls.append(args[0]) or real(*args)
+        )
+        for t, head in zip(pool, heads):
+            calls.clear()
+            assert match_split_runs(*head) == t
+            assert len(calls) <= 1, (t, calls)
 
 
 class TestTypeToSequence:
