@@ -28,6 +28,18 @@ each later vertex of degree below k sends all its edges into it, so the
 stable block of the head ending at k is the vertices of degree below k
 that are left.
 
+The same equalities type the tail. If the first equality run end past the
+stripped clique runs lies in the tail's window, the tail stayed whole only
+because no vertex is left between the runs before that run end and the
+stable runs after it (with no stable run left, the clique vertices would
+be dominant and would have stripped). So it is split, with those runs as
+its sides. Otherwise it is not split, for a split sequence has an
+equality at its Durfee index
+(Hammer-Simeone 1981), and an equality of the tail is one of the whole
+sequence (Barrus 2013). The tests check this against the Hammer-Simeone
+test on every graphical sequence of up to 10 vertices. So recognition
+types the tail without a second split test.
+
 Erdos-Gallai needs checking only at run ends (Tripathi-Vijay 2003), and
 only up to the first one at or past the corrected Durfee index m, the
 largest i with d_i >= i - 1 (Hammer-Ibaraki-Simeone 1978): from a run end
@@ -123,8 +135,11 @@ def decompose_runs(runs):
       ('head', kruns, sruns, p, q)  one multi-vertex split head: its clique
           and stable runs as tuples of (degree, multiplicity) pairs, and
           their orders p and q, read off an Erdos-Gallai equality
-      ('tail', truns, n)  the final indecomposable remainder (last): its
-          runs, a slice of ``runs`` if no clique vertex strips, and its order
+      ('tail', truns, n, k)  the final indecomposable remainder (last): its
+          runs, a slice of ``runs`` if no clique vertex strips, its order,
+          and for a multi-vertex tail the number k of its runs on the
+          clique side of its split partition, truns[:k] | truns[k:], or
+          None when it is not split (None too for n <= 1)
 
     Dominant and isolated vertices strip one at a time under the
     lexicographic rule, and a maximal run of them always strips as that many
@@ -142,7 +157,7 @@ def decompose_runs(runs):
     while True:
         if n <= 1:
             # a graphical sequence on one vertex is a degree 0
-            records.append(("tail", ((0, 1),) * n, n))
+            records.append(("tail", ((0, 1),) * n, n, None))
             break
         d, m = runs[hi - 1]
         if d == shift:
@@ -170,13 +185,15 @@ def decompose_runs(runs):
             q = ccnt[hi] - ccnt[j]
             mid = n - p - q
         if c == len(cuts) or not q or not mid:
+            # split exactly when the next equality run end is in the window
+            k = cuts[c] - lo if c < len(cuts) and cuts[c] <= hi else None
             tail = runs[lo:hi]
             if shift:
                 # drop the O(r) prefix lists first: the garbage collections
                 # that the new tuples trigger would walk them while they live
                 del neg, ccnt, csum, cuts
                 tail = tuple([(d - shift, m) for d, m in tail])
-            records.append(("tail", tail, n))
+            records.append(("tail", tail, n, k))
             break
         down = shift + mid
         # most sides are one run, which needs no comprehension

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .degseq import DegreeSequence, parse_paired, parse_sequence, realize
-from .errors import UnigraphError
+from .errors import FormatError, UnigraphError
 
 # the checks of unigraph.verify, which imports the brute-force oracle; the
 # module is loaded only by the verify subcommand, and a test holds this
@@ -26,8 +26,11 @@ VERIFY_CHECKS = ("aut", "fixdist", "params", "roundtrip", "unigraph")
 
 def _input_sequence(args) -> DegreeSequence:
     if args.file:
-        with open(args.file) as fh:
-            text = fh.read().strip()
+        try:
+            with open(args.file) as fh:
+                text = fh.read().strip()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{args.file}: {exc}") from None
     else:
         text = args.degrees
     if getattr(args, "paired", False):

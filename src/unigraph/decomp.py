@@ -74,7 +74,7 @@ class Decomposition(Record):
     the indecomposable tail (G_0) as a plain sequence.
 
     A run of m single vertices is one entry of count m; the compact form
-    (:func:`compact`) has one block of count 1 per run, and an EMPTY tail
+    (:func:`compact`) has one block of count 1 per run, and an empty tail
     when the single-vertex G_0 was absorbed. Built by :func:`decompose`, it
     keeps the kernel's records, and ``runs`` and ``tail`` are built from
     them on first read and then kept, as ``DegreeSequence.n`` is.
@@ -109,14 +109,17 @@ class Decomposition(Record):
     @cached_property
     def _records(self) -> list:
         """The kernel's records, tail last; read off the fields only when
-        the public constructor made this."""
+        the public constructor made this. The tail record's fourth field,
+        its split partition, is then None, which here means "not read",
+        not "not split": only the classifier reads it, and only on the
+        records of :func:`decompose`."""
         records: list = []
         for c, m in self.runs:
             if c.order == 1:
                 records.append(("k1" if c.p else "s1", m))
             else:
                 records += [("head", c.kpart.runs, c.spart.runs, c.p, c.q)] * m
-        records.append(("tail", self.tail.runs, self.tail.n))
+        records.append(("tail", self.tail.runs, self.tail.n, None))
         return records
 
     @cached_property
@@ -132,8 +135,8 @@ class Decomposition(Record):
 
     @cached_property
     def tail(self) -> DegreeSequence:
-        _, truns, n = self._records[-1]
-        return DegreeSequence._trusted(truns, n)
+        rec = self._records[-1]
+        return DegreeSequence._trusted(rec[1], rec[2])
 
     @cached_property
     def components(self) -> tuple[PairedDegreeSequence, ...]:
@@ -193,7 +196,7 @@ def compact(d: Decomposition) -> Decomposition:
     The runs of a decomposition are already maximal. A single-vertex tail is
     absorbed as one more single vertex on the side :func:`tail_joins_clique`
     gives, so it extends a run of its own type or, after a multi-vertex
-    component, becomes a one-vertex edgeless block; the tail is then EMPTY.
+    component, becomes a one-vertex edgeless block; the tail is then empty.
     """
     if not isinstance(d, Decomposition):
         raise FormatError(f"expected a Decomposition, got {type(d).__name__}")
@@ -205,5 +208,5 @@ def compact(d: Decomposition) -> Decomposition:
             records[-1] = (single, records[-1][1] + 1)
         else:
             records.append((single, 1))
-        tail = ("tail", (), 0)
+        tail = ("tail", (), 0, None)
     return _on_records([_block(rec) for rec in records] + [tail])

@@ -513,6 +513,3 @@ def realize(s: DegreeSequence):
     if not is_graphical(s):
         raise NotGraphical(f"{brief(s)} is not graphical")
     return graphcore.Graph._realized(s.runs, n, m)
-
-
-EMPTY = DegreeSequence(())

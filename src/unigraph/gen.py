@@ -67,10 +67,7 @@ from .unitype import (
     Family,
     TypedComponent,
     Variant,
-    emit_runs,
     family_of,
-    match_nonsplit_runs,
-    match_split_runs,
 )
 
 _ENUM_LIMIT = 24
@@ -111,16 +108,6 @@ class GenSpec(Record):
 
     def allowed_bases(self) -> frozenset[Base]:
         return ALL_BASES if self.allowed is None else self.allowed
-
-
-def _canonical(t: TypedComponent) -> TypedComponent:
-    """Re-tag a candidate through the matcher: the canonical variant the
-    recognizer would assign. The tests hold the enumeration and the
-    structured sampler to it."""
-    runs, split = emit_runs(t), CATALOG[t.base].split
-    out = match_split_runs(*runs) if split else match_nonsplit_runs(runs)
-    assert out is not None, f"catalog instance failed to match itself: {t}"
-    return out
 
 
 @lru_cache(maxsize=4096)
@@ -402,8 +389,9 @@ def _sample_large(rng: random.Random, order: int, split_only: bool) -> TypedComp
     A drawn (variant, base, params) is already canonical except for the spq
     cases of :func:`_spq_variant`: for every other entry of the candidate
     lists, no variant the matcher tries earlier gives the same runs. The
-    tests check this against :func:`_canonical` for every candidate and
-    variant at orders 25-200 and for seeded draws up to order 10^5.
+    tests check this against ``_canonical`` in tests/test_gen.py, which
+    re-tags through the matcher, for every candidate and variant at orders
+    25-200 and for seeded draws up to order 10^5.
     """
     options = _drawn_candidates(rng, order)
     if not split_only:

@@ -10,8 +10,11 @@ every later degree is below m, so the min() collapses to a plain suffix sum.
 The partition has |K| equal to the clique number; it is the unique balanced
 partition when d_m >= m and the K-max partition when d_m == m - 1.
 
-:func:`split_runs` is the test alone on the runs of a proved-graphical
-sequence; :func:`determine_split` checks graphicality first.
+:func:`determine_split` is the package's one Hammer-Simeone test. It
+partitions the whole sequence, which is not the decomposition's sides
+(``0^2`` is split as K1 + S1 but decomposes into two isolated vertices),
+so recognition does not use it: the kernel types the tail off its own
+Erdos-Gallai pass.
 """
 
 from __future__ import annotations
@@ -65,33 +68,20 @@ def _take_top(runs, count: int):
     return runs, ()
 
 
-def split_runs(runs):
-    """Hammer-Simeone on the runs of a graphical sequence: (kind, clique
-    runs, stable runs) of its balanced or K-max partition, or None when it
-    is not split. The caller has proved the runs graphical.
+def determine_split(s: DegreeSequence) -> SplitClass:
+    """Classify a graphical sequence as balanced split, unbalanced split
+    (the K-max partition is returned), or not split.
 
     With top = d_1 + ... + d_m and every later degree below m, the equality
     reads 2 top == m(m-1) + (degree total), so the verdict costs the runs
     up to m and one C-level sum; the partition is built only for a split
     sequence."""
-    if not runs:
-        return None
-    m, top = _durfee(runs)
-    if 2 * top != m * (m - 1) + sum(starmap(mul, runs)):
-        return None
-    kruns, sruns = _take_top(runs, m)
-    kind = SplitKind.BALANCED if kruns[-1][0] >= m else SplitKind.KMAX
-    return kind, kruns, sruns
-
-
-def determine_split(s: DegreeSequence) -> SplitClass:
-    """Classify a graphical sequence as balanced split, unbalanced split
-    (the K-max partition is returned), or not split."""
     if not is_graphical(s):
         raise NotGraphical(f"{brief(s)} is not graphical")
-    found = split_runs(s.runs)
-    if found is None:
+    runs = s.runs
+    m, top = _durfee(runs)
+    if not runs or 2 * top != m * (m - 1) + sum(starmap(mul, runs)):
         return SplitClass(SplitKind.NOT_SPLIT, None)
-    kind, kruns, sruns = found
+    kruns, sruns = _take_top(runs, m)
+    kind = SplitKind.BALANCED if kruns[-1][0] >= m else SplitKind.KMAX
     return SplitClass(kind, PairedDegreeSequence.from_runs(kruns, sruns))
-

@@ -44,7 +44,6 @@ from .degseq import (
     runs_order,
 )
 from .errors import FormatError, ParamOutOfRange, UnigraphError, VariantUndefined
-from .split import split_runs
 
 
 class Variant(enum.Enum):
@@ -545,7 +544,6 @@ BLOCKS = (
 )
 FAMILIES = NON_SPLIT_FAMILIES + SPLIT_FAMILIES
 CATALOG: dict[Base, Family] = {f.base: f for f in FAMILIES + BLOCKS}
-NON_SPLIT_BASES = frozenset(f.base for f in NON_SPLIT_FAMILIES)
 
 
 def _first_shape(families, variant: Variant, runs) -> TypedComponent | None:
@@ -686,16 +684,14 @@ def match_head(kruns, sruns) -> TypedComponent | None:
     return match_split_runs(kruns, sruns)
 
 
-def _tail_type(truns, n: int, prev: str | None) -> TypedComponent | None:
-    """Type of the indecomposable tail, after a record of kind ``prev``; a
-    single vertex takes the side :func:`tail_joins_clique` puts it on. The
-    kernel has proved the tail graphical, so only the split test runs."""
+def _tail_type(rec, prev: str | None) -> TypedComponent | None:
+    """Type of the kernel's tail record, after a record of kind ``prev``; a
+    single vertex takes the side :func:`tail_joins_clique` puts it on, and
+    a longer tail the split partition the kernel read off its pass."""
+    _, truns, n, k = rec
     if n == 1:
         return _SINGLE["k1" if tail_joins_clique(prev) else "s1"]
-    found = split_runs(truns)
-    if found is None:
-        return match_nonsplit_runs(truns)
-    return match_head(found[1], found[2])
+    return match_nonsplit_runs(truns) if k is None else match_head(truns[:k], truns[k:])
 
 
 def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
@@ -732,7 +728,7 @@ def _classify(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
         elif kind == "tail":
             if not rec[2]:
                 break
-            t, m = _tail_type(rec[1], rec[2], prev), 1
+            t, m = _tail_type(rec, prev), 1
         else:
             t, m = _SINGLE[kind], rec[1]
         if t is None:

@@ -351,8 +351,12 @@ class TestVerify:
         assert not {"unitype", "gen", "params", "decomp", "split"} & set(after_realize)
         _, after_is_unigraph = self._loaded_after(["--json", "is-unigraph", "-d", "3^4"])
         assert "unitype" in after_is_unigraph
-        assert not {"gen", "graphcore", "params"} & set(after_is_unigraph)
-        assert "dataclasses" not in after_realize + after_is_unigraph
+        assert not {"gen", "graphcore", "params", "split"} & set(after_is_unigraph)
+        # a split tail is typed off the kernel's record, not by unigraph.split
+        _, after_params = self._loaded_after(["params", "-d", "3^2,1^4"])
+        assert "params" in after_params
+        assert not {"gen", "graphcore", "split"} & set(after_params)
+        assert "dataclasses" not in after_realize + after_is_unigraph + after_params
 
 
 class TestUsage:

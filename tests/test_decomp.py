@@ -18,7 +18,6 @@ from unigraph.decomp import (
     decompose,
 )
 from unigraph.degseq import (
-    EMPTY,
     DegreeSequence,
     PairedDegreeSequence,
     parse_paired,
@@ -175,14 +174,14 @@ class TestCompact:
         cd = compact(decompose(parse_sequence("4^2,2^3")))
         assert [c.to_text() for c in cd.components] == ["1^2;-", "-;0^3"]
         assert [m for _, m in cd.runs] == [1, 1]
-        assert cd.tail == EMPTY
+        assert cd.tail == DegreeSequence(())
 
     def test_worked_example_seven_singles(self):
         comps = [S1, K1, K1, K1, S1, S1, S1]
         seq = compose_all(comps, parse_sequence("0"))
         cd = compact(decompose(seq))
         assert [c.to_text() for c in cd.components] == ["-;0", "2^3;-", "-;0^4"]
-        assert cd.tail == EMPTY
+        assert cd.tail == DegreeSequence(())
 
     def test_no_single_vertex_components_unchanged(self):
         d = decompose(parse_sequence("8^4,5^4,2^2"))
@@ -193,7 +192,7 @@ class TestCompact:
     def test_lone_vertex_is_complete_block(self):
         cd = compact(decompose(parse_sequence("0")))
         assert [c.to_text() for c in cd.components] == ["0;-"]
-        assert cd.tail == EMPTY
+        assert cd.tail == DegreeSequence(())
 
     def test_single_tail_after_multivertex_head_stays_stable_side(self):
         # S1 o S(2,2)^I o single vertex, as in the fifth worked example

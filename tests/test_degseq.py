@@ -15,7 +15,6 @@ from unigraph import oracle
 from unigraph.decomp import compact, compose_all, decompose
 from unigraph.degseq import (
     BRIEF_CHARS,
-    EMPTY,
     DegreeSequence,
     PairedDegreeSequence,
     brief,
@@ -751,9 +750,9 @@ class TestTextFormat:
             lambda: PairedDegreeSequence.from_runs(((1, 2),), ((2, 1),)).validate(),
             lambda: compact([1]),
             lambda: complement_seq([1, 1]),
-            lambda: compose_all([1], EMPTY),
-            lambda: compose_all(None, EMPTY),
-            lambda: compose_all(5, EMPTY),
+            lambda: compose_all([1], DegreeSequence(())),
+            lambda: compose_all(None, DegreeSequence(())),
+            lambda: compose_all(5, DegreeSequence(())),
         ],
         ids=[
             "is_graphical-list", "decompose-list", "determine_split-list",

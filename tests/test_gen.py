@@ -15,7 +15,6 @@ from unigraph.degseq import DegreeSequence
 from unigraph.errors import Infeasible, ParamOutOfRange, UnigraphError
 from unigraph.gen import (
     GenSpec,
-    _canonical,
     _part_count,
     _sample_large,
     _weight_marks,
@@ -25,14 +24,30 @@ from unigraph.gen import (
     generate,
 )
 from unigraph.unitype import (
-    NON_SPLIT_BASES,
+    CATALOG,
+    NON_SPLIT_FAMILIES,
     SPLIT_VARIANTS,
     Base,
     TypedComponent,
     Variant,
+    emit_runs,
     is_unigraph,
+    match_nonsplit_runs,
+    match_split_runs,
     type_to_sequence,
 )
+
+NON_SPLIT_BASES = frozenset(f.base for f in NON_SPLIT_FAMILIES)
+
+
+def _canonical(t: TypedComponent) -> TypedComponent:
+    """Re-tag a candidate through the matcher: the canonical variant the
+    recognizer would assign. The enumeration and the structured sampler
+    are held to it."""
+    runs, split = emit_runs(t), CATALOG[t.base].split
+    out = match_split_runs(*runs) if split else match_nonsplit_runs(runs)
+    assert out is not None, f"catalog instance failed to match itself: {t}"
+    return out
 
 
 class TestFeasibility:
@@ -143,13 +158,15 @@ class TestEnumeration:
                 for v in f.variants
             }
         calls = []
-        for module in (gen, unitype):
-            for name in ("match_split_runs", "match_nonsplit_runs"):
-                def counted(*args, _real=getattr(module, name), _name=name):
-                    calls.append(_name)
-                    return _real(*args)
+        for name in ("match_split_runs", "match_nonsplit_runs"):
+            # gen holds no reference of its own, so it calls through unitype
+            assert not hasattr(gen, name)
 
-                monkeypatch.setattr(module, name, counted)
+            def counted(*args, _real=getattr(unitype, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(unitype, name, counted)
         for order, canon in expect.items():
             pool = components_of_order.__wrapped__(order, split_only)
             assert set(pool) == canon, order
@@ -440,15 +457,15 @@ class TestStructuredSampler:
         spec = GenSpec(10**5, 200, 4)
         generate(spec)
         calls = []
-        for module in (gen, unitype):
-            for name in ("emit_runs", "match_split_runs", "match_nonsplit_runs"):
-                real = getattr(module, name)
+        for name in ("emit_runs", "match_split_runs", "match_nonsplit_runs"):
+            # gen holds no reference of its own, so it calls through unitype
+            assert not hasattr(gen, name)
 
-                def counted(*args, _real=real, _name=name):
-                    calls.append(_name)
-                    return _real(*args)
+            def counted(*args, _real=getattr(unitype, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(unitype, name, counted)
         generate(spec)
         assert calls == []
 

@@ -12,8 +12,9 @@ import pytest
 from unigraph import _kernel
 from unigraph._kernel import reference
 from unigraph.decomp import decompose
-from unigraph.degseq import is_graphical, normalize, runs_order
+from unigraph.degseq import DegreeSequence, is_graphical, normalize, runs_order
 from unigraph.gen import GenSpec, compose_types, generate
+from unigraph.split import SplitKind, determine_split
 
 
 def random_graph_degrees(rng, n, p):
@@ -121,6 +122,28 @@ class TestAgainstReference:
                     assert rec[2] == runs_order(rec[1]), deg
             assert records[-1][0] == "tail", deg
         assert heads > 0
+
+    def test_tail_split_partition_exhaustive_n_le_10(self, kernel):
+        # the tail's split partition, read off the Erdos-Gallai equalities,
+        # against the Hammer-Simeone test on the tail alone
+        tails = split = 0
+        for deg in nonincreasing_sequences(10):
+            records = kernel.decompose_runs(reference._runs(deg))
+            if records is None:
+                continue
+            _, truns, n, k = records[-1]
+            if n <= 1:
+                assert k is None, deg
+                continue
+            tails += 1
+            found = determine_split(DegreeSequence(truns))
+            if k is None:
+                assert found.kind is SplitKind.NOT_SPLIT, deg
+                continue
+            split += 1
+            sides = (found.paired.kpart.runs, found.paired.spart.runs)
+            assert (truns[:k], truns[k:]) == sides, deg
+        assert (tails, split) == (19208, 2564)
 
     def test_normalize(self, kernel):
         rng = random.Random(4)

@@ -306,6 +306,29 @@ class TestHostileInputs:
                 if mode and code != 2:
                     json.loads(out.getvalue())
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["plain", "json"])
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda p: p.write_bytes(b"\xff\xfe3,2\n"), "FormatError"),
+            (lambda p: p.mkdir(), "IsADirectoryError"),
+        ],
+        ids=["not-utf8", "directory"],
+    )
+    def test_cli_file_that_is_not_text(self, tmp_path, mode, make, error):
+        # an error line on stderr and, with --json, one error document
+        path = tmp_path / "seq"
+        make(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(mode + ["is-unigraph", "--file", str(path)])
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        if mode:
+            assert json.loads(out.getvalue())["error"]["type"] == error
+        else:
+            assert out.getvalue() == ""
+
 
 def _paired(k: str, s: str) -> PairedDegreeSequence:
     return PairedDegreeSequence(parse_sequence(k), parse_sequence(s))

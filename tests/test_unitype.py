@@ -17,7 +17,7 @@ from unigraph.degseq import (
 )
 from unigraph.errors import ParamOutOfRange, VariantUndefined
 from unigraph.unitype import (
-    NON_SPLIT_BASES,
+    NON_SPLIT_FAMILIES,
     SPLIT_FAMILIES,
     SPLIT_VARIANTS,
     Base,
@@ -32,6 +32,8 @@ from unigraph.unitype import (
     split_variant,
     type_to_sequence,
 )
+
+NON_SPLIT_BASES = frozenset(f.base for f in NON_SPLIT_FAMILIES)
 
 
 def T(variant, base, params, order):
@@ -454,14 +456,15 @@ class TestIsUnigraph:
 
     @pytest.mark.parametrize("text", ["3^2,1^4", "2^5"], ids=["split", "non-split"])
     def test_graphicality_proved_once(self, monkeypatch, text):
-        # the kernel's strip loop proves the sequence graphical; neither
-        # decompose nor the tail's split test runs Erdos-Gallai again
-        from unigraph import _kernel
+        # the kernel's strip loop proves the sequence graphical, and its
+        # tail record carries the split partition; neither decompose nor
+        # the tail's typing runs Erdos-Gallai again or calls unigraph.split
+        from unigraph import _kernel, split
         from unigraph.split import SplitKind, determine_split
 
         s = parse_sequence(text)
-        split = determine_split(s).kind is not SplitKind.NOT_SPLIT
-        assert split == (text == "3^2,1^4")
+        found = determine_split(s)
+        assert (found.kind is not SplitKind.NOT_SPLIT) == (text == "3^2,1^4")
         calls = {"eg_graphical": 0, "decompose_runs": 0}
         for name in calls:
             def counted(*args, _fn=getattr(_kernel, name), _name=name):
@@ -469,9 +472,16 @@ class TestIsUnigraph:
                 return _fn(*args)
 
             monkeypatch.setattr(_kernel, name, counted)
+        for name in ("_durfee", "_take_top", "determine_split"):
+            def refused(*args, _name=name):
+                raise AssertionError(f"split.{_name} called")
+
+            monkeypatch.setattr(split, name, refused)
         d, r = is_unigraph(s)
         assert d.tail == s and r.is_unigraph
         assert calls == {"eg_graphical": 0, "decompose_runs": 1}
+        if found.paired is not None:
+            assert r.runs[-1][0] == match_split_type(found.paired)
 
     def test_params_reuse_the_verdict(self, monkeypatch):
         # the verdict is kept on the sequence object, so neither a second
