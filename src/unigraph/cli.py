@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .degseq import DegreeSequence, parse_paired, parse_sequence, realize
-from .errors import FormatError, UnigraphError
+from .errors import FormatError, TooLarge, UnigraphError
 
 # the checks of unigraph.verify, which imports the brute-force oracle; the
 # module is loaded only by the verify subcommand, and a test holds this
@@ -170,8 +170,11 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import CHECKS
 
-    fn, default_n = CHECKS[args.check]
+    fn, default_n, cap = CHECKS[args.check]
     max_n = args.max_n if args.max_n is not None else default_n
+    if not 0 <= max_n <= cap:
+        what = f"verify {args.check} takes --max-n from 0 to {cap}"
+        raise TooLarge(f"{what}, got {max_n}")
     for diff in fn(max_n):
         _print_json(diff)
         return 1

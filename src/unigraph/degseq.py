@@ -5,7 +5,11 @@ A :class:`DegreeSequence` is a non-increasing multiset of vertex degrees
 stored as strictly decreasing (degree, multiplicity) runs. Multiplicities
 are plain Python ints, so synthetic sequences with millions of equal degrees
 stay tiny. A :class:`PairedDegreeSequence` is a split component's sequence
-with the clique-side and stable-side blocks kept apart.
+with the clique-side and stable-side blocks kept apart. Its four variants
+(original, complement, split inverse, inverse complement) map each side's
+degrees by d -> +-d + c, with or without swapping the sides;
+:func:`side_maps` is the one table of those maps, and the paired
+transforms, composition and the catalog's matcher and emitter all read it.
 
 Text format: comma-separated degrees with optional caret multiplicity
 (``8^4,5^4,2^2``); a paired sequence joins its two parts with a single
@@ -278,16 +282,41 @@ def complement_runs(runs, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((n - 1 - d, m) for d, m in reversed(runs))
 
 
-def inverse_runs(kruns, sruns, p: int, q: int):
-    """Split inverse on (clique runs, stable runs) with p clique and q
-    stable vertices: clique edges dropped, stable side turned into a clique.
+# the transforms a variant of a split component applies to it: the
+# complement, then the split inverse
+COMPLEMENTED, INVERTED = 1, 2
 
-    K-part degrees lose p-1, S-part degrees gain q-1, and the parts swap
-    roles, so the result has q clique and p stable vertices. Involution.
-    """
+
+def side_maps(transforms: int, p: int, q: int) -> tuple[bool, int, int, int]:
+    """(swap, sign, a, b) of a split component with p clique and q stable
+    vertices under the sum of COMPLEMENTED and INVERTED ``transforms``.
+
+    The variant's clique side is the component's stable side when ``swap``
+    is set, and its clique side otherwise. Its degrees map by sign*d + a,
+    and the other side's by sign*d + b. The complement maps every degree to
+    p + q - 1 - d, and the split inverse drops p - 1 from each clique degree
+    and adds q - 1 to each stable one; both swap the sides, so the inverse
+    complement, which complements first, keeps them. This table is the one
+    place that algebra is written down."""
+    if transforms == 0:
+        return False, 1, 0, 0
+    if transforms == COMPLEMENTED:
+        return True, -1, p + q - 1, p + q - 1
+    if transforms == INVERTED:
+        return True, 1, q - 1, 1 - p
+    return False, -1, 2 * p + q - 2, p
+
+
+def transform_runs(transforms: int, kruns, sruns, p: int, q: int):
+    """(clique runs, stable runs) of a split component's variant, by
+    :func:`side_maps`; a negative sign reverses the runs, so they stay
+    strictly decreasing. Each transform is an involution."""
+    swap, sign, a, b = side_maps(transforms, p, q)
+    if swap:
+        kruns, sruns = sruns, kruns
     return (
-        tuple((d + q - 1, m) for d, m in sruns),
-        tuple((d - (p - 1), m) for d, m in kruns),
+        tuple([(sign * d + a, m) for d, m in kruns[::sign]]),
+        tuple([(sign * d + b, m) for d, m in sruns[::sign]]),
     )
 
 
@@ -299,19 +328,19 @@ def complement_seq(s: DegreeSequence) -> DegreeSequence:
 
 def complement_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
     """Paired complement: degrees complement within the whole component and
-    the K and S parts swap roles."""
+    the K and S parts swap roles; see :func:`side_maps`."""
     check_paired(ps)
-    n = ps.order
     return PairedDegreeSequence.from_runs(
-        complement_runs(ps.spart.runs, n), complement_runs(ps.kpart.runs, n)
+        *transform_runs(COMPLEMENTED, ps.kpart.runs, ps.spart.runs, ps.p, ps.q)
     )
 
 
 def inverse_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
-    """Split inverse of a paired sequence; see :func:`inverse_runs`."""
+    """Split inverse of a paired sequence: clique edges dropped, stable side
+    turned into a clique, and the parts swap roles; see :func:`side_maps`."""
     check_paired(ps)
     return PairedDegreeSequence.from_runs(
-        *inverse_runs(ps.kpart.runs, ps.spart.runs, ps.p, ps.q)
+        *transform_runs(INVERTED, ps.kpart.runs, ps.spart.runs, ps.p, ps.q)
     )
 
 
@@ -323,66 +352,40 @@ def compose_seq(head: PairedDegreeSequence, tail: DegreeSequence) -> DegreeSeque
     return compose_all((head,), tail)
 
 
-# transforms a head of compose_runs takes before it is composed: the
-# complement, then the split inverse
-COMPLEMENTED, INVERTED = 1, 2
-
-
 def compose_runs(heads, tail, tail_n: int) -> DegreeSequence:
     """Sequence of heads[0] o heads[1] o ... o tail in one pass; the inverse
     of decompose. ``heads`` is a sequence of (clique runs, stable runs, p,
     q, transforms), outermost first: the runs of a split component, the
     orders p and q of its two sides, and the sum of COMPLEMENTED and
-    INVERTED to apply to it first. ``tail`` holds the runs of the innermost
-    part, of order ``tail_n``. The runs must be well formed and the orders
-    theirs; nothing is checked.
+    INVERTED that gives the variant to compose. ``tail`` holds the runs of
+    the innermost part, of order ``tail_n``. The runs must be well formed
+    and the orders theirs; nothing is checked.
 
     The clique side of component i gains the order of everything below it
     plus the clique sizes above it, its stable side gains the clique sizes
-    above it, and the tail gains every clique size. A transform maps each
-    side's degrees onto the other side (:func:`complement_runs`,
-    :func:`inverse_runs`), so a transformed head is shifted straight from
-    its own runs. The shifted blocks are accumulated by degree and sorted
-    once, so the result is their sorted union whatever the blocks hold.
+    above it, and the tail gains every clique size. A variant's sides are
+    read off the component's own runs through :func:`side_maps`, so no
+    variant's runs are built: each degree d of the side that becomes the
+    clique lands at sign*d + a plus those gains, and each of the other
+    side's at sign*d + b plus the clique sizes above. The blocks are
+    accumulated by degree and sorted once, so the result is their sorted
+    union whatever the blocks hold.
     """
     n = below = tail_n + sum(h[2] + h[3] for h in heads)
     above = 0
     acc: defaultdict[int, int] = defaultdict(int)
     for kruns, sruns, p, q, transforms in heads:
         below -= p + q
-        if not transforms:
-            shift = below + above
-            for d, m in kruns:
-                acc[d + shift] += m
-            for d, m in sruns:
-                acc[d + above] += m
-            above += p
-        elif transforms == COMPLEMENTED:
-            # d -> p + q - 1 - d, and the stable side becomes the clique
-            top = p + q - 1 + above
-            for d, m in sruns:
-                acc[top + below - d] += m
-            for d, m in kruns:
-                acc[top - d] += m
-            above += q
-        elif transforms == INVERTED:
-            # stable d -> d + q - 1 on the clique, clique d -> d - p + 1
-            shift = q - 1 + below + above
-            for d, m in sruns:
-                acc[d + shift] += m
-            shift = above - p + 1
-            for d, m in kruns:
-                acc[d + shift] += m
-            above += q
-        else:
-            # both: clique d -> 2p + q - 2 - d, stable d -> p - d
-            top = 2 * p + q - 2 + below + above
-            for d, m in kruns:
-                acc[top - d] += m
-            top = p + above
-            for d, m in sruns:
-                acc[top - d] += m
-            above += p
+        swap, sign, a, b = side_maps(transforms, p, q)
+        if swap:
+            kruns, sruns, p = sruns, kruns, q
+        a += below + above
+        for d, m in kruns:
+            acc[sign * d + a] += m
+        b += above
+        for d, m in sruns:
+            acc[sign * d + b] += m
+        above += p
     for d, m in tail:
         acc[d + above] += m
     return DegreeSequence._trusted(tuple(sorted(acc.items(), reverse=True)), n)

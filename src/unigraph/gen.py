@@ -56,13 +56,14 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from ._record import Record
-from .degseq import COMPLEMENTED, INVERTED, DegreeSequence, compose_runs
+from .degseq import DegreeSequence, compose_runs
 from .errors import Infeasible, ParamOutOfRange
 from .unitype import (
     CATALOG,
     FAMILIES,
     SPLIT_FAMILIES,
     SPLIT_VARIANTS,
+    TRANSFORMS,
     Base,
     Family,
     TypedComponent,
@@ -137,6 +138,14 @@ def components_of_order(order: int, split_only: bool) -> tuple[TypedComponent, .
     return tuple(sorted(first.values(), key=TypedComponent.tag))
 
 
+def _ratio(k: int, extra: int, j: int) -> tuple[int, int]:
+    """(a_j, b_j) with w_{j+1} / w_j = a_j / b_j, by the recurrence in the
+    module docstring; ``extra`` is n - k."""
+    f3 = extra - 3 * j
+    f2 = extra - 2 * j
+    return (k - j) * f3 * (f3 - 1) * (f3 - 2), (j + 1) * j * (f2 - 1) * (f2 - 2)
+
+
 def _weights(k: int, extra: int, j: int = 1, w: int | None = None):
     """Yield the positive weights w_j, w_{j+1}, ... by the recurrence in the
     module docstring, from w_1 = k or from a given w_j; ``extra`` is n - k."""
@@ -146,9 +155,8 @@ def _weights(k: int, extra: int, j: int = 1, w: int | None = None):
         yield w
         if j == top:
             return
-        f3 = extra - 3 * j
-        num = (k - j) * f3 * (f3 - 1) * (f3 - 2)
-        w = w * num // ((j + 1) * j * (extra - 2 * j - 1) * (extra - 2 * j - 2))
+        a, b = _ratio(k, extra, j)
+        w = w * a // b
         j += 1
 
 
@@ -167,9 +175,7 @@ def _ratio_split(k: int, extra: int, lo: int, hi: int) -> tuple[int, int, int]:
     p = q = 1
     t = 0
     for j in range(lo, hi):
-        f3 = extra - 3 * j
-        a = (k - j) * f3 * (f3 - 1) * (f3 - 2)
-        b = (j + 1) * j * (extra - 2 * j - 1) * (extra - 2 * j - 2)
+        a, b = _ratio(k, extra, j)
         t = t * b + p * a
         p *= a
         q *= b
@@ -517,22 +523,13 @@ def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
         if not f.split:
             raise ParamOutOfRange(f"a non-split {t} can only be the tail")
         prm = t.params
-        heads.append((*f.runs(*prm), *f.orders(*prm), _TRANSFORMS[t.variant]))
+        heads.append((*f.runs(*prm), *f.orders(*prm), TRANSFORMS[t.variant]))
     f, prm = _record(last), last.params
     if not f.split:
         return compose_runs(heads, f.emit(last.variant, prm), last.order)
     # a split tail is one more head, over nothing
-    heads.append((*f.runs(*prm), *f.orders(*prm), _TRANSFORMS[last.variant]))
+    heads.append((*f.runs(*prm), *f.orders(*prm), TRANSFORMS[last.variant]))
     return compose_runs(heads, (), 0)
-
-
-# the transforms of compose_runs that give each variant of a split base
-_TRANSFORMS = {
-    Variant.ORIGINAL: 0,
-    Variant.COMPLEMENT: COMPLEMENTED,
-    Variant.INVERSE: INVERTED,
-    Variant.INVERSE_COMPLEMENT: COMPLEMENTED + INVERTED,
-}
 
 
 def _record(t: TypedComponent) -> Family:

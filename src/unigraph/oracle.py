@@ -518,6 +518,7 @@ def graphical_sequences(n: int):
     filtered by the naive Erdos-Gallai reference, so atlas-based tests can
     cross-validate both routes.
     """
+    _guard(n, MAX_PARAMS, "graphical_sequences")
 
     def gen(prefix: list[int], remaining: int, cap: int):
         if remaining == 0:
@@ -529,4 +530,4 @@ def graphical_sequences(n: int):
             yield from gen(prefix, remaining - 1, d)
             prefix.pop()
 
-    yield from gen([], n, n - 1)
+    return gen([], n, n - 1)

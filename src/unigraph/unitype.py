@@ -16,8 +16,9 @@ or lookups in, that table.
 The matchers try the variants and families in a fixed order, so the tag
 assigned to a sequence is deterministic; the emitters are their exact
 inverses. The split matcher keeps that order but gates it: each variant's
-run counts and least stable degree, read off the head's end runs, fit at
-most one family, and a variant that fits none is skipped untransformed.
+run counts and least stable degree, read off the head's end runs through
+the variant table :func:`~unigraph.degseq.side_maps`, fit at most one
+family, and a variant that fits none is skipped untransformed.
 
 Tag strings are part of the CLI contract, e.g. ``k1``, ``complement:mk2(m=2)``,
 ``inverse:spq(p=2,q=2)``, ``s2(2,1,1,1)``, ``s3(p=1,q1=2,q2=1)``.
@@ -40,8 +41,9 @@ from .degseq import (
     check_paired,
     check_sequence,
     complement_runs,
-    inverse_runs,
     runs_order,
+    side_maps,
+    transform_runs,
 )
 from .errors import FormatError, ParamOutOfRange, UnigraphError, VariantUndefined
 
@@ -190,22 +192,13 @@ SPLIT_VARIANTS = (
     Variant.INVERSE_COMPLEMENT,
 )
 NON_SPLIT_VARIANTS = (Variant.ORIGINAL, Variant.COMPLEMENT)
+# the transforms of each variant as :func:`~unigraph.degseq.side_maps`
+# takes them, the sum of COMPLEMENTED = 1 and INVERTED = 2: the enum lists
+# the variants in that order
+TRANSFORMS = {v: code for code, v in enumerate(Variant)}
 # variants that swap the clique and stable sides, and with them the run
-# counts and the clique and independence numbers; the inverse complement
-# swaps them twice
-SIDE_SWAPPING = frozenset({Variant.INVERSE, Variant.COMPLEMENT})
-
-
-def split_variant(v: Variant, kruns, sruns, p: int, q: int):
-    """(clique runs, stable runs) of variant v of a split component with p
-    clique and q stable vertices; the inverse complement complements first."""
-    if v is Variant.COMPLEMENT or v is Variant.INVERSE_COMPLEMENT:
-        n = p + q
-        kruns, sruns = complement_runs(sruns, n), complement_runs(kruns, n)
-        p, q = q, p
-    if v is Variant.INVERSE or v is Variant.INVERSE_COMPLEMENT:
-        kruns, sruns = inverse_runs(kruns, sruns, p, q)
-    return kruns, sruns
+# counts and the clique and independence numbers
+SIDE_SWAPPING = frozenset(v for v, c in TRANSFORMS.items() if side_maps(c, 1, 1)[0])
 
 
 def _min_colors_for_pairs(m: int) -> int:
@@ -335,7 +328,7 @@ class Family(Record):
         if v is Variant.ORIGINAL:
             return runs
         if self.split:
-            return split_variant(v, *runs, *orders)
+            return transform_runs(TRANSFORMS[v], *runs, *orders)
         return complement_runs(runs, *orders)
 
     def shape(self, runs):
@@ -582,39 +575,33 @@ def match_split_runs(kruns, sruns) -> TypedComponent | None:
     complement and inverse-complement, in that order; the runs are tuples,
     as ``DegreeSequence.runs`` holds them.
 
-    A one-sided head is K1 or S1 as it stands. Complement (d -> p + q - 1 -
-    d) and split inverse (p - 1 off each clique degree, q - 1 onto each
-    stable one) map runs to runs and swap the sides, so each variant's
-    signature (``_SIGNATURES``), greatest clique degree and orders come off
-    the end runs without a transform. A variant whose signature fits no
-    family is skipped. A decoding family reads its parameters off those
-    numbers and confirms them by emitting; S2 reads them off the
-    transformed clique runs. No two families share a signature, so the
-    first variant that matches gives the tag that trying every family in
-    that order would."""
+    A one-sided head is K1 or S1 as it stands. Each variant maps every
+    degree of a side by sign*d + c and may swap the sides
+    (:func:`~unigraph.degseq.side_maps`), so its signature
+    (``_SIGNATURES``), greatest clique degree and orders come off the
+    head's end runs through that table, without a transform. A variant
+    whose signature fits no family is skipped. A decoding family reads its
+    parameters off those numbers and confirms them by emitting; S2 reads
+    them off the transformed clique runs. No two families share a
+    signature, so the first variant that matches gives the tag that trying
+    every family in that order would."""
     if not (kruns and sruns):
         t = _SINGLE["k1" if kruns else "s1"]
         return t if CATALOG[t.base].runs() == (kruns, sruns) else None
-    a, b = len(kruns), len(sruns)
     p, q = runs_order(kruns), runs_order(sruns)
-    kmax, kmin, smax, smin = kruns[0][0], kruns[-1][0], sruns[0][0], sruns[-1][0]
-    n1 = p + q - 1
-    # variant, its clique and stable run counts, least stable degree,
-    # greatest clique degree, clique order and stable order
-    views = (
-        (Variant.ORIGINAL, a, b, smin, kmax, p, q),
-        (Variant.INVERSE, b, a, kmin - p + 1, smax + q - 1, q, p),
-        (Variant.COMPLEMENT, b, a, n1 - kmax, n1 - smin, q, p),
-        (Variant.INVERSE_COMPLEMENT, a, b, p - smax, n1 + p - 1 - kmin, p, q),
-    )
-    for v, ka, sb, low, top, k, s in views:
-        f = _SIGNATURES.get((min(ka, 3), sb, low))
+    for v in SPLIT_VARIANTS:
+        code = TRANSFORMS[v]
+        swap, sign, a, b = side_maps(code, p, q)
+        ka, sa, k, s = (sruns, kruns, q, p) if swap else (kruns, sruns, p, q)
+        # the end run that maps to each side's greatest degree
+        top = 0 if sign > 0 else -1
+        f = _SIGNATURES.get((min(len(ka), 3), len(sa), sign * sa[~top][0] + b))
         if f is None:
             continue
         if f is _S2:
-            prm = _s2_params(split_variant(v, kruns, sruns, p, q)[0], k, s)
+            prm = _s2_params(transform_runs(code, kruns, sruns, p, q)[0], k, s)
         else:
-            prm = f.decode(top, k, s)
+            prm = f.decode(sign * ka[top][0] + a, k, s)
             if prm is None or not f.valid(*prm) or f.emit(v, prm) != (kruns, sruns):
                 continue
         if prm is not None:
@@ -691,7 +678,9 @@ def _tail_type(rec, prev: str | None) -> TypedComponent | None:
     _, truns, n, k = rec
     if n == 1:
         return _SINGLE["k1" if tail_joins_clique(prev) else "s1"]
-    return match_nonsplit_runs(truns) if k is None else match_head(truns[:k], truns[k:])
+    if k is None:
+        return match_nonsplit_runs(truns)
+    return match_split_runs(truns[:k], truns[k:])  # one per sequence: uncached
 
 
 def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:

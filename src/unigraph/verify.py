@@ -104,10 +104,11 @@ def verify_aut_product(max_n: int = 8) -> Iterator[dict]:
             }
 
 
+# each check, its default size and the size guard of the oracle it calls
 CHECKS = {
-    "unigraph": (verify_unigraph, 8),
-    "roundtrip": (verify_roundtrip, 8),
-    "params": (verify_params, 8),
-    "fixdist": (verify_fixdist, 7),
-    "aut": (verify_aut_product, 8),
+    "unigraph": (verify_unigraph, 8, oracle.MAX_CLASSES),
+    "roundtrip": (verify_roundtrip, 8, oracle.MAX_PARAMS),
+    "params": (verify_params, 8, oracle.MAX_PARAMS),
+    "fixdist": (verify_fixdist, 7, oracle.MAX_FIXDIST),
+    "aut": (verify_aut_product, 8, oracle.MAX_ENUM),
 }

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,38 @@ class TestVerify:
             code, out, _ = run_cli(capsys, "verify", check, "--max-n", "5")
             assert code == 0, check
             assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("check", cli.VERIFY_CHECKS)
+    def test_a_size_past_the_oracle_guard_is_refused_at_once(self, capsys, check):
+        # each check carries the guard of the oracle function it calls, and
+        # a size past it, or a negative one, is refused before enumerating
+        from unigraph import oracle, verify
+
+        guards = {
+            "unigraph": oracle.MAX_CLASSES, "roundtrip": oracle.MAX_PARAMS,
+            "params": oracle.MAX_PARAMS, "fixdist": oracle.MAX_FIXDIST,
+            "aut": oracle.MAX_ENUM,
+        }
+        cap = verify.CHECKS[check][2]
+        assert cap == guards[check]
+        start = time.perf_counter()
+        for max_n in ("40", str(cap + 1), "-1"):
+            code, out, err = run_cli(capsys, "verify", check, "--max-n", max_n)
+            assert code == 1 and out == "", max_n
+            want = f"verify {check} takes --max-n from 0 to {cap}, got {max_n}"
+            assert err == f"error: {want}\n"
+            code, out, _ = run_cli(capsys, "--json", "verify", check, "--max-n", max_n)
+            assert code == 1
+            assert json.loads(out)["error"]["type"] == "TooLarge"
+        assert time.perf_counter() - start < 1
+
+    def test_graphical_sequences_refuses_past_its_guard_when_called(self):
+        from unigraph import oracle
+        from unigraph.errors import TooLarge
+
+        with pytest.raises(TooLarge):
+            oracle.graphical_sequences(oracle.MAX_PARAMS + 1)
+        assert len(list(oracle.graphical_sequences(4))) == 11
 
     def test_unknown_check_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -136,7 +136,8 @@ class TestFixingNumber:
 
 def _recurring_shapes():
     """spq(1,2) and s2(2,1,1,1) heads, twice each, over an spq(2,2) tail:
-    every type comes from the cached split matcher."""
+    the heads' types come from the cached split matcher, and the tail's,
+    one per sequence, from the uncached one."""
     from unigraph.decomp import compose_all
     from unigraph.degseq import parse_paired
 
@@ -180,9 +181,16 @@ class TestPricedShapes:
         # three distinct types, each priced once
         assert sorted(calls) == ["dist"] * 3 + ["fix"] * 3
         calls.clear()
-        # a fresh sequence is decomposed and matched again, to the same types
-        again = unigraph_params(type(s)(s.runs))
-        assert again == first and calls == []
+        # a fresh sequence is decomposed and matched again, to the same
+        # types: the heads' cached objects, already priced, and a fresh
+        # object for the tail, priced again
+        fresh = type(s)(s.runs)
+        again = unigraph_params(fresh)
+        assert again == first and sorted(calls) == ["dist", "fix"]
+        heads, tail = r.runs[:-1], r.runs[-1][0]
+        fresh_runs = is_unigraph(fresh)[1].runs
+        assert all(a is b for (a, _), (b, _) in zip(heads, fresh_runs[:-1]))
+        assert fresh_runs[-1][0] == tail and fresh_runs[-1][0] is not tail
         assert (first.fix, first.dist) == (2 * 1 + 2 * 1 + 2, 2)
 
     def test_prices_leave_equality_hash_repr_and_pickle(self):

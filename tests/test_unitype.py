@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -8,12 +9,14 @@ from unigraph.degseq import (
     DegreeSequence,
     complement_paired,
     complement_seq,
+    compose_runs,
     inverse_paired,
     is_graphical,
     parse_paired,
     parse_sequence,
     realize,
     runs_order,
+    transform_runs,
 )
 from unigraph.errors import ParamOutOfRange, VariantUndefined
 from unigraph.unitype import (
@@ -29,7 +32,6 @@ from unigraph.unitype import (
     match_nonsplit_type,
     match_split_runs,
     match_split_type,
-    split_variant,
     type_to_sequence,
 )
 
@@ -128,7 +130,7 @@ class TestMatchSplit:
         # 3 clique runs over 2 stable runs, or 2 over 3 once a variant
         # swaps the sides, fit no split family
         calls = []
-        for name in ("complement_runs", "inverse_runs"):
+        for name in ("complement_runs", "transform_runs"):
             def counted(*args, _fn=getattr(unitype, name), _name=name):
                 calls.append(_name)
                 return _fn(*args)
@@ -139,7 +141,7 @@ class TestMatchSplit:
         # one clique run over one stable run fits spq under every variant
         assert match_split_runs(((3, 2),), ((1, 4),)).tag() == "spq(p=2,q=2)"
         assert match_split_runs(((4, 4),), ((2, 2),)).tag() == "inverse:spq(p=2,q=2)"
-        assert calls == ["inverse_runs"]
+        assert calls == ["transform_runs"]
 
 
 def _trial_order_params(base, runs):
@@ -164,20 +166,97 @@ def _trial_order_params(base, runs):
 
 def reference_split_match(kruns, sruns):
     """The trial-order split matcher: every split family under every
-    variant, in the matcher's order, each transformed and confirmed by
-    emitting its parameters."""
-    p, q = runs_order(kruns), runs_order(sruns)
+    variant, in the matcher's order, each transformed vertex by vertex and
+    confirmed by the family's original runs."""
+    order = runs_order(kruns) + runs_order(sruns)
     for v in SPLIT_VARIANTS:
-        runs = split_variant(v, kruns, sruns, p, q)
+        runs = per_vertex_variant(v, kruns, sruns)
         for f in SPLIT_FAMILIES:
             prm = _trial_order_params(f.base, runs)
             if prm is not None and f.valid(*prm) and f.runs(*prm) == runs:
-                return TypedComponent(v, f.base, prm, p + q)
+                return TypedComponent(v, f.base, prm, order)
     return None
 
 
 def _side(degrees):
     return tuple(sorted(Counter(degrees).items(), reverse=True))
+
+
+def per_vertex_variant(v, kruns, sruns):
+    """(clique runs, stable runs) of variant v of a split component, vertex
+    by vertex as the paper defines the operations: the complement maps each
+    degree to n - 1 - d and swaps the sides; the split inverse, applied
+    after it, drops p - 1 from each clique degree, adds q - 1 to each stable
+    one and swaps the sides."""
+    k = [d for d, m in kruns for _ in range(m)]
+    s = [d for d, m in sruns for _ in range(m)]
+    if v in (Variant.COMPLEMENT, Variant.INVERSE_COMPLEMENT):
+        n = len(k) + len(s)
+        k, s = [n - 1 - d for d in s], [n - 1 - d for d in k]
+    if v in (Variant.INVERSE, Variant.INVERSE_COMPLEMENT):
+        p, q = len(k), len(s)
+        k, s = [d + q - 1 for d in s], [d - (p - 1) for d in k]
+    return _side(k), _side(s)
+
+
+def random_split_sequence(rng, p, q):
+    """The degree sequence of a random split graph: a clique of p vertices
+    and q stable ones, each joined to a random nonempty proper subset of
+    the clique."""
+    clique = [p - 1] * p
+    stable = []
+    for _ in range(q):
+        neighbours = rng.sample(range(p), rng.randint(1, p - 1))
+        for u in neighbours:
+            clique[u] += 1
+        stable.append(len(neighbours))
+    return DegreeSequence(_side(clique + stable))
+
+
+def split_candidates(max_order):
+    """(family, params) of every split catalog type up to max_order, read
+    off the families' candidate lists, which no variant enters."""
+    return [
+        (f, prm)
+        for order in range(1, max_order + 1)
+        for f in SPLIT_FAMILIES
+        for prm in f.candidates(order)
+    ]
+
+
+class TestVariantTable:
+    """degseq.side_maps is the one table of the four variants; each of its
+    readers must agree with the per-vertex definition."""
+
+    def test_transform_runs_is_the_per_vertex_variant(self):
+        cands = split_candidates(24)
+        assert len(cands) == 1622
+        for f, prm in cands:
+            runs, orders = f.runs(*prm), f.orders(*prm)
+            for v in SPLIT_VARIANTS:
+                want = per_vertex_variant(v, *runs)
+                got = transform_runs(unitype.TRANSFORMS[v], *runs, *orders)
+                assert got == want, (f.base, prm, v)
+                assert f.emit(v, prm) == want, (f.base, prm, v)
+        # SIDE_SWAPPING, read off the table, holds the variants whose clique
+        # side is the original's stable side
+        assert unitype.SIDE_SWAPPING == {Variant.INVERSE, Variant.COMPLEMENT}
+
+    def test_compose_runs_applies_each_variant_as_pre_transformed_runs(self):
+        rng = random.Random(7)
+        cands = split_candidates(12)
+        tails = [((), 0), (((2, 5),), 5), (((0, 3),), 3), (((4, 1), (1, 4)), 5)]
+        for _ in range(400):
+            coded, plain = [], []
+            for f, prm in rng.choices(cands, k=rng.randint(1, 4)):
+                v = rng.choice(SPLIT_VARIANTS)
+                runs, (p, q) = f.runs(*prm), f.orders(*prm)
+                coded.append((*runs, p, q, unitype.TRANSFORMS[v]))
+                kruns, sruns = per_vertex_variant(v, *runs)
+                plain.append((kruns, sruns, runs_order(kruns), runs_order(sruns), 0))
+            tail, tail_n = rng.choice(tails)
+            want = compose_runs(plain, tail, tail_n)
+            assert compose_runs(coded, tail, tail_n) == want
 
 
 def near_misses(kruns, sruns):
@@ -231,9 +310,9 @@ class TestGatedSplitMatcher:
         pool = [t for order in range(1, 25) for t in components_of_order(order, True)]
         heads = [emit_runs(t) for t in pool]
         calls = []
-        real = unitype.split_variant
+        real = unitype.transform_runs
         monkeypatch.setattr(
-            unitype, "split_variant", lambda *args: calls.append(args[0]) or real(*args)
+            unitype, "transform_runs", lambda *a: calls.append(a[0]) or real(*a)
         )
         for t, head in zip(pool, heads):
             calls.clear()
@@ -453,6 +532,38 @@ class TestIsUnigraph:
             # complete blocks: valid under every variant, one key each
             unitype.match_head(((m - 1, m),), ())
             assert unitype.match_head.cache_info().currsize <= bound
+
+    def test_split_tails_leave_nothing_behind(self):
+        # a sequence has one tail, and keeps its verdict itself, so a split
+        # tail is matched uncached: the memory left after classifying
+        # distinct random split tails does not grow with their run count
+        import gc
+        import tracemalloc
+
+        def retained(p, q):
+            rng = random.Random(p)
+            unitype.match_head.cache_clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                runs = 0
+                for _ in range(20):
+                    s = random_split_sequence(rng, p, q)
+                    d, _ = is_unigraph(s)
+                    # indecomposable, with a split tail
+                    assert d.runs == () and d._records[-1][3] is not None
+                    runs += len(s.runs)
+                    del s, d
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before, runs
+            finally:
+                tracemalloc.stop()
+
+        small, small_runs = retained(6, 12)
+        large, large_runs = retained(60, 120)
+        assert large_runs > 5 * small_runs
+        assert large <= small + 4096, (small, large)
 
     @pytest.mark.parametrize("text", ["3^2,1^4", "2^5"], ids=["split", "non-split"])
     def test_graphicality_proved_once(self, monkeypatch, text):
