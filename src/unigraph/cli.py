@@ -99,13 +99,12 @@ def cmd_is_unigraph(args) -> int:
     from .unitype import is_unigraph
 
     _, report = is_unigraph(_input_sequence(args))
-    payload = {
-        "isUnigraph": report.is_unigraph,
-        "components": report.tags(),
-        "failureIndex": report.failure_index,
-    }
     if args.json:
-        _print_json(payload)
+        _print_json({
+            "isUnigraph": report.is_unigraph,
+            "components": report.tags(),
+            "failureIndex": report.failure_index,
+        })
         return 0
     if report.is_unigraph:
         print("unigraph: " + " o ".join(report.tags()))

@@ -22,7 +22,7 @@ import re
 import reprlib
 from collections import defaultdict
 from functools import cached_property
-from operator import gt, index
+from operator import gt, index, itemgetter
 from typing import Iterable, Iterator
 
 from . import _kernel
@@ -186,8 +186,7 @@ class PairedDegreeSequence(Record):
             raise NotGraphical(f"merged sequence of {brief(self)} not graphical")
 
     def merged(self) -> DegreeSequence:
-        head = (self.kpart.runs, self.spart.runs, self.p, self.q, 0)
-        return compose_runs([head], (), 0)
+        return compose_runs([(self.kpart.runs, self.spart.runs, 0)], ())
 
     def to_text(self) -> str:
         return f"{self.kpart.to_text()};{self.spart.to_text()}"
@@ -272,13 +271,18 @@ def is_graphical(s: DegreeSequence) -> bool:
     return _kernel.eg_graphical(s.runs)
 
 
+_multiplicity = itemgetter(1)
+
+
 def runs_order(runs) -> int:
     """Number of vertices in a run tuple."""
-    return sum(m for _, m in runs)
+    return sum(map(_multiplicity, runs))
 
 
-def complement_runs(runs, n: int) -> tuple[tuple[int, int], ...]:
-    """Runs of the complement within n vertices: d -> n-1-d. Involution."""
+def complement_runs(runs) -> tuple[tuple[int, int], ...]:
+    """Runs of the complement: d -> n-1-d over the n vertices of the runs.
+    Involution."""
+    n = runs_order(runs)
     return tuple((n - 1 - d, m) for d, m in reversed(runs))
 
 
@@ -307,11 +311,11 @@ def side_maps(transforms: int, p: int, q: int) -> tuple[bool, int, int, int]:
     return False, -1, 2 * p + q - 2, p
 
 
-def transform_runs(transforms: int, kruns, sruns, p: int, q: int):
+def transform_runs(transforms: int, kruns, sruns):
     """(clique runs, stable runs) of a split component's variant, by
     :func:`side_maps`; a negative sign reverses the runs, so they stay
     strictly decreasing. Each transform is an involution."""
-    swap, sign, a, b = side_maps(transforms, p, q)
+    swap, sign, a, b = side_maps(transforms, runs_order(kruns), runs_order(sruns))
     if swap:
         kruns, sruns = sruns, kruns
     return (
@@ -323,7 +327,7 @@ def transform_runs(transforms: int, kruns, sruns, p: int, q: int):
 def complement_seq(s: DegreeSequence) -> DegreeSequence:
     """Degree sequence of the complement: d -> n-1-d. Involution."""
     check_sequence(s)
-    return DegreeSequence(complement_runs(s.runs, s.n))
+    return DegreeSequence(complement_runs(s.runs))
 
 
 def complement_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
@@ -331,7 +335,7 @@ def complement_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
     the K and S parts swap roles; see :func:`side_maps`."""
     check_paired(ps)
     return PairedDegreeSequence.from_runs(
-        *transform_runs(COMPLEMENTED, ps.kpart.runs, ps.spart.runs, ps.p, ps.q)
+        *transform_runs(COMPLEMENTED, ps.kpart.runs, ps.spart.runs)
     )
 
 
@@ -340,7 +344,7 @@ def inverse_paired(ps: PairedDegreeSequence) -> PairedDegreeSequence:
     turned into a clique, and the parts swap roles; see :func:`side_maps`."""
     check_paired(ps)
     return PairedDegreeSequence.from_runs(
-        *transform_runs(INVERTED, ps.kpart.runs, ps.spart.runs, ps.p, ps.q)
+        *transform_runs(INVERTED, ps.kpart.runs, ps.spart.runs)
     )
 
 
@@ -352,14 +356,12 @@ def compose_seq(head: PairedDegreeSequence, tail: DegreeSequence) -> DegreeSeque
     return compose_all((head,), tail)
 
 
-def compose_runs(heads, tail, tail_n: int) -> DegreeSequence:
+def compose_runs(heads, tail) -> DegreeSequence:
     """Sequence of heads[0] o heads[1] o ... o tail in one pass; the inverse
-    of decompose. ``heads`` is a sequence of (clique runs, stable runs, p,
-    q, transforms), outermost first: the runs of a split component, the
-    orders p and q of its two sides, and the sum of COMPLEMENTED and
-    INVERTED that gives the variant to compose. ``tail`` holds the runs of
-    the innermost part, of order ``tail_n``. The runs must be well formed
-    and the orders theirs; nothing is checked.
+    of decompose. ``heads`` is a sequence of (clique runs, stable runs,
+    transforms), outermost first: the runs of a split component and the sum
+    of COMPLEMENTED and INVERTED that gives the variant to compose. ``tail``
+    holds the runs of the innermost part.
 
     The clique side of component i gains the order of everything below it
     plus the clique sizes above it, its stable side gains the clique sizes
@@ -371,10 +373,11 @@ def compose_runs(heads, tail, tail_n: int) -> DegreeSequence:
     accumulated by degree and sorted once, so the result is their sorted
     union whatever the blocks hold.
     """
-    n = below = tail_n + sum(h[2] + h[3] for h in heads)
+    sizes = [(runs_order(kruns), runs_order(sruns)) for kruns, sruns, _ in heads]
+    n = below = runs_order(tail) + sum(p + q for p, q in sizes)
     above = 0
     acc: defaultdict[int, int] = defaultdict(int)
-    for kruns, sruns, p, q, transforms in heads:
+    for (kruns, sruns, transforms), (p, q) in zip(heads, sizes):
         below -= p + q
         swap, sign, a, b = side_maps(transforms, p, q)
         if swap:
@@ -405,8 +408,8 @@ def compose_all(
     heads = []
     for c in components:
         check_paired(c)
-        heads.append((c.kpart.runs, c.spart.runs, c.p, c.q, 0))
-    return compose_runs(heads, tail.runs, tail.n)
+        heads.append((c.kpart.runs, c.spart.runs, 0))
+    return compose_runs(heads, tail.runs)
 
 
 def _check_text(text) -> None:

@@ -40,11 +40,11 @@ After the pick, only the block of weights that holds it is recomputed, so
 O(sqrt(k)) big integers are alive at once.
 
 Every component :func:`generate` returns is marked as drawn from the
-catalog, and :func:`compose_types` trusts that mark: it reads the runs and
-side orders of such a component off its catalog record and checks only
-the components it did not draw. Components are composed as run tuples in
-one pass (:func:`~unigraph.degseq.compose_runs`), never as sequence
-objects, so a draw costs O(k) small steps plus the big-integer weights.
+catalog, and :func:`compose_types` trusts that mark: it reads the runs of
+such a component off its catalog record and checks only the components it
+did not draw. Components are composed as run tuples in one pass
+(:func:`~unigraph.degseq.compose_runs`), never as sequence objects, so a
+draw costs O(k) small steps plus the big-integer weights.
 """
 
 from __future__ import annotations
@@ -124,15 +124,15 @@ def components_of_order(order: int, split_only: bool) -> tuple[TypedComponent, .
     if order > _ENUM_LIMIT:
         raise ValueError(f"enumeration capped at order {_ENUM_LIMIT}")
     cands = [
-        (f, prm, f.runs(*prm), f.orders(*prm))
+        (f, prm, f.runs(*prm))
         for f in (SPLIT_FAMILIES if split_only else FAMILIES)
         for prm in f.candidates(order)
     ]
     first: dict = {}
     for v in SPLIT_VARIANTS:
-        for f, prm, runs, orders in cands:
+        for f, prm, runs in cands:
             if v in f.variants:
-                key = f.transform(v, runs, orders)
+                key = f.transform(v, runs)
                 if key not in first:
                     first[key] = TypedComponent._trusted(v, f.base, prm, order)
     return tuple(sorted(first.values(), key=TypedComponent.tag))
@@ -505,9 +505,9 @@ def _no_draw(spec: GenSpec, allowed: frozenset[Base]) -> Infeasible:
 
 def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
     """Sequence of the composition of typed components (tail last), built
-    from their catalog runs and side orders in one pass. Any iterable is
-    read once into a list. A component :func:`generate` drew is read off
-    its catalog record as it is; any other is first checked against it
+    from their catalog runs in one pass. Any iterable is read once into a
+    list. A component :func:`generate` drew is read off its catalog record
+    as it is; any other is first checked against it
     (:func:`~unigraph.unitype.family_of`)."""
     try:
         comps = list(comps)
@@ -522,14 +522,13 @@ def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
         f = _record(t)
         if not f.split:
             raise ParamOutOfRange(f"a non-split {t} can only be the tail")
-        prm = t.params
-        heads.append((*f.runs(*prm), *f.orders(*prm), TRANSFORMS[t.variant]))
+        heads.append((*f.runs(*t.params), TRANSFORMS[t.variant]))
     f, prm = _record(last), last.params
     if not f.split:
-        return compose_runs(heads, f.emit(last.variant, prm), last.order)
+        return compose_runs(heads, f.emit(last.variant, prm))
     # a split tail is one more head, over nothing
-    heads.append((*f.runs(*prm), *f.orders(*prm), TRANSFORMS[last.variant]))
-    return compose_runs(heads, (), 0)
+    heads.append((*f.runs(*prm), TRANSFORMS[last.variant]))
+    return compose_runs(heads, ())
 
 
 def _record(t: TypedComponent) -> Family:

@@ -171,27 +171,22 @@ def _canon_key(masks: tuple[int, ...]) -> bytes:
     return bytes([len(masks)]) + b"".join(r.to_bytes(2, "big") for r in rows)
 
 
-@lru_cache(maxsize=65536)
-def _aut_data(masks: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    _, count, perms = _canon_search(masks, True)
-    if not perms:
-        return count, ()
+def _automorphisms(masks: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The automorphisms, sorted, searched for afresh on each call: a group
+    on nine vertices holds up to 9! permutations, so none is kept."""
+    _, _, perms = _canon_search(masks, True)
     pi0 = perms[0]
     inv0 = [0] * len(pi0)
     for old, new in enumerate(pi0):
         inv0[new] = old
-    auts = []
-    for pi in perms:
-        # pi = pi0 after an automorphism: recover it as inv(pi0) o pi
-        auts.append(tuple(inv0[pi[v]] for v in range(len(pi))))
-    return count, tuple(sorted(auts))
+    # pi = pi0 after an automorphism: recover it as inv(pi0) o pi
+    return sorted(tuple(inv0[v] for v in pi) for pi in perms)
 
 
 def automorphisms(g: Graph) -> list[Permutation]:
     """All adjacency-preserving vertex bijections."""
     _guard(g.n, MAX_AUT, "automorphisms")
-    _, auts = _aut_data(masks_of(g))
-    return [Permutation(a) for a in auts]
+    return [Permutation(a) for a in _automorphisms(masks_of(g))]
 
 
 def automorphism_count(g: Graph) -> int:
@@ -424,10 +419,9 @@ def brute_fix(g: Graph) -> int:
     """Smallest vertex set whose pointwise stabilizer is trivial."""
     _guard(g.n, MAX_FIXDIST, "brute_fix")
     n = g.n
-    _, auts = _aut_data(masks_of(g))
     fixed = set()
     ident = tuple(range(n))
-    for a in auts:
+    for a in _automorphisms(masks_of(g)):
         if a != ident:
             fixed.add(sum(1 << i for i, v in enumerate(a) if i == v))
     if not fixed:
@@ -453,17 +447,16 @@ def brute_dist(g: Graph) -> int:
     if n == 0:
         return 1
     masks = masks_of(g)
-    _, auts = _aut_data(masks)
-    ident = tuple(range(n))
-    nontrivial = [a for a in auts if a != ident]
-    if not nontrivial:
-        return 1
     # complete and empty graphs admit every transposition, forcing injective
-    # colorings; this check keeps their huge groups out of the search below
+    # colorings; this check keeps their huge groups out of the searches below
     if all(m == ((1 << n) - 1) ^ (1 << v) for v, m in enumerate(masks)) or all(
         m == 0 for m in masks
     ):
         return n
+    ident = tuple(range(n))
+    nontrivial = [a for a in _automorphisms(masks) if a != ident]
+    if not nontrivial:
+        return 1
     # perms moving few vertices kill most partitions quickly
     nontrivial.sort(key=lambda a: sum(1 for i, v in enumerate(a) if i != v))
     best = n

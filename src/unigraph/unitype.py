@@ -4,11 +4,11 @@ Every indecomposable unigraph is, up to complement (and split inverse for
 split graphs), one of ten parametric base families; the compact
 decomposition adds two blocks, a run of m dominant or of m isolated
 vertices. Each of the twelve is described once, by its :class:`Family`
-record in ``CATALOG``: parameter names and bounds, unchecked runs, the
-closed-form orders of its sides, how a matcher reads the parameters back
-(off the runs of a non-split base, off a head's greatest clique degree and
-orders for most split ones), its candidates of a given order, and its
-clique, independence, fixing and distinguishing numbers. The matchers, the
+record in ``CATALOG``: parameter names and bounds, unchecked runs, how a
+matcher reads the parameters back (off the runs of a non-split base, off a
+head's greatest clique degree and side orders for most split ones), its
+candidates of a given order, and its clique, independence, fixing and
+distinguishing numbers; the orders of its sides are read off its runs. The
 emitter, the tag, the enumeration of small orders in :mod:`unigraph.gen`
 and the per-component parameters in :mod:`unigraph.params` are loops over,
 or lookups in, that table.
@@ -45,7 +45,8 @@ from .degseq import (
     side_maps,
     transform_runs,
 )
-from .errors import FormatError, ParamOutOfRange, UnigraphError, VariantUndefined
+from .errors import FormatError, NotUnigraph, ParamOutOfRange, UnigraphError
+from .errors import VariantUndefined
 
 
 class Variant(enum.Enum):
@@ -245,13 +246,13 @@ def _pairs(prm):
 class Family(Record):
     """The catalog record of one base; records compare by identity.
 
-    Parameters are passed unpacked. ``runs``, ``orders`` and the parameter
-    functions check nothing: they take parameters that :meth:`check`
-    accepts, or that a matcher read off a sequence.
+    Parameters are passed unpacked. ``runs`` and the parameter functions
+    check nothing: they take parameters that :meth:`check` accepts, or that
+    a matcher read off a sequence.
     """
 
     _fields = (
-        "base", "names", "bounds", "valid", "runs", "orders", "guess",
+        "base", "names", "bounds", "valid", "runs", "guess",
         "candidates", "fix", "dist", "omega_alpha", "split", "decode",
     )
     __eq__ = object.__eq__
@@ -265,8 +266,6 @@ class Family(Record):
         valid: Callable[..., bool],
         # plain runs of a non-split base, (clique runs, stable runs) otherwise
         runs: Callable,
-        # (clique, stable) orders of a split base; (order,) of a non-split one
-        orders: Callable[..., tuple[int, ...]],
         # the parameters a run tuple of this non-split base must have, if
         # any; shape() confirms them by emitting. None for the split bases
         # and the blocks
@@ -289,7 +288,6 @@ class Family(Record):
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "valid", valid)
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "guess", guess)
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "fix", fix)
@@ -319,17 +317,23 @@ class Family(Record):
             return f"{self.base.value}({','.join(map(str, params))})"
         return f"{self.base.value}({','.join(map('{}={}'.format, self.names, params))})"
 
+    def orders(self, *params) -> tuple[int, ...]:
+        """(clique, stable) orders of a split base's instance, (order,) of a
+        non-split one, read off its runs."""
+        runs = self.runs(*params)
+        return tuple(map(runs_order, runs)) if self.split else (runs_order(runs),)
+
     def emit(self, v: Variant, params):
         """Runs of variant v (unchecked; v must be one of ``variants``)."""
-        return self.transform(v, self.runs(*params), self.orders(*params))
+        return self.transform(v, self.runs(*params))
 
-    def transform(self, v: Variant, runs, orders):
-        """Variant v of the runs of an instance with the given orders."""
+    def transform(self, v: Variant, runs):
+        """Variant v of the runs of an instance."""
         if v is Variant.ORIGINAL:
             return runs
         if self.split:
-            return transform_runs(TRANSFORMS[v], *runs, *orders)
-        return complement_runs(runs, *orders)
+            return transform_runs(TRANSFORMS[v], *runs)
+        return complement_runs(runs)
 
     def shape(self, runs):
         """The parameters whose runs these are, or None: the exact inverse
@@ -356,12 +360,6 @@ def _s2_tuples(order: int):
 
     rec((), order, order, 0)
     return out
-
-
-def _s2_orders(*prm):
-    """(centers, leaves) of S2 parameters."""
-    qs = prm[1::2]
-    return sum(qs), sum(map(mul, prm[::2], qs))
 
 
 def _s2_runs(*prm):
@@ -414,13 +412,13 @@ def _s4_decode(top: int, k: int, s: int):
 NON_SPLIT_FAMILIES = (
     Family(
         Base.C5, (), "no parameters", lambda: True,
-        runs=lambda: ((2, 5),), orders=lambda: (5,), guess=lambda runs: (),
+        runs=lambda: ((2, 5),), guess=lambda runs: (),
         candidates=lambda n: [()] if n == 5 else [],
         omega_alpha=lambda: (2, 2), fix=lambda: 2, dist=lambda: 3, split=False,
     ),
     Family(
         Base.MK2, ("m",), "m >= 2", lambda m: m >= 2,
-        runs=lambda m: ((1, 2 * m),), orders=lambda m: (2 * m,),
+        runs=lambda m: ((1, 2 * m),),
         guess=lambda runs: (runs[0][1] // 2,) if len(runs) == 1 else None,
         candidates=lambda n: [(n // 2,)] if n % 2 == 0 and n >= 4 else [],
         omega_alpha=lambda m: (2, m), fix=lambda m: m, split=False,
@@ -429,7 +427,6 @@ NON_SPLIT_FAMILIES = (
     Family(
         Base.U2, ("m", "l"), "m >= 1, l >= 2", lambda m, ell: m >= 1 and ell >= 2,
         runs=lambda m, ell: ((ell, 1), (1, 2 * m + ell)),
-        orders=lambda m, ell: (2 * m + ell + 1,),
         guess=lambda runs: (
             ((runs[1][1] - runs[0][0]) // 2, runs[0][0]) if len(runs) == 2 else None
         ),
@@ -440,7 +437,6 @@ NON_SPLIT_FAMILIES = (
     Family(
         Base.U3, ("m",), "m >= 1", lambda m: m >= 1,
         runs=lambda m: ((2 * m + 2, 1), (2, 2 * m + 3)),
-        orders=lambda m: (2 * m + 4,),
         guess=lambda runs: ((runs[0][0] - 2) // 2,) if len(runs) == 2 else None,
         candidates=lambda n: [((n - 4) // 2,)] if n % 2 == 0 and n >= 6 else [],
         omega_alpha=lambda m: (3, m + 2), fix=lambda m: m + 1,
@@ -450,13 +446,13 @@ NON_SPLIT_FAMILIES = (
 SPLIT_FAMILIES = (
     Family(
         Base.K1, (), "no parameters", lambda: True,
-        runs=lambda: (((0, 1),), ()), orders=lambda: (1, 0), guess=None,
+        runs=lambda: (((0, 1),), ()), guess=None,
         candidates=lambda n: [()] if n == 1 else [],
         omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
     ),
     Family(
         Base.S1, (), "no parameters", lambda: True,
-        runs=lambda: ((), ((0, 1),)), orders=lambda: (0, 1), guess=None,
+        runs=lambda: ((), ((0, 1),)), guess=None,
         candidates=lambda n: [()] if n == 1 else [],
         omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
     ),
@@ -464,8 +460,7 @@ SPLIT_FAMILIES = (
     Family(
         Base.SPQ, ("p", "q"), "p >= 1, q >= 2", lambda p, q: p >= 1 and q >= 2,
         runs=lambda p, q: (((p + q - 1, q),), ((1, p * q),)),
-        orders=lambda p, q: (q, p * q), guess=None,
-        decode=_spq_decode,
+        guess=None, decode=_spq_decode,
         candidates=lambda n: [
             (n // q - 1, q) for q in range(2, n // 2 + 1) if n % q == 0
         ],
@@ -480,9 +475,7 @@ SPLIT_FAMILIES = (
             and all(q >= 1 for q in prm[1::2])
             and all(a > b for a, b in zip(prm[::2], prm[2::2]))
         ),
-        runs=_s2_runs,
-        orders=_s2_orders,
-        guess=None, candidates=_s2_tuples,
+        runs=_s2_runs, guess=None, candidates=_s2_tuples,
         fix=lambda *prm: _stars_fix(*_pairs(prm)),
         dist=lambda *prm: _stars_dist(*_pairs(prm)),
     ),
@@ -492,7 +485,6 @@ SPLIT_FAMILIES = (
         runs=lambda p, q1, q2: (
             ((p + q1 + q2, q1 + q2),), ((q1, 1), (1, p * q1 + (p + 1) * q2))
         ),
-        orders=lambda p, q1, q2: (q1 + q2, 1 + p * q1 + (p + 1) * q2),
         guess=None, decode=_s3_decode,
         # q2 blocks of p+2 vertices and the center leave a multiple of p+1
         candidates=lambda n: [
@@ -510,7 +502,6 @@ SPLIT_FAMILIES = (
             ((2 * (p + q + 1) + q * p, 1), (p + q + 3, q + 2)),
             ((2, q * p + 2 * p + q + 1),),
         ),
-        orders=lambda p, q: (q + 3, q * p + 2 * p + q + 1),
         guess=None, decode=_s4_decode,
         # the order is (p + 2)(q + 2)
         candidates=lambda n: [
@@ -524,14 +515,12 @@ SPLIT_FAMILIES = (
 BLOCKS = (
     Family(
         Base.COMPLETE_BLOCK, ("m",), "m >= 1", lambda m: m >= 1,
-        runs=lambda m: (((m - 1, m),), ()), orders=lambda m: (m, 0),
-        guess=None, candidates=lambda n: [],
+        runs=lambda m: (((m - 1, m),), ()), guess=None, candidates=lambda n: [],
         omega_alpha=lambda m: (m, 1), fix=lambda m: m - 1, dist=lambda m: m,
     ),
     Family(
         Base.EMPTY_BLOCK, ("m",), "m >= 1", lambda m: m >= 1,
-        runs=lambda m: ((), ((0, m),)), orders=lambda m: (0, m),
-        guess=None, candidates=lambda n: [],
+        runs=lambda m: ((), ((0, m),)), guess=None, candidates=lambda n: [],
         omega_alpha=lambda m: (1, m), fix=lambda m: m - 1, dist=lambda m: m,
     ),
 )
@@ -543,7 +532,7 @@ def _first_shape(families, variant: Variant, runs) -> TypedComponent | None:
     for f in families:
         prm = f.shape(runs)
         if prm is not None:
-            return TypedComponent(variant, f.base, prm, sum(f.orders(*prm)))
+            return TypedComponent(variant, f.base, prm, runs_order(runs))
     return None
 
 
@@ -553,7 +542,7 @@ def match_nonsplit_runs(runs) -> TypedComponent | None:
     t = _first_shape(NON_SPLIT_FAMILIES, Variant.ORIGINAL, runs)
     if t is None and len(runs) <= 2:
         # every family has at most two runs, and complement keeps the count
-        complement = complement_runs(runs, runs_order(runs))
+        complement = complement_runs(runs)
         t = _first_shape(NON_SPLIT_FAMILIES, Variant.COMPLEMENT, complement)
     return t
 
@@ -599,7 +588,7 @@ def match_split_runs(kruns, sruns) -> TypedComponent | None:
         if f is None:
             continue
         if f is _S2:
-            prm = _s2_params(transform_runs(code, kruns, sruns, p, q)[0], k, s)
+            prm = _s2_params(transform_runs(code, kruns, sruns)[0], k, s)
         else:
             prm = f.decode(sign * ka[top][0] + a, k, s)
             if prm is None or not f.valid(*prm) or f.emit(v, prm) != (kruns, sruns):
@@ -665,10 +654,16 @@ _SINGLE = {
 
 
 @lru_cache(maxsize=1 << 14)
-def match_head(kruns, sruns) -> TypedComponent | None:
+def match_head(kruns, sruns) -> TypedComponent:
     """:func:`match_split_runs`, cached on the run tuples: heads of one
-    shape recur across decompositions."""
-    return match_split_runs(kruns, sruns)
+    shape recur across decompositions. A head that types as nothing raises
+    NotUnigraph, which the cache does not keep: a sequence stops at its
+    first failure and keeps its verdict, so nothing asks again, and such a
+    head's runs are bounded by no catalog shape."""
+    t = match_split_runs(kruns, sruns)
+    if t is None:
+        raise NotUnigraph("no catalog type fits the head")
+    return t
 
 
 def _tail_type(rec, prev: str | None) -> TypedComponent | None:
@@ -713,7 +708,10 @@ def _classify(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
     for rec in d._records:
         kind = rec[0]
         if kind == "head":
-            t, m = match_head(rec[1], rec[2]), 1
+            try:
+                t, m = match_head(rec[1], rec[2]), 1
+            except NotUnigraph:
+                t = None
         elif kind == "tail":
             if not rec[2]:
                 break

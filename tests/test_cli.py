@@ -434,3 +434,61 @@ class TestUsage:
     def test_bad_sequence_text_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "-d", "2^^5")
         assert code == 1 and "error" in err
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_block(heading, lang=""):
+    """The lines of the first fenced block after a README heading."""
+    start = _README.index(f"```{lang}\n", _README.index(f"\n## {heading}\n"))
+    body = start + len(lang) + 4
+    return _README[body : _README.index("```", body)].splitlines()
+
+
+class TestReadme:
+    """The README's examples run, and print what its text says."""
+
+    def test_every_cli_example_exits_0(self, capsys, atlas8):
+        import shlex
+
+        lines = _readme_block("CLI")
+        assert len(lines) == 10
+        for line in lines:
+            prog, *argv = shlex.split(line, comments=True)
+            assert prog == "unigraph"
+            assert run_cli(capsys, *argv)[0] == 0, line
+
+    def test_stated_decompose_output(self, capsys):
+        import re
+
+        text = " ".join(_README.split())
+        found = re.search(
+            r'`decompose -d "([^"]*)"` prints `([^`]*)`, `([^`]*)` and `([^`]*)`', text
+        )
+        code, out, _ = run_cli(capsys, "decompose", "-d", found[1])
+        assert code == 0
+        assert out.splitlines() == list(found.groups()[1:])
+
+    def test_library_comments(self):
+        lines = _readme_block("Library", "python")
+        env: dict = {}
+        exec(lines[0], env)
+        got = []
+        for line in lines[1:]:
+            if not line:
+                continue
+            code, _, comment = line.partition("#")
+            if "=" in code:
+                exec(code, env)
+            else:
+                env["_value"] = eval(code, env)
+            got.append(comment.strip())
+        d, report = env["d"], env["report"]
+        runs = ", ".join(f"({c}, {m})" for c, m in d.runs)
+        assert got == [
+            "",
+            f"runs [{runs}], tail {d.tail}",
+            " o ".join(report.tags()),
+            repr(env["_value"]),
+        ]

@@ -193,6 +193,29 @@ class TestBruteFixDist:
             g = oracle.graph_of(masks)
             assert oracle.brute_dist(g) <= oracle.brute_fix(g) + 1
 
+    def test_no_group_is_kept(self, atlas8):
+        # a group on n vertices holds up to n! permutations: the searches
+        # keep none of them once they return
+        import gc
+        import tracemalloc
+
+        from unigraph.verify import iter_unigraphs
+
+        graphs = [realize(s) for s in iter_unigraphs(7)]
+        for g in graphs:
+            g.adj  # built on first read, then kept on the graph
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for g in graphs:
+                oracle.brute_fix(g), oracle.brute_dist(g)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20, kept
+
     def test_guards(self):
         with pytest.raises(TooLarge):
             oracle.brute_fix(Graph.from_edges(10, []))

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from unigraph import oracle, unitype
-from unigraph.decomp import K1, compose_all
+from unigraph.decomp import K1, compose_all, decompose
 from unigraph.degseq import (
     DegreeSequence,
     complement_paired,
@@ -64,7 +64,7 @@ class TestApplyVariant:
     def test_original_identity(self):
         runs = parse_sequence("2^5").runs
         f = unitype.CATALOG[Base.C5]
-        assert f.transform(Variant.ORIGINAL, runs, (5,)) is runs
+        assert f.transform(Variant.ORIGINAL, runs) is runs
 
     def test_inverse_of_plain_sequence_undefined(self):
         with pytest.raises(VariantUndefined):
@@ -232,10 +232,10 @@ class TestVariantTable:
         cands = split_candidates(24)
         assert len(cands) == 1622
         for f, prm in cands:
-            runs, orders = f.runs(*prm), f.orders(*prm)
+            runs = f.runs(*prm)
             for v in SPLIT_VARIANTS:
                 want = per_vertex_variant(v, *runs)
-                got = transform_runs(unitype.TRANSFORMS[v], *runs, *orders)
+                got = transform_runs(unitype.TRANSFORMS[v], *runs)
                 assert got == want, (f.base, prm, v)
                 assert f.emit(v, prm) == want, (f.base, prm, v)
         # SIDE_SWAPPING, read off the table, holds the variants whose clique
@@ -245,18 +245,17 @@ class TestVariantTable:
     def test_compose_runs_applies_each_variant_as_pre_transformed_runs(self):
         rng = random.Random(7)
         cands = split_candidates(12)
-        tails = [((), 0), (((2, 5),), 5), (((0, 3),), 3), (((4, 1), (1, 4)), 5)]
+        tails = [(), ((2, 5),), ((0, 3),), ((4, 1), (1, 4))]
         for _ in range(400):
             coded, plain = [], []
             for f, prm in rng.choices(cands, k=rng.randint(1, 4)):
                 v = rng.choice(SPLIT_VARIANTS)
-                runs, (p, q) = f.runs(*prm), f.orders(*prm)
-                coded.append((*runs, p, q, unitype.TRANSFORMS[v]))
-                kruns, sruns = per_vertex_variant(v, *runs)
-                plain.append((kruns, sruns, runs_order(kruns), runs_order(sruns), 0))
-            tail, tail_n = rng.choice(tails)
-            want = compose_runs(plain, tail, tail_n)
-            assert compose_runs(coded, tail, tail_n) == want
+                runs = f.runs(*prm)
+                coded.append((*runs, unitype.TRANSFORMS[v]))
+                plain.append((*per_vertex_variant(v, *runs), 0))
+            tail = rng.choice(tails)
+            want = compose_runs(plain, tail)
+            assert compose_runs(coded, tail) == want
 
 
 def near_misses(kruns, sruns):
@@ -410,6 +409,77 @@ def all_catalog_types(max_order):
     return out
 
 
+def parameter_sweep():
+    """Catalog types at larger orders: every named parameter swept to 5
+    independently, the order given by the paper's formula."""
+    sweep = []
+    for m in range(2, 6):
+        sweep.append(T(Variant.ORIGINAL, Base.MK2, (m,), 2 * m))
+        sweep.append(T(Variant.ORIGINAL, Base.U3, (m,), 2 * m + 4))
+    for m in range(1, 6):
+        for ell in range(2, 6):
+            sweep.append(T(Variant.ORIGINAL, Base.U2, (m, ell), 2 * m + ell + 1))
+    for p in range(1, 6):
+        for q in range(2, 6):
+            sweep.append(T(Variant.ORIGINAL, Base.SPQ, (p, q), q * (p + 1)))
+        for q1 in range(2, 6):
+            for q2 in range(1, 6):
+                order = (q1 + q2) + 1 + p * q1 + (p + 1) * q2
+                sweep.append(T(Variant.ORIGINAL, Base.S3, (p, q1, q2), order))
+        for q in range(1, 6):
+            order = 1 + (q + 2) + (q * p + 2 * p + q + 1)
+            sweep.append(T(Variant.ORIGINAL, Base.S4, (p, q), order))
+    for p1 in range(2, 6):
+        for p2 in range(1, p1):
+            for q1 in range(1, 6):
+                for q2 in range(1, 6):
+                    order = q1 * (p1 + 1) + q2 * (p2 + 1)
+                    sweep.append(
+                        T(Variant.ORIGINAL, Base.S2, (p1, q1, p2, q2), order)
+                    )
+    return sweep
+
+
+# The paper's side orders of each family: (clique, stable) for a split
+# base, (order,) for a non-split one. The catalog states only the runs.
+PAPER_ORDERS = {
+    Base.C5: lambda: (5,),
+    Base.MK2: lambda m: (2 * m,),
+    Base.U2: lambda m, ell: (2 * m + ell + 1,),
+    Base.U3: lambda m: (2 * m + 4,),
+    Base.K1: lambda: (1, 0),
+    Base.S1: lambda: (0, 1),
+    Base.SPQ: lambda p, q: (q, p * q),
+    Base.S2: lambda *prm: (
+        sum(prm[1::2]), sum(p * q for p, q in zip(prm[::2], prm[1::2]))
+    ),
+    Base.S3: lambda p, q1, q2: (q1 + q2, 1 + p * q1 + (p + 1) * q2),
+    Base.S4: lambda p, q: (q + 3, q * p + 2 * p + q + 1),
+    Base.COMPLETE_BLOCK: lambda m: (m, 0),
+    Base.EMPTY_BLOCK: lambda m: (0, m),
+}
+
+
+class TestSideOrders:
+    def test_runs_have_the_papers_orders(self):
+        cases = [
+            (f, prm, order)
+            for order in range(1, 25)
+            for f in unitype.FAMILIES
+            for prm in f.candidates(order)
+        ]
+        cases += [(f, (m,), m) for f in unitype.BLOCKS for m in range(1, 25)]
+        for t in parameter_sweep():
+            cases.append((unitype.CATALOG[t.base], t.params, t.order))
+        assert {f.base for f, _, _ in cases} == set(Base)
+        for f, prm, order in cases:
+            runs = f.runs(*prm)
+            want = PAPER_ORDERS[f.base](*prm)
+            got = tuple(map(runs_order, runs)) if f.split else (runs_order(runs),)
+            assert got == want and sum(want) == order, (f.base, prm)
+            assert f.orders(*prm) == want, (f.base, prm)
+
+
 class TestCatalogRoundTrip:
     def test_match_inverts_emit_order_le_12(self):
         for t in all_catalog_types(12):
@@ -430,8 +500,6 @@ class TestCatalogRoundTrip:
                     assert type_to_sequence(got) == vseq, (t, variant, got)
 
     def test_catalog_instances_are_indecomposable_unigraphs(self, atlas8):
-        from unigraph.decomp import decompose
-
         for t in all_catalog_types(8):
             seq = type_to_sequence(t)
             merged = seq if isinstance(seq, DegreeSequence) else seq.merged()
@@ -439,33 +507,7 @@ class TestCatalogRoundTrip:
             assert oracle.count_isomorphism_classes(merged) == 1, t
 
     def test_match_inverts_emit_parameter_sweep_to_5(self):
-        # larger orders: every named parameter swept to 5 independently
-        sweep = []
-        for m in range(2, 6):
-            sweep.append(T(Variant.ORIGINAL, Base.MK2, (m,), 2 * m))
-            sweep.append(T(Variant.ORIGINAL, Base.U3, (m,), 2 * m + 4))
-        for m in range(1, 6):
-            for ell in range(2, 6):
-                sweep.append(T(Variant.ORIGINAL, Base.U2, (m, ell), 2 * m + ell + 1))
-        for p in range(1, 6):
-            for q in range(2, 6):
-                sweep.append(T(Variant.ORIGINAL, Base.SPQ, (p, q), q * (p + 1)))
-            for q1 in range(2, 6):
-                for q2 in range(1, 6):
-                    order = (q1 + q2) + 1 + p * q1 + (p + 1) * q2
-                    sweep.append(T(Variant.ORIGINAL, Base.S3, (p, q1, q2), order))
-            for q in range(1, 6):
-                order = 1 + (q + 2) + (q * p + 2 * p + q + 1)
-                sweep.append(T(Variant.ORIGINAL, Base.S4, (p, q), order))
-        for p1 in range(2, 6):
-            for p2 in range(1, p1):
-                for q1 in range(1, 6):
-                    for q2 in range(1, 6):
-                        order = q1 * (p1 + 1) + q2 * (p2 + 1)
-                        sweep.append(
-                            T(Variant.ORIGINAL, Base.S2, (p1, q1, p2, q2), order)
-                        )
-        for t in sweep:
+        for t in parameter_sweep():
             seq = type_to_sequence(t)
             nonsplit = t.base in (Base.C5, Base.MK2, Base.U2, Base.U3)
             for variant in Variant:
@@ -528,9 +570,9 @@ class TestIsUnigraph:
     def test_match_cache_is_bounded(self):
         bound = unitype.match_head.cache_info().maxsize
         assert bound == 1 << 14
-        for m in range(1, bound + 10):
-            # complete blocks: valid under every variant, one key each
-            unitype.match_head(((m - 1, m),), ())
+        for q in range(2, bound + 10):
+            # spq(1, q): a typed head, one key each
+            unitype.match_head(((q, q),), ((1, q),))
             assert unitype.match_head.cache_info().currsize <= bound
 
     def test_split_tails_leave_nothing_behind(self):
@@ -564,6 +606,35 @@ class TestIsUnigraph:
         large, large_runs = retained(60, 120)
         assert large_runs > 5 * small_runs
         assert large <= small + 4096, (small, large)
+
+    def test_heads_that_fail_leave_nothing_behind(self):
+        # a head that types as nothing is not cached: nothing asks again,
+        # and its runs are bounded by no catalog shape
+        import gc
+        import tracemalloc
+
+        rng = random.Random(3)
+        tail = parse_sequence("2^5").runs
+        heads = []
+        for _ in range(40):
+            d = decompose(random_split_sequence(rng, 400, 800))
+            _, truns, _, k = d._records[-1]
+            heads.append((truns[:k], truns[k:], 0))
+        unitype.match_head.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for head in heads:
+                s = compose_runs([head], tail)
+                _, r = is_unigraph(s)
+                assert r.failure_index == 0
+                del s, r
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 << 10, kept
 
     @pytest.mark.parametrize("text", ["3^2,1^4", "2^5"], ids=["split", "non-split"])
     def test_graphicality_proved_once(self, monkeypatch, text):
