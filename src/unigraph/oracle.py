@@ -415,13 +415,22 @@ def brute_params(g: Graph) -> tuple[int, int, int, int]:
     return omega, alpha, n - alpha, dp[full]
 
 
+def _complete_or_empty(masks: tuple[int, ...]) -> bool:
+    """Whether all n! permutations are automorphisms, which no search lists."""
+    full = (1 << len(masks)) - 1
+    return not any(masks) or all(m == full ^ (1 << v) for v, m in enumerate(masks))
+
+
 def brute_fix(g: Graph) -> int:
     """Smallest vertex set whose pointwise stabilizer is trivial."""
     _guard(g.n, MAX_FIXDIST, "brute_fix")
     n = g.n
+    masks = masks_of(g)
+    if _complete_or_empty(masks):
+        return max(n - 1, 0)
     fixed = set()
     ident = tuple(range(n))
-    for a in _automorphisms(masks_of(g)):
+    for a in _automorphisms(masks):
         if a != ident:
             fixed.add(sum(1 << i for i, v in enumerate(a) if i == v))
     if not fixed:
@@ -444,15 +453,9 @@ def brute_dist(g: Graph) -> int:
     """
     _guard(g.n, MAX_FIXDIST, "brute_dist")
     n = g.n
-    if n == 0:
-        return 1
     masks = masks_of(g)
-    # complete and empty graphs admit every transposition, forcing injective
-    # colorings; this check keeps their huge groups out of the searches below
-    if all(m == ((1 << n) - 1) ^ (1 << v) for v, m in enumerate(masks)) or all(
-        m == 0 for m in masks
-    ):
-        return n
+    if _complete_or_empty(masks):
+        return max(n, 1)  # every transposition forces an injective coloring
     ident = tuple(range(n))
     nontrivial = [a for a in _automorphisms(masks) if a != ident]
     if not nontrivial:

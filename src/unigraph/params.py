@@ -11,12 +11,13 @@ off the kernel's records and the compact types straight off the report, one
 per run, and builds no component object and no compact form.
 
 The per-component values are read off the catalog records of
-:mod:`unigraph.unitype`. The matcher hands back one type object per head
-shape, and :func:`unigraph_params` keeps a type's fixing and
-distinguishing numbers on it the first time it reads them, so each shape
-is priced once. Their distinguishing numbers are derived as below
-and gated, with the fixing, clique and independence numbers, by a brute
-force sweep (all parameter tuples up to order 9) in the test suite:
+:mod:`unigraph.unitype`, a split base's off its blocks of stars
+(``Family.stars``). The matcher hands back one type object per head shape,
+and :func:`unigraph_params` keeps a type's fixing and distinguishing
+numbers on it the first time it reads them, so each shape is priced once.
+Their distinguishing numbers are derived as below and gated, with the
+fixing, clique and independence numbers, by a brute force sweep (all
+parameter tuples up to order 9) in the test suite:
 
 * q stars with p leaves each, centers mutually adjacent and interchangeable:
   leaves inside one star need pairwise distinct colors, and two stars swap
@@ -123,12 +124,12 @@ def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int
 def component_fix(t: TypedComponent) -> int:
     """Fixing number of one typed component; complement and split inverse
     preserve the automorphism group, so the variant is ignored."""
-    return family_of(t).fix(*t.params)
+    return family_of(t).price(*t.params)[0]
 
 
 def component_dist(t: TypedComponent) -> int:
     """Distinguishing number of one typed component (variant-insensitive)."""
-    return family_of(t).dist(*t.params)
+    return family_of(t).price(*t.params)[1]
 
 
 def compact_typed(
@@ -162,15 +163,6 @@ def _compact_types(d: Decomposition, r: UnigraphReport) -> tuple[TypedComponent,
     )
 
 
-def _price(t: TypedComponent) -> None:
-    """Keep the fixing and distinguishing numbers of a matched type on it
-    (see ``TypedComponent._fix``): the matcher hands back one object per
-    head shape, so a recurring shape is priced once."""
-    f = CATALOG[t.base]
-    object.__setattr__(t, "_fix", f.fix(*t.params))
-    object.__setattr__(t, "_dist", f.dist(*t.params))
-
-
 def unigraph_params(s) -> ParamSet:
     """All six parameters of a unigraph sequence in one pass.
 
@@ -190,8 +182,12 @@ def unigraph_params(s) -> ParamSet:
             fix += m - 1
             dist = max(dist, m)
             continue
-        if getattr(t, "_fix", None) is None:  # the first read of this type
-            _price(t)
+        if getattr(t, "_fix", None) is None:
+            # the first read of this type: keep its numbers on it
+            # (TypedComponent._fix), so a recurring head shape is priced once
+            t_fix, t_dist = CATALOG[t.base].price(*t.params)
+            object.__setattr__(t, "_fix", t_fix)
+            object.__setattr__(t, "_dist", t_dist)
         fix += t._fix
         if t._dist > dist:
             dist = t._dist

@@ -7,11 +7,11 @@ vertices. Each of the twelve is described once, by its :class:`Family`
 record in ``CATALOG``: parameter names and bounds, unchecked runs, how a
 matcher reads the parameters back (off the runs of a non-split base, off a
 head's greatest clique degree and side orders for most split ones), its
-candidates of a given order, and its clique, independence, fixing and
-distinguishing numbers; the orders of its sides are read off its runs. The
-emitter, the tag, the enumeration of small orders in :mod:`unigraph.gen`
-and the per-component parameters in :mod:`unigraph.params` are loops over,
-or lookups in, that table.
+candidates of a given order, its clique and independence numbers and its
+fixing and distinguishing numbers, a split base's as blocks of stars; its
+side orders are read off its runs. The emitter, the tag, the enumeration
+of small orders in :mod:`unigraph.gen` and the per-component parameters
+in :mod:`unigraph.params` are loops over, or lookups in, that table.
 
 The matchers try the variants and families in a fixed order, so the tag
 assigned to a sequence is deterministic; the emitters are their exact
@@ -50,6 +50,7 @@ from .errors import VariantUndefined
 
 
 class Variant(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; skips Enum.__hash__
     ORIGINAL = "original"
     COMPLEMENT = "complement"
     INVERSE = "inverse"
@@ -57,6 +58,7 @@ class Variant(enum.Enum):
 
 
 class Base(enum.Enum):
+    __hash__ = object.__hash__  # as Variant's
     C5 = "c5"
     MK2 = "mk2"
     U2 = "u2"
@@ -228,32 +230,19 @@ def _dist_star_block(p: int, q: int) -> int:
     return hi
 
 
-def _stars_fix(*blocks) -> int:
-    """Fixing number of blocks of q stars with p leaves each; rigid pendants
-    when p == 1."""
-    return sum(q - 1 if p == 1 else q * (p - 1) for p, q in blocks)
-
-
-def _stars_dist(*blocks) -> int:
-    return max(_dist_star_block(p, q) for p, q in blocks)
-
-
-def _pairs(prm):
-    """The (p_i, q_i) star blocks of S2 parameters."""
-    return tuple(zip(prm[::2], prm[1::2]))
-
-
 class Family(Record):
     """The catalog record of one base; records compare by identity.
 
     Parameters are passed unpacked. ``runs`` and the parameter functions
     check nothing: they take parameters that :meth:`check` accepts, or that
-    a matcher read off a sequence.
+    a matcher read off a sequence. A split base is priced as its ``stars``,
+    (p, q) blocks of q stars with p leaves each, all centres mutually
+    adjacent (:meth:`price`).
     """
 
     _fields = (
         "base", "names", "bounds", "valid", "runs", "guess",
-        "candidates", "fix", "dist", "omega_alpha", "split", "decode",
+        "candidates", "fix", "dist", "stars", "omega_alpha", "split", "decode",
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -271,8 +260,9 @@ class Family(Record):
         # and the blocks
         guess: Callable | None,
         candidates: Callable[[int], list],  # every parameter tuple of an order
-        fix: Callable[..., int],
-        dist: Callable[..., int],
+        fix: Callable[..., int] | None = None,  # None for a split base
+        dist: Callable[..., int] | None = None,  # None for a split base
+        stars: Callable[..., tuple[tuple[int, int], ...]] | None = None,
         # (clique, independence) numbers; None for a balanced split family,
         # whose sides are extremal, so that they are its orders
         omega_alpha: Callable[..., tuple[int, int]] | None = None,
@@ -292,6 +282,7 @@ class Family(Record):
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "fix", fix)
         object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "stars", stars)
         object.__setattr__(self, "omega_alpha", omega_alpha)
         object.__setattr__(self, "split", split)
         object.__setattr__(self, "decode", decode)
@@ -322,6 +313,17 @@ class Family(Record):
         non-split one, read off its runs."""
         runs = self.runs(*params)
         return tuple(map(runs_order, runs)) if self.split else (runs_order(runs),)
+
+    def price(self, *params) -> tuple[int, int]:
+        """(fixing, distinguishing) numbers of an instance; a split base's
+        are its star blocks' (pendants, p == 1, are rigid), 0 and 1 for none."""
+        if self.stars is None:
+            return self.fix(*params), self.dist(*params)
+        fix, dist = 0, 1
+        for p, q in self.stars(*params):
+            fix += q - 1 if p == 1 else q * (p - 1)
+            dist = max(dist, _dist_star_block(p, q))
+        return fix, dist
 
     def emit(self, v: Variant, params):
         """Runs of variant v (unchecked; v must be one of ``variants``)."""
@@ -362,7 +364,8 @@ def _s2_tuples(order: int):
     return out
 
 
-def _s2_runs(*prm):
+def _star_runs(*prm):
+    """Runs of blocks of q_i stars with p_i leaves: spq(p, q) and S2."""
     ps, qs = prm[::2], prm[1::2]
     # a centre of block i is adjacent to its p_i leaves and the other centres
     shift = sum(qs) - 1
@@ -448,23 +451,22 @@ SPLIT_FAMILIES = (
         Base.K1, (), "no parameters", lambda: True,
         runs=lambda: (((0, 1),), ()), guess=None,
         candidates=lambda n: [()] if n == 1 else [],
-        omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
+        omega_alpha=lambda: (1, 1), stars=lambda: (),
     ),
     Family(
         Base.S1, (), "no parameters", lambda: True,
         runs=lambda: ((), ((0, 1),)), guess=None,
         candidates=lambda n: [()] if n == 1 else [],
-        omega_alpha=lambda: (1, 1), fix=lambda: 0, dist=lambda: 1,
+        omega_alpha=lambda: (1, 1), stars=lambda: (),
     ),
     # q stars with p leaves each, centers mutually adjacent
     Family(
         Base.SPQ, ("p", "q"), "p >= 1, q >= 2", lambda p, q: p >= 1 and q >= 2,
-        runs=lambda p, q: (((p + q - 1, q),), ((1, p * q),)),
-        guess=None, decode=_spq_decode,
+        runs=_star_runs, guess=None, decode=_spq_decode,
         candidates=lambda n: [
             (n // q - 1, q) for q in range(2, n // 2 + 1) if n % q == 0
         ],
-        fix=lambda p, q: _stars_fix((p, q)), dist=_dist_star_block,
+        stars=lambda p, q: ((p, q),),
     ),
     # blocks of q_i stars with p_i leaves, all centers mutually adjacent
     Family(
@@ -475,9 +477,8 @@ SPLIT_FAMILIES = (
             and all(q >= 1 for q in prm[1::2])
             and all(a > b for a, b in zip(prm[::2], prm[2::2]))
         ),
-        runs=_s2_runs, guess=None, candidates=_s2_tuples,
-        fix=lambda *prm: _stars_fix(*_pairs(prm)),
-        dist=lambda *prm: _stars_dist(*_pairs(prm)),
+        runs=_star_runs, guess=None, candidates=_s2_tuples,
+        stars=lambda *prm: tuple(zip(prm[::2], prm[1::2])),
     ),
     Family(
         Base.S3, ("p", "q1", "q2"), "p >= 1, q1 >= 2, q2 >= 1",
@@ -493,8 +494,7 @@ SPLIT_FAMILIES = (
             for q2 in range(1, (n - 1) // (p + 2) + 1)
             if (rest := n - 1 - q2 * (p + 2)) >= 2 * (p + 1) and rest % (p + 1) == 0
         ],
-        fix=lambda p, q1, q2: _stars_fix((p, q1), (p + 1, q2)),
-        dist=lambda p, q1, q2: _stars_dist((p, q1), (p + 1, q2)),
+        stars=lambda p, q1, q2: ((p, q1), (p + 1, q2)),
     ),
     Family(
         Base.S4, ("p", "q"), "p >= 1, q >= 1", lambda p, q: p >= 1 and q >= 1,
@@ -507,8 +507,7 @@ SPLIT_FAMILIES = (
         candidates=lambda n: [
             (p, n // (p + 2) - 2) for p in range(1, n // 3 - 1) if n % (p + 2) == 0
         ],
-        fix=lambda p, q: _stars_fix((p, 2), (p + 1, q)),
-        dist=lambda p, q: _stars_dist((p, 2), (p + 1, q)),
+        stars=lambda p, q: ((p, 2), (p + 1, q)),
     ),
 )
 # compact blocks: a run of m > 1 single vertices; never matched or drawn
@@ -571,16 +570,15 @@ def match_split_runs(kruns, sruns) -> TypedComponent | None:
     head's end runs through that table, without a transform. A variant
     whose signature fits no family is skipped. A decoding family reads its
     parameters off those numbers and confirms them by emitting; S2 reads
-    them off the transformed clique runs. No two families share a
-    signature, so the first variant that matches gives the tag that trying
-    every family in that order would."""
+    them off the clique runs mapped through that table. No two families
+    share a signature, so the first variant that matches gives the tag that
+    trying every family in that order would."""
     if not (kruns and sruns):
         t = _SINGLE["k1" if kruns else "s1"]
         return t if CATALOG[t.base].runs() == (kruns, sruns) else None
     p, q = runs_order(kruns), runs_order(sruns)
     for v in SPLIT_VARIANTS:
-        code = TRANSFORMS[v]
-        swap, sign, a, b = side_maps(code, p, q)
+        swap, sign, a, b = side_maps(TRANSFORMS[v], p, q)
         ka, sa, k, s = (sruns, kruns, q, p) if swap else (kruns, sruns, p, q)
         # the end run that maps to each side's greatest degree
         top = 0 if sign > 0 else -1
@@ -588,7 +586,7 @@ def match_split_runs(kruns, sruns) -> TypedComponent | None:
         if f is None:
             continue
         if f is _S2:
-            prm = _s2_params(transform_runs(code, kruns, sruns)[0], k, s)
+            prm = _s2_params([(sign * d + a, m) for d, m in ka[::sign]], k, s)
         else:
             prm = f.decode(sign * ka[top][0] + a, k, s)
             if prm is None or not f.valid(*prm) or f.emit(v, prm) != (kruns, sruns):

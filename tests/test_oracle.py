@@ -188,6 +188,16 @@ class TestBruteFixDist:
             assert oracle.brute_dist(kn) == n
             assert oracle.brute_dist(Graph.from_edges(n, [])) == n
 
+    def test_complete_and_empty_shortcut_agrees_with_the_search(self, monkeypatch):
+        graphs = []
+        for n in range(8):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs += [Graph.from_edges(n, edges), Graph.from_edges(n, [])]
+        short = [(oracle.brute_fix(g), oracle.brute_dist(g)) for g in graphs]
+        assert short == [(max(g.n - 1, 0), max(g.n, 1)) for g in graphs]
+        monkeypatch.setattr(oracle, "_complete_or_empty", lambda masks: False)
+        assert [(oracle.brute_fix(g), oracle.brute_dist(g)) for g in graphs] == short
+
     def test_dist_le_fix_plus_one(self, atlas8):
         for masks in oracle.graphs_with_n(6):
             g = oracle.graph_of(masks)

@@ -154,39 +154,35 @@ class TestPricedShapes:
 
         calls = []
 
-        class Counted:
-            """A catalog record whose fix and dist calls are counted."""
+        def counted(name, entry):
+            """A record's price entry, its calls counted."""
+            if name not in ("fix", "dist", "stars") or entry is None:
+                return entry
 
-            def __init__(self, f):
-                self.f = f
+            def call(*prm):
+                calls.append(name)
+                return entry(*prm)
 
-            def __getattr__(self, name):
-                return getattr(self.f, name)
+            return call
 
-            def fix(self, *prm):
-                calls.append("fix")
-                return self.f.fix(*prm)
-
-            def dist(self, *prm):
-                calls.append("dist")
-                return self.f.dist(*prm)
-
+        # copies of the records, each entry passed in field order
         for base, f in list(unitype.CATALOG.items()):
-            monkeypatch.setitem(unitype.CATALOG, base, Counted(f))
+            entries = [counted(name, getattr(f, name)) for name in f._fields]
+            monkeypatch.setitem(unitype.CATALOG, base, unitype.Family(*entries))
         unitype.match_head.cache_clear()
         s = _recurring_shapes()
         _, r = is_unigraph(s)
         assert calls == [] and not any(hasattr(t, "_fix") for t, _ in r.runs)
         first = unigraph_params(s)
-        # three distinct types, each priced once
-        assert sorted(calls) == ["dist"] * 3 + ["fix"] * 3
+        # three distinct split types, each priced once through its stars
+        assert sorted(calls) == ["stars"] * 3
         calls.clear()
         # a fresh sequence is decomposed and matched again, to the same
         # types: the heads' cached objects, already priced, and a fresh
         # object for the tail, priced again
         fresh = type(s)(s.runs)
         again = unigraph_params(fresh)
-        assert again == first and sorted(calls) == ["dist", "fix"]
+        assert again == first and sorted(calls) == ["stars"]
         heads, tail = r.runs[:-1], r.runs[-1][0]
         fresh_runs = is_unigraph(fresh)[1].runs
         assert all(a is b for (a, _), (b, _) in zip(heads, fresh_runs[:-1]))
@@ -207,6 +203,59 @@ class TestPricedShapes:
             for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
                 assert clone == t and hash(clone) == hash(t) and repr(clone) == repr(t)
                 assert not hasattr(clone, "_fix")
+
+
+def _block_fix(p, q):
+    """Fixing number of q stars with p leaves each, centres adjacent."""
+    return q - 1 if p == 1 else q * (p - 1)
+
+
+# The fixing and distinguishing numbers of the split families as closed
+# forms over their parameters, kept as a reference: the catalog states each
+# family's star blocks only.
+SPLIT_PRICES = {
+    Base.K1: (lambda: 0, lambda: 1),
+    Base.S1: (lambda: 0, lambda: 1),
+    Base.SPQ: (_block_fix, _dist_star_block),
+    Base.S2: (
+        lambda *prm: sum(map(_block_fix, prm[::2], prm[1::2])),
+        lambda *prm: max(map(_dist_star_block, prm[::2], prm[1::2])),
+    ),
+    Base.S3: (
+        lambda p, q1, q2: _block_fix(p, q1) + _block_fix(p + 1, q2),
+        lambda p, q1, q2: max(_dist_star_block(p, q1), _dist_star_block(p + 1, q2)),
+    ),
+    Base.S4: (
+        lambda p, q: _block_fix(p, 2) + _block_fix(p + 1, q),
+        lambda p, q: max(_dist_star_block(p, 2), _dist_star_block(p + 1, q)),
+    ),
+}
+
+
+class TestStarBlocks:
+    def test_split_records_price_through_stars_only(self):
+        from unigraph import unitype
+
+        assert {f.base for f in unitype.SPLIT_FAMILIES} == set(SPLIT_PRICES)
+        for f in unitype.SPLIT_FAMILIES:
+            assert f.fix is None and f.dist is None and f.stars is not None, f.base
+        for f in unitype.NON_SPLIT_FAMILIES + unitype.BLOCKS:
+            assert f.stars is None and f.fix and f.dist, f.base
+
+    def test_stars_price_as_the_closed_forms_orders_le_24(self):
+        from unigraph import unitype
+
+        checked = 0
+        for order in range(1, 25):
+            for f in unitype.SPLIT_FAMILIES:
+                fix, dist = SPLIT_PRICES[f.base]
+                for prm in f.candidates(order):
+                    want = fix(*prm), dist(*prm)
+                    assert f.price(*prm) == want, (f.base, prm)
+                    t = T(Variant.ORIGINAL, f.base, prm, order)
+                    assert (component_fix(t), component_dist(t)) == want, t
+                    checked += 1
+        assert checked > 1000, checked
 
 
 class TestComponentDist:

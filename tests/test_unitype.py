@@ -480,6 +480,27 @@ class TestSideOrders:
             assert f.orders(*prm) == want, (f.base, prm)
 
 
+class TestEnumIdentity:
+    def test_pickled_and_copied_members_are_the_same_object(self):
+        import copy
+        import pickle
+
+        for member in list(Base) + list(Variant):
+            for clone in (
+                pickle.loads(pickle.dumps(member)),
+                copy.copy(member),
+                copy.deepcopy(member),
+            ):
+                assert clone is member and hash(clone) == hash(member)
+        for base in Base:
+            clone = pickle.loads(pickle.dumps(base))
+            assert unitype.CATALOG[clone] is unitype.CATALOG[base]
+            assert unitype.CATALOG[clone].base is base
+        for v in Variant:
+            clone = pickle.loads(pickle.dumps(v))
+            assert unitype.TRANSFORMS[clone] == unitype.TRANSFORMS[v]
+
+
 class TestCatalogRoundTrip:
     def test_match_inverts_emit_order_le_12(self):
         for t in all_catalog_types(12):
