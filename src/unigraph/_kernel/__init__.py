@@ -132,9 +132,9 @@ def decompose_runs(runs):
     order:
       ('k1', count)  count consecutive dominant-vertex components (0; -)
       ('s1', count)  count consecutive isolated-vertex components (-; 0)
-      ('head', kruns, sruns, p, q)  one multi-vertex split head: its clique
-          and stable runs as tuples of (degree, multiplicity) pairs, and
-          their orders p and q, read off an Erdos-Gallai equality
+      ('head', kside, sside, p, q)  one multi-vertex split head: its clique
+          and stable runs, each side one flat tuple (d1, m1, d2, m2, ...),
+          and their orders p and q, read off an Erdos-Gallai equality
       ('tail', truns, n, k)  the final indecomposable remainder (last): its
           runs, a slice of ``runs`` if no clique vertex strips, its order,
           and for a multi-vertex tail the number k of its runs on the
@@ -198,14 +198,14 @@ def decompose_runs(runs):
         down = shift + mid
         # most sides are one run, which needs no comprehension
         if b - lo == 1:
-            kruns = ((d - down, m),)  # d, m is runs[lo]
+            kside = (d - down, m)  # d, m is runs[lo]
         else:
-            kruns = tuple([(d - down, m) for d, m in runs[lo:b]])
+            kside = tuple([x for d, m in runs[lo:b] for x in (d - down, m)])
         if hi - j == 1:
-            sruns = ((runs[j][0] - shift, runs[j][1]),)
+            sside = (runs[j][0] - shift, runs[j][1])
         else:
-            sruns = tuple([(d - shift, m) for d, m in runs[j:hi]])
-        records.append(("head", kruns, sruns, p, q))
+            sside = tuple([x for d, m in runs[j:hi] for x in (d - shift, m)])
+        records.append(("head", kside, sside, p, q))
         lo, hi = b, j
         shift += p
         n = mid

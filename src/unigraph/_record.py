@@ -3,9 +3,11 @@
 A record class names its fields, in order, in ``_fields`` and sets them in
 its own ``__init__`` with ``object.__setattr__``. Records of one class are
 equal when their field tuples are, hash as that tuple and print as
-``Name(field=value, ...)``. Instances keep a ``__dict__``, so cached
-properties live there and pickling saves and restores it. No class is
-generated at import, so defining a record costs no compilation.
+``Name(field=value, ...)``. Instances of a class that declares no
+``__slots__`` keep a ``__dict__``, so cached properties live there and
+pickling saves and restores it; a class that declares its fields as slots
+(``TypedComponent``) has none. No class is generated at import, so
+defining a record costs no compilation.
 """
 
 from operator import attrgetter

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import reprlib
 from functools import cached_property
+from itertools import chain
 from operator import index
 
 from . import _kernel
@@ -69,6 +70,15 @@ def per_strip(runs) -> list:
     return out
 
 
+def side_runs(side: tuple) -> tuple:
+    """The (degree, multiplicity) pairs of a head side of the kernel's
+    records, a flat tuple (d1, m1, d2, m2, ...)."""
+    if len(side) == 2:  # most sides are one run, which is its own pair
+        return (side,)
+    pairs = iter(side)
+    return tuple(zip(pairs, pairs))
+
+
 class Decomposition(Record):
     """Components as (component, count) runs, outermost (G_k) first, and
     the indecomposable tail (G_0) as a plain sequence.
@@ -77,7 +87,8 @@ class Decomposition(Record):
     (:func:`compact`) has one block of count 1 per run, and an empty tail
     when the single-vertex G_0 was absorbed. Built by :func:`decompose`, it
     keeps the kernel's records, and ``runs`` and ``tail`` are built from
-    them on first read and then kept, as ``DegreeSequence.n`` is.
+    them on first read, the heads' flat sides paired again, and then kept,
+    as ``DegreeSequence.n`` is.
 
     The constructor raises FormatError unless ``tail`` is a sequence and
     ``runs`` holds (component, count) pairs of paired sequences and
@@ -108,17 +119,19 @@ class Decomposition(Record):
 
     @cached_property
     def _records(self) -> list:
-        """The kernel's records, tail last; read off the fields only when
-        the public constructor made this. The tail record's fourth field,
-        its split partition, is then None, which here means "not read",
-        not "not split": only the classifier reads it, and only on the
-        records of :func:`decompose`."""
+        """The kernel's records, tail last, a head's sides flat; read off
+        the fields only when the public constructor made this. The tail
+        record's fourth field, its split partition, is then None, which
+        here means "not read", not "not split": only the classifier reads
+        it, and only on the records of :func:`decompose`."""
         records: list = []
         for c, m in self.runs:
             if c.order == 1:
                 records.append(("k1" if c.p else "s1", m))
             else:
-                records += [("head", c.kpart.runs, c.spart.runs, c.p, c.q)] * m
+                kside = tuple(chain.from_iterable(c.kpart.runs))
+                sside = tuple(chain.from_iterable(c.spart.runs))
+                records += [("head", kside, sside, c.p, c.q)] * m
         records.append(("tail", self.tail.runs, self.tail.n, None))
         return records
 
@@ -128,7 +141,8 @@ class Decomposition(Record):
         seq, paired = DegreeSequence._trusted, PairedDegreeSequence._trusted
         single = {"k1": K1, "s1": S1}
         return tuple(
-            (paired(seq(r[1], r[3]), seq(r[2], r[4])), 1) if r[0] == "head"
+            (paired(seq(side_runs(r[1]), r[3]), seq(side_runs(r[2]), r[4])), 1)
+            if r[0] == "head"
             else (single[r[0]], r[1])
             for r in self._records[:-1]
         )
@@ -185,8 +199,8 @@ def _block(rec) -> tuple:
     if kind == "head" or m == 1:
         return rec
     if kind == "k1":
-        return ("head", ((m - 1, m),), (), m, 0)
-    return ("head", (), ((0, m),), 0, m)
+        return ("head", (m - 1, m), (), m, 0)
+    return ("head", (), (0, m), 0, m)
 
 
 def compact(d: Decomposition) -> Decomposition:

@@ -534,6 +534,6 @@ def compose_types(comps: list[TypedComponent]) -> DegreeSequence:
 def _record(t: TypedComponent) -> Family:
     """The catalog record of t: looked up for a component :func:`generate`
     drew, checked by :func:`~unigraph.unitype.family_of` for any other."""
-    if type(t) is TypedComponent and t._drawn:
+    if type(t) is TypedComponent and hasattr(t, "_drawn"):
         return CATALOG[t.base]
     return family_of(t)

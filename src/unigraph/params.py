@@ -182,13 +182,14 @@ def unigraph_params(s) -> ParamSet:
             fix += m - 1
             dist = max(dist, m)
             continue
-        if getattr(t, "_fix", None) is None:
-            # the first read of this type: keep its numbers on it
-            # (TypedComponent._fix), so a recurring head shape is priced once
-            t_fix, t_dist = CATALOG[t.base].price(*t.params)
-            object.__setattr__(t, "_fix", t_fix)
-            object.__setattr__(t, "_dist", t_dist)
-        fix += t._fix
-        if t._dist > dist:
-            dist = t._dist
+        price = getattr(t, "_price", None)
+        if price is None:
+            # the first read of this type: keep its numbers on it in one
+            # write (TypedComponent._price), so a recurring head shape is
+            # priced once and a concurrent reader sees both or neither
+            price = CATALOG[t.base].price(*t.params)
+            object.__setattr__(t, "_price", price)
+        fix += price[0]
+        if price[1] > dist:
+            dist = price[1]
     return ParamSet(omega=omega, alpha=alpha, beta=beta, chi=chi, fix=fix, dist=dist)

@@ -34,7 +34,7 @@ from math import comb, isqrt
 from operator import index, mul
 
 from ._record import Record
-from .decomp import Decomposition, decompose, per_strip, tail_joins_clique
+from .decomp import Decomposition, decompose, per_strip, side_runs, tail_joins_clique
 from .degseq import (
     DegreeSequence,
     PairedDegreeSequence,
@@ -74,13 +74,19 @@ class Base(enum.Enum):
 
 
 class TypedComponent(Record):
+    """One catalog type: a variant of a base with its parameters and order.
+
+    Every field is a slot and there is no ``__dict__``, so the matcher's
+    cache and the generator's pools hold no dict per type. Besides the four
+    fields, ``_drawn`` is set only on a component that :meth:`_trusted`
+    built, and ``_price`` holds the (fixing, distinguishing) numbers that
+    :mod:`unigraph.params` keeps on a matched type the first time it reads
+    them, unset until then, in one write, so a reader sees both or neither.
+    Equality, hashing, repr and pickling see the four fields only.
+    """
+
     _fields = ("variant", "base", "params", "order")
-    _drawn = False  # set on the instance by _trusted
-    # The fixing and distinguishing numbers, which unigraph.params keeps on
-    # a matched type the first time it reads them; unset until then. They
-    # are slots, not ``__dict__`` entries, so that equality, hashing, repr
-    # and pickling never see them, and they cost no dict of their own.
-    __slots__ = ("_fix", "_dist", "__dict__")
+    __slots__ = _fields + ("_drawn", "_price")
 
     def __init__(
         self, variant: Variant, base: Base, params: tuple[int, ...], order: int
@@ -95,11 +101,9 @@ class TypedComponent(Record):
         cls, variant: Variant, base: Base, params: tuple[int, ...], order: int
     ) -> TypedComponent:
         """A component drawn from the catalog by :mod:`unigraph.gen`, whose
-        fields :func:`family_of` accepts by construction. It is marked as
-        drawn in ``__dict__``, so that composing it skips that check; the
-        mark is a flag rather than the catalog record, whose lambdas do not
-        pickle. The fields are set as ``__init__`` sets them: reading
-        ``__dict__`` would build a dict per component."""
+        fields :func:`family_of` accepts by construction. Its ``_drawn``
+        slot is set, so that composing it skips that check; the mark is a
+        flag rather than the catalog record, whose lambdas do not pickle."""
         t = object.__new__(cls)
         object.__setattr__(t, "variant", variant)
         object.__setattr__(t, "base", base)
@@ -652,13 +656,14 @@ _SINGLE = {
 
 
 @lru_cache(maxsize=1 << 14)
-def match_head(kruns, sruns) -> TypedComponent:
-    """:func:`match_split_runs`, cached on the run tuples: heads of one
-    shape recur across decompositions. A head that types as nothing raises
-    NotUnigraph, which the cache does not keep: a sequence stops at its
-    first failure and keeps its verdict, so nothing asks again, and such a
-    head's runs are bounded by no catalog shape."""
-    t = match_split_runs(kruns, sruns)
+def match_head(kside, sside) -> TypedComponent:
+    """:func:`match_split_runs`, cached on a kernel head record's flat
+    sides (d1, m1, d2, m2, ...), which cost a cached shape less than pair
+    tuples: heads of one shape recur across decompositions. A head that
+    types as nothing raises NotUnigraph, which the cache does not keep: a
+    sequence stops at its first failure and keeps its verdict, so nothing
+    asks again, and such a head's runs are bounded by no catalog shape."""
+    t = match_split_runs(side_runs(kside), side_runs(sside))
     if t is None:
         raise NotUnigraph("no catalog type fits the head")
     return t

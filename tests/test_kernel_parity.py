@@ -11,7 +11,7 @@ import pytest
 
 from unigraph import _kernel
 from unigraph._kernel import reference
-from unigraph.decomp import decompose
+from unigraph.decomp import decompose, side_runs
 from unigraph.degseq import DegreeSequence, is_graphical, normalize, runs_order
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.split import SplitKind, determine_split
@@ -29,7 +29,7 @@ def random_graph_degrees(rng, n, p):
 
 def flatten(records):
     """Per-vertex (heads, tail) of the kernel's records, in the form
-    ``reference.decompose_naive`` returns."""
+    ``reference.decompose_naive`` returns; a head's sides are flat."""
     heads = []
     tail = None
     for rec in records:
@@ -38,7 +38,8 @@ def flatten(records):
         elif rec[0] == "s1":
             heads += [([], [0])] * rec[1]
         elif rec[0] == "head":
-            heads.append((reference.expand(rec[1]), reference.expand(rec[2])))
+            kruns, sruns = side_runs(rec[1]), side_runs(rec[2])
+            heads.append((reference.expand(kruns), reference.expand(sruns)))
         else:
             tail = reference.expand(rec[1])
     return heads, tail
@@ -107,7 +108,8 @@ class TestAgainstReference:
 
     def test_record_orders_exhaustive_n_le_9(self, kernel):
         # a head carries the (p, q) of its Erdos-Gallai equality and the
-        # tail its order; each must equal the order of the runs beside it
+        # tail its order; each must equal the order of the runs beside it.
+        # A head's sides are flat int tuples, the tail's runs pairs
         heads = 0
         for deg in nonincreasing_sequences(9):
             records = kernel.decompose_runs(reference._runs(deg))
@@ -116,7 +118,9 @@ class TestAgainstReference:
             for rec in records:
                 if rec[0] == "head":
                     heads += 1
-                    _, kruns, sruns, p, q = rec
+                    _, kside, sside, p, q = rec
+                    assert all(type(x) is int for x in kside + sside), deg
+                    kruns, sruns = side_runs(kside), side_runs(sside)
                     assert (p, q) == (runs_order(kruns), runs_order(sruns)), deg
                 elif rec[0] == "tail":
                     assert rec[2] == runs_order(rec[1]), deg

@@ -6,7 +6,7 @@ import pytest
 from unigraph import oracle
 from unigraph.decomp import compact
 from unigraph.degseq import complement_seq, parse_sequence, realize
-from unigraph.errors import FormatError, NotUnigraph, ParamOutOfRange
+from unigraph.errors import FormatError, NotGraphical, NotUnigraph, ParamOutOfRange
 from unigraph.gen import GenSpec, compose_types, generate
 from unigraph.params import (
     compact_typed,
@@ -172,7 +172,7 @@ class TestPricedShapes:
         unitype.match_head.cache_clear()
         s = _recurring_shapes()
         _, r = is_unigraph(s)
-        assert calls == [] and not any(hasattr(t, "_fix") for t, _ in r.runs)
+        assert calls == [] and not any(hasattr(t, "_price") for t, _ in r.runs)
         first = unigraph_params(s)
         # three distinct split types, each priced once through its stars
         assert sorted(calls) == ["stars"] * 3
@@ -193,16 +193,85 @@ class TestPricedShapes:
         import copy
         import pickle
 
+        def state(x):
+            """Every slot that is set, fields and marks alike."""
+            return {k: getattr(x, k) for k in x.__slots__ if hasattr(x, k)}
+
         s = _recurring_shapes()
         unigraph_params(s)
         for t, _ in is_unigraph(s)[1].runs:
-            assert (t._fix, t._dist) == (component_fix(t), component_dist(t))
+            assert t._price == (component_fix(t), component_dist(t))
             fresh = T(t.variant, t.base, t.params, t.order)
             assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
-            assert vars(t) == vars(fresh)
+            # the price is the only state a priced type adds
+            assert state(t) == {**state(fresh), "_price": t._price}
             for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
                 assert clone == t and hash(clone) == hash(t) and repr(clone) == repr(t)
-                assert not hasattr(clone, "_fix")
+                assert not hasattr(clone, "_price")
+
+
+class TestThreads:
+    """Classifying and pricing from many threads at once gives what one
+    thread gives: the verdicts kept on shared sequences, the matcher's
+    cached types and their prices are each written whole."""
+
+    @staticmethod
+    def _outcome(s):
+        """Tags, report and parameters (None for a non-unigraph) of s, or
+        the error it raises."""
+        from unigraph.errors import UnigraphError
+
+        try:
+            _, r = is_unigraph(s)
+        except UnigraphError as exc:
+            return type(exc)
+        return r.tags(), r, unigraph_params(s) if r.is_unigraph else None
+
+    def test_eight_threads_agree_with_one(self):
+        import sys
+        import threading
+
+        from unigraph import unitype
+
+        texts = [
+            compose_types(generate(GenSpec(n, k, seed))).to_text()
+            for n, k, seed in [(60, 4, 7), (400, 20, 1), (40, 3, 7), (900, 60, 5)]
+            + [(2000, 120, seed) for seed in range(8)]
+        ] + ["8^3,5^6", "2^6", "3,1"]  # no unigraphs; the last not graphical
+        expected = [self._outcome(parse_sequence(text)) for text in texts]
+        verdicts = {e[1].is_unigraph if type(e) is tuple else e for e in expected}
+        assert verdicts == {True, False, NotGraphical}
+        # the threads race to the first match and the first price of a shape
+        unitype.match_head.cache_clear()
+        shared = [parse_sequence(text) for text in texts]
+        results: dict = {}
+        start = threading.Barrier(8)
+
+        def work(i):
+            try:
+                start.wait(timeout=60)
+                results[i] = [
+                    (self._outcome(s), self._outcome(parse_sequence(text)))
+                    for _ in range(3)
+                    for s, text in zip(shared, texts)
+                ]
+            except Exception as exc:  # kept, so that the assertion shows it
+                results[i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == list(range(8))
+        for got in results.values():
+            assert got == [(e, e) for _ in range(3) for e in expected]
 
 
 def _block_fix(p, q):

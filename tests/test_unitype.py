@@ -592,9 +592,36 @@ class TestIsUnigraph:
         bound = unitype.match_head.cache_info().maxsize
         assert bound == 1 << 14
         for q in range(2, bound + 10):
-            # spq(1, q): a typed head, one key each
-            unitype.match_head(((q, q),), ((1, q),))
+            # spq(1, q): a typed head, one key each, its sides flat
+            unitype.match_head((q, q), (1, q))
             assert unitype.match_head.cache_info().currsize <= bound
+
+    def test_cached_shapes_cost_at_most_560_bytes(self):
+        # a cached shape holds its flat side tuples and one slotted type,
+        # with no dict: about 440 bytes, where pair-tuple sides and a
+        # per-type __dict__ cost about 630
+        import gc
+        import tracemalloc
+
+        from unigraph.gen import GenSpec, compose_types, generate
+
+        assert not hasattr(TypedComponent(Variant.ORIGINAL, Base.K1, (), 1), "__dict__")
+        unitype.match_head.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for seed in range(40):
+                is_unigraph(compose_types(generate(GenSpec(2000, 60, seed))))
+            gc.collect()
+            shapes = unitype.match_head.cache_info().currsize
+            held = tracemalloc.get_traced_memory()[0]
+            unitype.match_head.cache_clear()
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert shapes > 1000
+        assert freed <= 560 * shapes, (freed / shapes, shapes)
 
     def test_split_tails_leave_nothing_behind(self):
         # a sequence has one tail, and keeps its verdict itself, so a split
