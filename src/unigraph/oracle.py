@@ -5,7 +5,8 @@ small partition-refinement search (no external dependency): the canonical
 form is the lexicographically smallest relabeled adjacency encoding over all
 permutations compatible with the equitable refinement, and the permutations
 attaining it are a coset of the automorphism group, so one search yields the
-form, |Aut|, and the automorphism list.
+form and |Aut|. The brute-force fixing and distinguishing numbers read the
+group's permutations off the same search, afresh on each call.
 
 Isomorphism-class counting for exhaustive sweeps goes through a cached atlas
 of all unlabeled graphs on up to eight vertices, built by extending each
@@ -23,30 +24,18 @@ import tempfile
 from functools import lru_cache
 from itertools import combinations
 
-from ._record import Record
 from .degseq import DegreeSequence, brief, normalize
 from .errors import NotGraphical, TooLarge
 from .graphcore import Graph
 from ._kernel import reference
 
-MAX_ENUM = 10  # realization enumeration / canonical form
+MAX_ENUM = 10  # canonical form and |Aut|
 MAX_CLASSES = 9
-MAX_AUT = 9
 MAX_PARAMS = 12
 MAX_FIXDIST = 9
 MAX_ATLAS = 8
 
 _ATLAS_VERSION = 1
-
-
-class Permutation(Record):
-    _fields = ("mapping",)
-
-    def __init__(self, mapping: tuple[int, ...]) -> None:
-        object.__setattr__(self, "mapping", mapping)
-
-    def __call__(self, v: int) -> int:
-        return self.mapping[v]
 
 
 def masks_of(g: Graph) -> tuple[int, ...]:
@@ -183,22 +172,15 @@ def _automorphisms(masks: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(tuple(inv0[v] for v in pi) for pi in perms)
 
 
-def automorphisms(g: Graph) -> list[Permutation]:
-    """All adjacency-preserving vertex bijections."""
-    _guard(g.n, MAX_AUT, "automorphisms")
-    return [Permutation(a) for a in _automorphisms(masks_of(g))]
-
-
 def automorphism_count(g: Graph) -> int:
-    """|Aut(G)| without materializing the group, so one extra vertex of
-    headroom over the list variant."""
+    """|Aut(G)| without materializing the group."""
     _guard(g.n, MAX_ENUM, "automorphism_count")
     _, count, _ = _canon_search(masks_of(g), False)
     return count
 
 
 # ---------------------------------------------------------------------------
-# realization enumeration and the unlabeled atlas
+# realizations and the unlabeled atlas
 
 
 def _realizations_assigned(target: list[int]):
@@ -241,41 +223,6 @@ def _realizations_assigned(target: list[int]):
                 masks[v] &= ~(1 << u)
 
     yield from backtrack(0, list(target))
-
-
-def _multiset_permutations(values: list[int]):
-    if not values:
-        yield []
-        return
-    distinct = sorted(set(values), reverse=True)
-    counts = {d: values.count(d) for d in distinct}
-    out: list[int] = []
-
-    def rec():
-        if len(out) == len(values):
-            yield list(out)
-            return
-        for d in distinct:
-            if counts[d]:
-                counts[d] -= 1
-                out.append(d)
-                yield from rec()
-                out.pop()
-                counts[d] += 1
-
-    yield from rec()
-
-
-def enumerate_realizations(s: DegreeSequence):
-    """Yield every labeled simple graph whose degree multiset equals s,
-    covering all assignments of the degrees to vertex ids."""
-    _guard(s.n, MAX_ENUM, "enumerate_realizations")
-    from .degseq import is_graphical
-
-    if not is_graphical(s):
-        raise NotGraphical(f"{brief(s)} is not graphical")
-    for target in _multiset_permutations(s.to_list()):
-        yield from _realizations_assigned(target)
 
 
 _atlas_cache: dict[int, list[tuple[int, ...]]] = {}
@@ -485,26 +432,6 @@ def brute_dist(g: Graph) -> int:
 
     dfs(0, 0)
     return best
-
-
-def is_split_realizable(g: Graph) -> bool:
-    """Exhaustive clique/stable bipartition test."""
-    _guard(g.n, MAX_CLASSES, "is_split_realizable")
-    n = g.n
-    masks = masks_of(g)
-    for kset in range(1 << n):
-        ok = True
-        for v in range(n):
-            if kset >> v & 1:
-                if (kset & ~(1 << v)) & ~masks[v]:
-                    ok = False
-                    break
-            elif masks[v] & ~kset:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def graphical_sequences(n: int):

@@ -6,6 +6,9 @@ Clique/independence numbers add up part sizes because every multi-vertex
 indecomposable split component is balanced. A unigraph is perfect unless its
 tail is a 5-cycle, which pins the chromatic number. Fixing numbers sum over
 compact components and distinguishing numbers take their maximum.
+:func:`core_params`, :func:`compact_typed` and :func:`unigraph_params` each
+take the sequence and read the one verdict that :func:`is_unigraph` keeps
+on it; a sequence that is not a unigraph raises NotUnigraph from all three.
 :func:`unigraph_params` is the one path to all six: it reads the part sizes
 off the kernel's records and the compact types straight off the report, one
 per run, and builds no component object and no compact form.
@@ -33,7 +36,7 @@ from __future__ import annotations
 from ._record import Record
 from .decomp import Decomposition, compact
 from .degseq import brief
-from .errors import FormatError, NotUnigraph
+from .errors import NotUnigraph
 from .unitype import (
     CATALOG,
     SIDE_SWAPPING,
@@ -91,25 +94,19 @@ def component_omega_alpha(t: TypedComponent) -> tuple[int, int]:
     return _omega_alpha(t)
 
 
-def _check_verdict(d, r) -> None:
-    """Raise FormatError unless (d, r) has the shape is_unigraph returns,
-    and NotUnigraph unless r is a unigraph verdict."""
-    if not isinstance(d, Decomposition):
-        raise FormatError(f"expected a Decomposition, got {type(d).__name__}")
-    if not isinstance(r, UnigraphReport):
-        raise FormatError(f"expected a UnigraphReport, got {type(r).__name__}")
+def _verdict(s) -> tuple[Decomposition, UnigraphReport]:
+    """The (decomposition, report) that :func:`is_unigraph` keeps on ``s``;
+    NotUnigraph unless the report is a unigraph verdict."""
+    d, r = is_unigraph(s)
     if not r.is_unigraph:
-        raise NotUnigraph("the report is not a unigraph verdict")
-    # a unigraph verdict types each run of d, and its tail unless empty
-    records = d._records
-    if len(r.runs) != len(records) - 1 + (records[-1][2] > 0):
-        raise FormatError("the report is not the verdict of this decomposition")
+        raise NotUnigraph(f"{brief(s)} is not a unigraph")
+    return d, r
 
 
-def core_params(d: Decomposition, r: UnigraphReport) -> tuple[int, int, int, int]:
-    """(omega, alpha, beta, chi): the sides of the components, read off the
-    kernel's records, plus the tail's own numbers."""
-    _check_verdict(d, r)
+def core_params(s) -> tuple[int, int, int, int]:
+    """(omega, alpha, beta, chi) of a unigraph sequence: the sides of its
+    components, read off the kernel's records, plus the tail's own numbers."""
+    d, r = _verdict(s)
     omega, alpha = d._sides
     chi = omega
     if d.tail.n:
@@ -132,35 +129,28 @@ def component_dist(t: TypedComponent) -> int:
     return family_of(t).price(*t.params)[1]
 
 
-def compact_typed(
-    d: Decomposition, r: UnigraphReport
-) -> tuple[Decomposition, tuple[TypedComponent, ...]]:
-    """The compact form (:func:`~unigraph.decomp.compact`) of ``d``, with
-    one typed component per compact entry and the type of a non-empty tail
-    last, read from the report's runs: a run of m > 1 single vertices
-    types as its block, and every other entry keeps its type."""
-    _check_verdict(d, r)
-    return compact(d), _compact_types(d, r)
+def compact_typed(s) -> tuple[Decomposition, tuple[TypedComponent, ...]]:
+    """The compact form (:func:`~unigraph.decomp.compact`) of a unigraph's
+    decomposition, with one typed component per compact entry and the type
+    of a non-empty tail last, read from the report's runs: a run of m > 1
+    single vertices types as its block, and every other entry keeps its type."""
+    d, r = _verdict(s)
+    return compact(d), tuple(
+        t if m == 1 else TypedComponent(Variant.ORIGINAL, _BLOCK[t.base], (m,), m)
+        for t, m in _compact_runs(r)
+    )
 
 
-def _compact_runs(d: Decomposition, r: UnigraphReport) -> list:
-    """The report's (type, count) runs, with a single-vertex tail absorbed
-    as :func:`~unigraph.decomp.compact` absorbs it; a run of m > 1 single
-    vertices is one compact block."""
+def _compact_runs(r: UnigraphReport) -> list:
+    """The (type, count) runs of a unigraph verdict, a single-vertex tail
+    absorbed as :func:`~unigraph.decomp.compact` absorbs it; a run of m > 1
+    single vertices is one compact block. A non-empty sequence's last entry
+    types its tail, so an order-1 last entry is a single-vertex tail."""
     runs = list(r.runs)
-    if d.tail.n == 1 and len(runs) > 1 and runs[-2][0] == runs[-1][0]:
+    if len(runs) > 1 and runs[-1][0].order == 1 and runs[-2][0] == runs[-1][0]:
         # compact absorbs a single-vertex tail into a run of its own type
         runs[-2:] = [(runs[-1][0], runs[-2][1] + 1)]
     return runs
-
-
-def _compact_types(d: Decomposition, r: UnigraphReport) -> tuple[TypedComponent, ...]:
-    """The types of :func:`compact_typed`, without building the compact
-    decomposition they describe."""
-    return tuple(
-        t if m == 1 else TypedComponent(Variant.ORIGINAL, _BLOCK[t.base], (m,), m)
-        for t, m in _compact_runs(d, r)
-    )
 
 
 def unigraph_params(s) -> ParamSet:
@@ -171,18 +161,13 @@ def unigraph_params(s) -> ParamSet:
     verdict and neither decomposes nor matches again. A matched type's
     fixing and distinguishing numbers are kept on it the first time they
     are read, so a head whose shape recurred costs two additions."""
-    d, r = is_unigraph(s)
-    if not r.is_unigraph:
-        raise NotUnigraph(f"{brief(s)} is not a unigraph")
-    omega, alpha, beta, chi = core_params(d, r)
+    omega, alpha, beta, chi = core_params(s)
     fix, dist = 0, 1
-    for t, m in _compact_runs(d, r):
-        if m > 1:
-            # a compact block of m interchangeable vertices
-            fix += m - 1
-            dist = max(dist, m)
-            continue
-        price = getattr(t, "_price", None)
+    for t, m in _compact_runs(is_unigraph(s)[1]):
+        if m > 1:  # a compact block of m interchangeable vertices
+            price = CATALOG[_BLOCK[t.base]].price(m)
+        else:
+            price = getattr(t, "_price", None)
         if price is None:
             # the first read of this type: keep its numbers on it in one
             # write (TypedComponent._price), so a recurring head shape is

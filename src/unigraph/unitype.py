@@ -690,14 +690,16 @@ def is_unigraph(s: DegreeSequence) -> tuple[Decomposition, UnigraphReport]:
 
     The sequence is immutable, so its (decomposition, report) is kept on the
     sequence object, as its cached ``n`` is: a second call on the same
-    object, or :func:`~unigraph.params.unigraph_params` after this one,
-    returns it without decomposing or matching again. Equality, hashing and
-    repr of the sequence still read its runs only.
+    object, or a function of :mod:`unigraph.params` after this one, returns
+    it without decomposing or matching again. Threads that classify one
+    object at once may each classify it, but the first verdict stored wins
+    and every caller gets that one object. Equality, hashing and repr of the
+    sequence still read its runs only.
     """
     check_sequence(s)
     verdict = s.__dict__.get("_unigraph")
     if verdict is None:
-        verdict = s.__dict__["_unigraph"] = _classify(s)
+        verdict = s.__dict__.setdefault("_unigraph", _classify(s))
     return verdict
 
 

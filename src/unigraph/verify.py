@@ -56,8 +56,7 @@ def verify_roundtrip(max_n: int = 8) -> Iterator[dict]:
 
 def verify_params(max_n: int = 8) -> Iterator[dict]:
     for s in iter_unigraphs(max_n):
-        d, r = is_unigraph(s)
-        fast = core_params(d, r)
+        fast = core_params(s)
         brute = oracle.brute_params(realize(s))
         if fast != brute:
             yield {
@@ -87,8 +86,7 @@ def verify_aut_product(max_n: int = 8) -> Iterator[dict]:
     for s in iter_unigraphs(max_n):
         if s.n == 0:
             continue
-        d, r = is_unigraph(s)
-        cd, _ = compact_typed(d, r)
+        cd, _ = compact_typed(s)
         product = 1
         for comp, _ in cd.runs:  # every count of the compact form is 1
             product *= oracle.automorphism_count(realize(comp.merged()))

@@ -107,8 +107,8 @@ def test_criterion_4_parameter_exactness(atlas8):
     from unigraph.verify import iter_unigraphs
 
     for s in iter_unigraphs(8):
-        d, r = is_unigraph(s)
-        omega, _, _, chi = core_params(d, r)
+        _, r = is_unigraph(s)
+        omega, _, _, chi = core_params(s)
         tail_c5 = bool(r.component_types) and r.component_types[-1].base is Base.C5
         assert chi - omega == (1 if tail_c5 else 0)
     _report(4, "omega/alpha/beta/chi exact vs brute force for every unigraph with n <= 8; chi-omega flags exactly the C5 tails")

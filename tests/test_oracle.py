@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from unigraph import oracle
-from unigraph.degseq import parse_paired, parse_sequence, realize
+from unigraph.degseq import brief, is_graphical, parse_paired, parse_sequence, realize
 from unigraph.errors import NotGraphical, TooLarge
 from unigraph.graphcore import (
     Graph,
@@ -14,13 +14,52 @@ from unigraph.graphcore import (
 from unigraph.split import SplitKind, determine_split
 
 
+def _multiset_permutations(values: list[int]):
+    if not values:
+        yield []
+        return
+    distinct = sorted(set(values), reverse=True)
+    counts = {d: values.count(d) for d in distinct}
+    out: list[int] = []
+
+    def rec():
+        if len(out) == len(values):
+            yield list(out)
+            return
+        for d in distinct:
+            if counts[d]:
+                counts[d] -= 1
+                out.append(d)
+                yield from rec()
+                out.pop()
+                counts[d] += 1
+
+    yield from rec()
+
+
+def enumerate_realizations(s):
+    """Yield every labeled simple graph whose degree multiset equals s,
+    covering all assignments of the degrees to vertex ids."""
+    oracle._guard(s.n, oracle.MAX_ENUM, "enumerate_realizations")
+    if not is_graphical(s):
+        raise NotGraphical(f"{brief(s)} is not graphical")
+    for target in _multiset_permutations(s.to_list()):
+        yield from oracle._realizations_assigned(target)
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """All adjacency-preserving vertex bijections, each as its tuple of
+    images, sorted."""
+    return oracle._automorphisms(oracle.masks_of(g))
+
+
 class TestEnumerate:
     def test_single_edge(self):
-        assert len(list(oracle.enumerate_realizations(parse_sequence("1^2")))) == 1
+        assert len(list(enumerate_realizations(parse_sequence("1^2")))) == 1
 
     def test_c5_labeled_count(self):
         # 5!/|Aut(C5)| = 120/10
-        graphs = list(oracle.enumerate_realizations(parse_sequence("2^5")))
+        graphs = list(enumerate_realizations(parse_sequence("2^5")))
         assert len(graphs) == 12
         forms = {oracle.canonical_form(g) for g in graphs}
         assert len(forms) == 1
@@ -28,28 +67,28 @@ class TestEnumerate:
     def test_c8_has_three_classes(self):
         forms = {
             oracle.canonical_form(g)
-            for g in oracle.enumerate_realizations(parse_sequence("2^8"))
+            for g in enumerate_realizations(parse_sequence("2^8"))
         }
         assert len(forms) == 3
 
     def test_degrees_are_respected(self):
         s = parse_sequence("3,2,2,1")
-        for g in oracle.enumerate_realizations(s):
+        for g in enumerate_realizations(s):
             assert degree_sequence_of(g) == s
 
     def test_covers_all_degree_assignments(self):
         # n!/|Aut|: the count is over labeled graphs with the degree
         # multiset, not one fixed degree-to-vertex assignment
-        assert len(list(oracle.enumerate_realizations(parse_sequence("3,1^3")))) == 4
+        assert len(list(enumerate_realizations(parse_sequence("3,1^3")))) == 4
         assert (
-            len(list(oracle.enumerate_realizations(parse_sequence("2,1^2,0")))) == 12
+            len(list(enumerate_realizations(parse_sequence("2,1^2,0")))) == 12
         )
 
     def test_guards(self):
         with pytest.raises(TooLarge):
-            next(oracle.enumerate_realizations(parse_sequence("2^11")))
+            next(enumerate_realizations(parse_sequence("2^11")))
         with pytest.raises(NotGraphical):
-            list(oracle.enumerate_realizations(parse_sequence("3,3,3,1")))
+            list(enumerate_realizations(parse_sequence("3,3,3,1")))
 
 
 class TestCanonicalForm:
@@ -113,14 +152,14 @@ class TestAtlas:
     def test_atlas_vs_enumeration_class_counts(self, atlas8):
         for s in oracle.graphical_sequences(6):
             forms = {
-                oracle.canonical_form(g) for g in oracle.enumerate_realizations(s)
+                oracle.canonical_form(g) for g in enumerate_realizations(s)
             }
             assert len(forms) == len(oracle.atlas_by_sequence(6).get(s.runs, ()))
 
 
 class TestAutomorphisms:
     def test_c5(self):
-        auts = oracle.automorphisms(realize(parse_sequence("2^5")))
+        auts = automorphisms(realize(parse_sequence("2^5")))
         assert len(auts) == 10
 
     def test_rigid(self):
@@ -134,13 +173,13 @@ class TestAutomorphisms:
 
     def test_returned_maps_preserve_edges(self):
         g = realize(parse_sequence("3,2,2,2,1"))
-        for pi in oracle.automorphisms(g):
+        for pi in automorphisms(g):
             for u, v in g.edges():
-                assert g.has_edge(pi(u), pi(v))
+                assert g.has_edge(pi[u], pi[v])
 
     def test_identity_always_present(self):
         g = realize(parse_sequence("2^2,1^2"))
-        assert any(p.mapping == tuple(range(g.n)) for p in oracle.automorphisms(g))
+        assert tuple(range(g.n)) in automorphisms(g)
 
 
 class TestBruteParams:
@@ -256,8 +295,8 @@ class TestCrossingAutomorphisms:
             combined = compose_graphs(head, part, tail)
             crossings = [
                 pi
-                for pi in oracle.automorphisms(combined)
-                if any(pi(v) >= head.n for v in range(head.n))
+                for pi in automorphisms(combined)
+                if any(pi[v] >= head.n for v in range(head.n))
             ]
             if crossings:
                 kind = determine_split(head_ps.merged()).kind
@@ -271,8 +310,8 @@ class TestCrossingAutomorphisms:
         part = VertexPartition(frozenset({0, 1}), frozenset({2, 3, 4}))
         tail = realize(parse_sequence("1^2"))
         combined = compose_graphs(head, part, tail)
-        for pi in oracle.automorphisms(combined):
-            assert all(pi(v) < 5 for v in range(5))
+        for pi in automorphisms(combined):
+            assert all(pi[v] < 5 for v in range(5))
 
 
 class TestAtlasCacheFile:

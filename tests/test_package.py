@@ -36,11 +36,21 @@ from unigraph import (
     parse_sequence,
     realize,
 )
+from unigraph._record import Record
 from unigraph.cli import build_parser, main
 from unigraph.errors import FormatError, UnigraphError
-from unigraph.oracle import Permutation
 
 SRC = str(Path(unigraph.__file__).resolve().parents[1])
+
+
+class Permutation(Record):
+    """A vertex bijection as its tuple of images: a one-field record, for
+    the value semantics below."""
+
+    _fields = ("mapping",)
+
+    def __init__(self, mapping: tuple[int, ...]) -> None:
+        object.__setattr__(self, "mapping", mapping)
 
 
 # unigraph.__all__, grouped by why each name is public; exporting or
@@ -188,26 +198,14 @@ def _graph_uses(g):
 
 
 def _decomposition_uses(d):
-    """Every method and export that takes a decomposition, on d, with the
-    verdicts of two other sequences where a report goes with it."""
-    calls = [lambda: d.runs, lambda: d.tail, lambda: d.components, lambda: d.n]
-    calls.append(lambda: unigraph.compact(d))
-    for text in ("2^2,1^2", "-", "3,1^3,0"):
-        r = is_unigraph(parse_sequence(text))[1]
-        calls.append(lambda r=r: unigraph.core_params(d, r))
-        calls.append(lambda r=r: unigraph.compact_typed(d, r))
-    return calls
+    """Every method and export that takes a decomposition, on d."""
+    return [lambda: d.runs, lambda: d.tail, lambda: d.components, lambda: d.n,
+            lambda: unigraph.compact(d)]
 
 
 def _report_uses(r):
-    """Every method and export that takes a report, on r, with the
-    decompositions of a few sequences where one goes with it."""
-    calls = [lambda: r.component_types, r.tags]
-    for text in ("2^2,1^2", "-", "3,1^3,0", "2^8"):
-        d = decompose(parse_sequence(text))
-        calls.append(lambda d=d: unigraph.core_params(d, r))
-        calls.append(lambda d=d: unigraph.compact_typed(d, r))
-    return calls
+    """Every method that takes a report, on r; no export takes one."""
+    return [lambda: r.component_types, r.tags]
 
 
 def _built(make, *fields):
@@ -251,9 +249,9 @@ class TestHostileInputs:
                     pass
 
     def test_report_constructor_refuses_malformed_fields(self):
-        d, r = is_unigraph(parse_sequence("2^2,1^2"))
+        _, r = is_unigraph(parse_sequence("2^2,1^2"))
         with pytest.raises(FormatError):
-            unigraph.core_params(d, unigraph.UnigraphReport(True, None, None))
+            unigraph.UnigraphReport(True, None, None)
         for fields in [(1, r.runs, None), (True, r.runs, 0), (False, r.runs, None)]:
             with pytest.raises(FormatError):
                 unigraph.UnigraphReport(*fields)
@@ -283,6 +281,16 @@ class TestHostileInputs:
                 fn(*[value] * arity)
             except UnigraphError:
                 pass
+
+    @pytest.mark.parametrize("name", ["core_params", "compact_typed", "unigraph_params"])
+    def test_parameter_functions_take_a_sequence_only(self, name):
+        # a hostile value, a decomposition, a report or the pair of them is
+        # refused with a UnigraphError, never taken
+        fn = getattr(unigraph, name)
+        d, r = is_unigraph(parse_sequence("2^2,1^2"))
+        for value in HOSTILE_VALUES + [d, r, (d, r), "2^2,1^2", [2, 2, 1, 1]]:
+            with pytest.raises(UnigraphError):
+                fn(value)
 
     @pytest.mark.parametrize("name", sorted(ENUMS))
     def test_enum_lookup_raises_value_error(self, name):

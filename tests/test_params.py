@@ -48,34 +48,59 @@ class TestComponentOmegaAlpha:
 
 class TestCoreParams:
     def test_composed_example(self):
-        d, r = is_unigraph(parse_sequence("8^4,5^4,2^2"))
-        assert core_params(d, r) == (6, 4, 6, 6)
+        assert core_params(parse_sequence("8^4,5^4,2^2")) == (6, 4, 6, 6)
         # oracle route on the 10-vertex realization
         g = realize(parse_sequence("8^4,5^4,2^2"))
         assert oracle.brute_params(g) == (6, 4, 6, 6)
 
     def test_c5(self):
-        d, r = is_unigraph(parse_sequence("2^5"))
-        assert core_params(d, r) == (2, 2, 3, 3)
+        assert core_params(parse_sequence("2^5")) == (2, 2, 3, 3)
 
     def test_edgeless(self):
         for k in (1, 4):
-            d, r = is_unigraph(parse_sequence(f"0^{k}" if k > 1 else "0"))
-            assert core_params(d, r) == (1, k, 0, 1)
+            s = parse_sequence(f"0^{k}" if k > 1 else "0")
+            assert core_params(s) == (1, k, 0, 1)
 
     def test_rejects_non_unigraph(self):
-        d, r = is_unigraph(parse_sequence("2^8"))
         with pytest.raises(NotUnigraph):
-            core_params(d, r)
+            core_params(parse_sequence("2^8"))
         with pytest.raises(NotUnigraph):
             unigraph_params(parse_sequence("2^8"))
+
+    def test_agrees_with_unigraph_params(self):
+        # on fresh parses, which each call classifies, and on an object
+        # that is classified already
+        from unigraph.verify import iter_unigraphs
+
+        seqs = list(iter_unigraphs(8)) + [
+            compose_types(generate(GenSpec(2000, 40, seed=seed))) for seed in range(20)
+        ]
+        for s in seqs:
+            text = s.to_text()
+            fresh = core_params(parse_sequence(text)), unigraph_params(parse_sequence(text))
+            is_unigraph(s)
+            kept = core_params(s), unigraph_params(s)
+            for core, ps in (fresh, kept):
+                assert core == (ps.omega, ps.alpha, ps.beta, ps.chi), text
+
+    @pytest.mark.parametrize("text", ["2^8", "2^6", "8^3,5^6", "2^2,1^4,0"])
+    def test_a_non_unigraph_raises_one_message(self, text):
+        messages = set()
+        for fn in (core_params, compact_typed, unigraph_params):
+            classified = parse_sequence(text)
+            is_unigraph(classified)
+            for s in (parse_sequence(text), classified):
+                with pytest.raises(NotUnigraph) as info:
+                    fn(s)
+                messages.add(str(info.value))
+        assert messages == {f"{text} is not a unigraph"}
 
     def test_chi_omega_gap_iff_c5_tail(self, atlas8):
         from unigraph.verify import iter_unigraphs
 
         for s in iter_unigraphs(7):
-            d, r = is_unigraph(s)
-            omega, _, _, chi = core_params(d, r)
+            _, r = is_unigraph(s)
+            omega, _, _, chi = core_params(s)
             gap = chi - omega
             assert gap in (0, 1)
             tail_is_c5 = bool(r.component_types) and r.component_types[
@@ -126,8 +151,7 @@ class TestFixingNumber:
 
         head = parse_paired("2^2;1^2")
         s = compose_all([head] * 3, parse_sequence("2^5"))
-        d, r = is_unigraph(s)
-        types = compact_typed(d, r)[1]
+        types = compact_typed(s)[1]
         assert types[0] is types[1] is types[2]
         ps = unigraph_params(s)
         assert ps.fix == sum(map(component_fix, types)) == 3 * 1 + 2
@@ -213,7 +237,8 @@ class TestPricedShapes:
 class TestThreads:
     """Classifying and pricing from many threads at once gives what one
     thread gives: the verdicts kept on shared sequences, the matcher's
-    cached types and their prices are each written whole."""
+    cached types and their prices are each written whole, and every thread
+    gets the one verdict that was stored first on a shared sequence."""
 
     @staticmethod
     def _outcome(s):
@@ -245,11 +270,20 @@ class TestThreads:
         unitype.match_head.cache_clear()
         shared = [parse_sequence(text) for text in texts]
         results: dict = {}
+        first_verdicts: dict = {}
         start = threading.Barrier(8)
+
+        def first_verdict(s):
+            try:
+                return is_unigraph(s)
+            except NotGraphical:
+                return None
 
         def work(i):
             try:
                 start.wait(timeout=60)
+                # each thread's first call on a shared sequence races the others
+                first_verdicts[i] = [first_verdict(s) for s in shared]
                 results[i] = [
                     (self._outcome(s), self._outcome(parse_sequence(text)))
                     for _ in range(3)
@@ -272,6 +306,9 @@ class TestThreads:
         assert sorted(results) == list(range(8))
         for got in results.values():
             assert got == [(e, e) for _ in range(3) for e in expected]
+        for j, s in enumerate(shared):
+            kept = vars(s).get("_unigraph")
+            assert all(first_verdicts[i][j] is kept for i in range(8)), texts[j]
 
 
 def _block_fix(p, q):
@@ -397,17 +434,18 @@ def _verdict():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: core_params(None, None), FormatError),
-        (lambda: core_params(_verdict()[0], None), FormatError),
-        (lambda: compact_typed(None, None), FormatError),
-        (lambda: compact_typed(_verdict()[0], "report"), FormatError),
+        (lambda: core_params(None), FormatError),
+        (lambda: core_params(_verdict()[0]), FormatError),
+        (lambda: compact_typed(None), FormatError),
+        (lambda: compact_typed("report"), FormatError),
     ],
     ids=[
         "core-none", "core-no-report", "compact-none", "compact-text-report",
     ],
 )
 def test_verdict_params_reject_bad_arguments(call, error):
-    # the public functions over a verdict raise only UnigraphError subclasses
+    # the functions over a sequence's verdict take the sequence only: a
+    # decomposition or a text where it goes is refused with a FormatError
     with pytest.raises(error):
         call()
 
@@ -463,7 +501,7 @@ class TestDistinguishingNumber:
     def test_edgeless(self):
         for k in (2, 5):
             s = parse_sequence(f"0^{k}")
-            _, types = compact_typed(*is_unigraph(s))
+            _, types = compact_typed(s)
             # the whole graph compacts to one stable-side block
             assert [t.tag() for t in types] == [f"empty(m={k})"]
             assert unigraph_params(s).dist == k
@@ -518,7 +556,7 @@ class TestCompactTyped:
     def check(self, s):
         d, r = is_unigraph(s)
         assert r.is_unigraph, s
-        assert compact_typed(d, r) == compact_types_by_blocks(d, r), s
+        assert compact_typed(s) == compact_types_by_blocks(d, r), s
 
     def test_every_unigraph_up_to_8(self):
         from unigraph.verify import iter_unigraphs
